@@ -64,11 +64,6 @@ def partial_sums(seq: EigenvalueSequence, kind: str, indices) -> PartialSumSerie
     return PartialSumSeries(kind, indices, values, tail_error=err, tail_route=route)
 
 
-def power(seq: EigenvalueSequence, alpha: float) -> EigenvalueSequence:
-    """Entrywise mu_n^alpha; order scales linearly in alpha."""
-    return seq.power(alpha)
-
-
 # ---------------------------------------------------------------------------
 # order of infinitesimal
 

@@ -55,14 +55,15 @@ def _exact_number(x):
 class Similarity:
     """Contracting similarity w(x) = ratio * O x + t with O orthogonal.
 
-    ``translation`` fixes the ambient dimension; ``orthogonal`` defaults to
-    the identity.  Passing ``ratio``/``translation`` as int or Fraction (in
-    one dimension, with O = +-1) keeps an exact affine mirror that the gap
-    machinery uses for rational endpoint arithmetic.
+    ``translation``, a number or any 1-d array-like, fixes the ambient
+    dimension; ``orthogonal`` defaults to the identity.  Passing
+    ``ratio``/``translation`` as int or Fraction (in one dimension, with
+    O = +-1) keeps an exact affine mirror that the gap machinery uses for
+    rational endpoint arithmetic.
     """
 
     def __init__(self, ratio, translation, orthogonal=None):
-        t_raw = translation if isinstance(translation, (list, tuple)) else [translation]
+        t_raw = list(translation) if np.ndim(translation) == 1 else [translation]
         self.translation = np.asarray([float(v) for v in t_raw], dtype=float)
         n = self.translation.size
         if orthogonal is None:
@@ -201,10 +202,6 @@ class LimitIfs:
     @property
     def distinct_ratios(self) -> tuple:
         return tuple(sorted({w.ratio for level in self.blocks for w in level}))
-
-    @property
-    def sup_ratio(self) -> float:
-        return max(self.distinct_ratios)
 
     def osc_overlap_evidence(self, depth: int = 1) -> float:
         """Worst pairwise bounding-box overlap volume of level images of the
@@ -586,7 +583,8 @@ class GapList:
     starts/ends are sorted by nonincreasing length.  Residual intervals are
     the undecided depth-m cylinders unless residual_solid says they belong
     to F itself (finite unions).  ``exact`` means every endpoint and the
-    conservation identity were computed in rational arithmetic.
+    conservation identity were computed exactly, as integer numerators over
+    one common denominator, and each endpoint was rounded to float once.
     """
 
     a: float
@@ -819,6 +817,10 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
 
     exact="auto" switches to rational endpoints whenever the maps and the
     interval allow; exact=True insists and raises ValueError otherwise.
+    Exact and float runs share one vectorized enumeration: exact endpoints
+    are Python-int numerators over one common denominator (no width limit),
+    rounded correctly to float at the end, and the conservation defect is an
+    integer identity.
     """
     if ifs.dim != 1:
         raise ValueError("gap analysis needs a one-dimensional system")
@@ -853,33 +855,32 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
     if not a < b:
         raise ValueError("bounding interval is degenerate")
 
-    level_cache = {}
-    for i in set(block_ids):
-        level_cache[i] = _level_interval_data(ifs.blocks[i], a, b, use_exact)
-    hull_tight = all(level_cache[i][2] for i in set(block_ids))
+    level_cache = {i: _level_interval_data(ifs.blocks[i], a, b, use_exact)
+                   for i in set(block_ids)}
+    hull_tight = all(tight for _, _, tight in level_cache.values())
 
-    if use_exact:
-        gaps, glevels, res = _gaps_exact(level_cache, block_ids, a, b, budget)
-    else:
-        gaps, glevels, res = _gaps_float(level_cache, block_ids, a, b, budget)
+    lo, hi, glevels, res_lo, res_hi, denom = _gap_numerators(
+        [level_cache[i] for i in block_ids], a, b, use_exact, budget)
 
-    total = sum(h - l for l, h in gaps) + sum(h - l for l, h in res)
-    defect = (b - a) - total
-    cutoff = 0.0
-    if res:
-        r_max = max(float(h - l) for l, h in res)
-        cutoff = r_max / (float(b) - float(a)) * _future_gap_factor(
-            ifs, depth, float(a), float(b))
-    starts = np.array([float(l) for l, _ in gaps])
-    ends = np.array([float(h) for _, h in gaps])
+    def to_float(x):
+        # int / int rounds correctly, to the value float(Fraction) gives
+        return np.asarray(x / denom, dtype=float)
+
+    # left-to-right sums, as Python's sum adds; a leading 0 keeps an empty
+    # gap list summable and changes no float
+    total = np.cumsum(np.append(0, hi - lo))[-1] + np.cumsum(res_hi - res_lo)[-1]
+    defect = ((b - a) * denom - total) / denom
+    r_max = float(to_float(res_hi - res_lo).max())
+    cutoff = r_max / (float(b) - float(a)) * _future_gap_factor(
+        ifs, depth, float(a), float(b))
+    starts, ends = to_float(lo), to_float(hi)
     order = np.lexsort((starts, -(ends - starts)))
-    res_starts = np.array([float(l) for l, _ in res])
-    res_ends = np.array([float(h) for _, h in res])
+    res_starts, res_ends = to_float(res_lo), to_float(res_hi)
     ridx = np.argsort(res_starts)
     return GapList(
         a=float(a), b=float(b),
         starts=starts[order], ends=ends[order],
-        levels=np.asarray(glevels, dtype=np.int64)[order],
+        levels=glevels[order],
         residual_starts=res_starts[ridx], residual_ends=res_ends[ridx],
         exact=use_exact, hull_tight=hull_tight, residual_solid=False,
         map_ratios=ifs.distinct_ratios,
@@ -890,59 +891,49 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
     )
 
 
-def _gaps_exact(level_cache, block_ids, a, b, budget):
-    words = [(Fraction(1), Fraction(0))]
-    gaps, glevels, depth = [], [], len(block_ids)
-    for n, bid in enumerate(block_ids, start=1):
-        ivs, lgaps, _ = level_cache[bid]
-        if len(words) * len(ivs) > budget:
-            raise BudgetExceeded(f"depth {n} needs {len(words) * len(ivs)} words, budget {budget}")
-        for alpha, beta in words:
-            for glo, ghi in lgaps:
-                x, y = alpha * glo + beta, alpha * ghi + beta
-                gaps.append((x, y) if alpha > 0 else (y, x))
-                glevels.append(n)
-        words = [(alpha * aa, alpha * bb + beta)
-                 for alpha, beta in words for _, _, aa, bb in ivs]
-    res = []
-    for alpha, beta in words:
-        x, y = alpha * a + beta, alpha * b + beta
-        res.append((x, y) if alpha > 0 else (y, x))
-    return gaps, glevels, res
+def _gap_numerators(levels, a, b, exact, budget):
+    """Gap and residual endpoints of levels 1..m as numerators over one
+    denominator S, one broadcasting pass per level.
 
+    A word map x -> alpha x + beta is carried as (alpha D^n, beta S).  Exact
+    runs hold Python ints in object arrays with S = D^m E, D the lcm of the
+    map denominators and E that of a and b; float runs hold float64 with S
+    and every scale 1.0.  Returns (gap_lo, gap_hi, gap_level, res_lo,
+    res_hi, S), level by level and in word order within a level.
+    """
+    m = len(levels)
+    dtype, den, scales = float, 1.0, [1.0] * (m + 1)
+    if exact:
+        dtype = object
+        den = math.lcm(*(x.denominator for ivs, _, _ in levels
+                         for _, _, aa, bb in ivs for x in (aa, bb)))
+        scales = [den ** (m - n) * math.lcm(a.denominator, b.denominator)
+                  for n in range(m + 1)]
 
-def _gaps_float(level_cache, block_ids, a, b, budget):
-    alpha = np.ones(1)
-    beta = np.zeros(1)
-    gap_los, gap_his, glevels = [], [], []
-    for n, bid in enumerate(block_ids, start=1):
-        ivs, lgaps, _ = level_cache[bid]
+    def scaled(values, k):
+        out = [v * k for v in values]
+        if exact:
+            assert all(x.denominator == 1 for x in out), "S misses an endpoint"
+            out = [x.numerator for x in out]
+        return np.array(out, dtype=dtype)
+
+    alpha, beta = np.ones(1, dtype=dtype), np.zeros(1, dtype=dtype)
+    gap_lo, gap_hi, gap_level = [], [], []
+    for n, (ivs, lgaps, _) in enumerate(levels, start=1):
         if alpha.size * len(ivs) > budget:
             raise BudgetExceeded(f"depth {n} needs {alpha.size * len(ivs)} words, budget {budget}")
-        if lgaps:
-            glo = np.array([float(g[0]) for g in lgaps])
-            ghi = np.array([float(g[1]) for g in lgaps])
-            e1 = alpha[:, None] * glo[None, :] + beta[:, None]
-            e2 = alpha[:, None] * ghi[None, :] + beta[:, None]
-            gap_los.append(np.minimum(e1, e2).ravel())
-            gap_his.append(np.maximum(e1, e2).ravel())
-            glevels.append(np.full(e1.size, n, dtype=np.int64))
-        la = np.array([float(iv[2]) for iv in ivs])
-        lb = np.array([float(iv[3]) for iv in ivs])
-        new_alpha = (alpha[:, None] * la[None, :]).ravel()
-        beta = (alpha[:, None] * lb[None, :] + beta[:, None]).ravel()
-        alpha = new_alpha
-    e1 = alpha * float(a) + beta
-    e2 = alpha * float(b) + beta
-    res_lo, res_hi = np.minimum(e1, e2), np.maximum(e1, e2)
-    if gap_los:
-        lo = np.concatenate(gap_los)
-        hi = np.concatenate(gap_his)
-        lv = np.concatenate(glevels)
-    else:
-        lo = hi = np.zeros(0)
-        lv = np.zeros(0, dtype=np.int64)
-    return (list(zip(lo, hi)), lv.tolist(), list(zip(res_lo, res_hi)))
+        e1 = alpha[:, None] * scaled([g[0] for g in lgaps], scales[n - 1]) + beta[:, None]
+        e2 = alpha[:, None] * scaled([g[1] for g in lgaps], scales[n - 1]) + beta[:, None]
+        gap_lo.append(np.minimum(e1, e2).ravel())
+        gap_hi.append(np.maximum(e1, e2).ravel())
+        gap_level.append(np.full(e1.size, n))
+        la = scaled([iv[2] for iv in ivs], den)
+        lb = scaled([iv[3] for iv in ivs], scales[n - 1])
+        alpha, beta = ((alpha[:, None] * la).ravel(),
+                       (alpha[:, None] * lb + beta[:, None]).ravel())
+    e1, e2 = alpha * scaled([a, b], scales[m])[:, None] + beta
+    return (np.concatenate(gap_lo), np.concatenate(gap_hi), np.concatenate(gap_level),
+            np.minimum(e1, e2), np.maximum(e1, e2), scales[0])
 
 
 # ---------------------------------------------------------------------------

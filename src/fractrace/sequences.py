@@ -107,7 +107,7 @@ class LogLinearProfile:
         lm = np.where(flat, g0 + np.log(length), lm)
         return lm, r, g0
 
-    def _partial_from_left(self, gamma, tq, lm_unused=None):
+    def _partial_from_left(self, gamma, tq):
         """log integral over (knots[i], tq] for the piece containing tq."""
         i = self._piece_of(tq)
         t0 = self.knots[i]

@@ -12,7 +12,6 @@ machinery ever reads.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -237,105 +236,119 @@ def _seed_pair(ifs: LimitIfs, seed):
     return x, y, d0
 
 
-class _WordStore:
-    """Append-only affine store so heap entries stay (key, tiebreak, row)."""
-
-    def __init__(self, dim: int):
-        n = 1024
-        self.lin = np.empty((n, dim, dim))
-        self.off = np.empty((n, dim))
-        self.lam = np.empty(n)
-        self.depth = np.empty(n, dtype=np.int64)
-        self.first = np.empty(n, dtype=np.int64)
-        self.n = 0
-
-    def append(self, lam, lin, off, depth, first) -> int:
-        if self.n == len(self.lam):
-            grow = 2 * len(self.lam)
-            for name in ("lin", "off", "lam", "depth", "first"):
-                buf = getattr(self, name)
-                new = np.empty((grow,) + buf.shape[1:], dtype=buf.dtype)
-                new[: self.n] = buf
-                setattr(self, name, new)
-        i = self.n
-        self.lin[i] = lin
-        self.off[i] = off
-        self.lam[i] = lam
-        self.depth[i] = depth
-        self.first[i] = first
-        self.n = i + 1
-        return i
-
-
 def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
                 max_depth: int | None = None) -> PairTripleModel:
     """Enumerate the two-point model in nonincreasing eigenvalue order.
 
     Words are drawn level by level from ``ifs``; the entry for a word is the
     seed distance scaled by the word's ratio product, exact for similarities.
-    A priority queue over the word tree keeps the stream sorted without
-    materializing it: children are pushed when their parent is popped, and
-    every child contracts strictly below its parent, so no later pop can
-    exceed the current head.  ``cap`` counts eigen-entries (two per word);
-    ``max_depth`` optionally stops the tree at a word length, with 0 giving
-    the empty model.  The default seed is the fixed-point pair of the first
-    two maps of level 1.
+    Every child contracts strictly below its parent, so the words above a
+    threshold product form a subtree and a prefix of the sorted stream: the
+    tree is expanded level by level, pruned at the threshold, which is
+    lowered until the prefix holds ``cap`` / 2 words or the tree runs out.
+    Equal products go by parent rank, then map index, first-level words
+    first.  ``cap`` counts eigen-entries (two per word); ``max_depth``
+    optionally stops the tree at a word length, with 0 giving the empty
+    model.  The default seed is the fixed-point pair of the first two maps
+    of level 1.
     """
     x, y, d0 = _seed_pair(ifs, seed)
-    dim = x.size
 
     ceiling = ifs.max_depth
     if max_depth is not None:
         if max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
         ceiling = max_depth if ceiling is None else min(max_depth, ceiling)
-    n_words_max = int(cap) // 2
+    n_words_max = 0 if ceiling == 0 else int(cap) // 2
 
-    store = _WordStore(dim)
-    heap: list = []
-    serial = 0
-    if (ceiling is None or ceiling >= 1) and n_words_max > 0:
-        for j, w in enumerate(ifs.level(1), start=1):
-            rid = store.append(w.ratio, w.linear, w.translation, 1, j)
-            heapq.heappush(heap, (-w.ratio, serial, rid))
-            serial += 1
+    # halving, or the largest ratio when gentler, keeps one step from
+    # multiplying the subtree by much more than the number of maps
+    shrink = max(0.5, max(w.ratio for level in ifs.blocks for w in level))
+    lam_star = max(w.ratio for w in ifs.level(1))
+    while True:
+        lam_star *= shrink
+        words, pruned = _words_above(ifs, lam_star, ceiling)
+        if len(words["lam"]) >= n_words_max or not pruned:
+            break
 
-    order = []
-    while heap and len(order) < n_words_max:
-        _, _, rid = heapq.heappop(heap)
-        order.append(rid)
-        depth = int(store.depth[rid])
-        if ceiling is None or depth < ceiling:
-            lam = store.lam[rid]
-            lin = store.lin[rid].copy()
-            off = store.off[rid].copy()
-            first = store.first[rid]
-            for w in ifs.level(depth + 1):
-                cid = store.append(lam * w.ratio, lin @ w.linear,
-                                   lin @ w.translation + off, depth + 1, first)
-                heapq.heappush(heap, (-store.lam[cid], serial, cid))
-                serial += 1
+    # sort by (-lam, rank of parent, map index).  Within a depth the rows
+    # already come in that order, so a parent's row stands in for its rank
+    # until the ties across depths settle, one more generation per pass
+    lam, parent, child = words["lam"], words["parent"], words["child"]
+    order = np.lexsort((child, parent, -lam))
+    rank = np.empty(len(lam), dtype=np.int64)
+    while True:
+        rank[order] = np.arange(len(lam))
+        new_order = np.lexsort((child, np.where(parent >= 0, rank[parent], -1), -lam))
+        if np.array_equal(new_order, order):
+            break
+        order = new_order
+    idx = order[:n_words_max]
 
     # the model is complete only when the whole (finite) word tree was walked
-    truncated = bool(heap) or (
+    truncated = len(lam) > len(idx) or pruned or (
         ceiling is not None and (ifs.max_depth is None or ceiling < ifs.max_depth))
-
-    idx = np.asarray(order, dtype=np.int64)
-    lam_w = store.lam[idx]
-    xs = store.lin[idx] @ x + store.off[idx]
-    ys = store.lin[idx] @ y + store.off[idx]
+    lin, off = _word_maps(ifs, words, idx)
     return PairTripleModel(
         ifs=ifs,
         seed_x=x,
         seed_y=y,
         seed_distance=d0,
-        values=np.repeat(lam_w * d0, 2),
-        tags_x=np.repeat(xs, 2, axis=0),
-        tags_y=np.repeat(ys, 2, axis=0),
-        depths=np.repeat(store.depth[idx], 2),
-        first_digits=np.repeat(store.first[idx], 2),
-        truncated=truncated,
+        values=np.repeat(lam[idx] * d0, 2),
+        tags_x=np.repeat(lin @ x + off, 2, axis=0),
+        tags_y=np.repeat(lin @ y + off, 2, axis=0),
+        depths=np.repeat(words["depth"][idx], 2),
+        first_digits=np.repeat(words["first"][idx], 2),
+        truncated=bool(truncated),
     )
+
+
+def _words_above(ifs: LimitIfs, lam_star: float, ceiling):
+    """Ratio product, depth, first digit, parent row (-1 on level 1) and map
+    index of every word above lam_star, depth by depth and in stream order
+    within a depth; and whether any word was pruned."""
+    p = len(ifs.level(1))
+    frontier = {"lam": np.array([w.ratio for w in ifs.level(1)]),
+                "first": np.arange(1, p + 1), "parent": np.full(p, -1),
+                "child": np.arange(p)}
+    chunks, n_rows, depth, pruned = [], 0, 1, False
+    while True:
+        lam = frontier["lam"]
+        keep = np.flatnonzero(lam > lam_star)
+        pruned = pruned or len(keep) < len(lam)
+        # rows of one depth in stream order; their parents are so already
+        keep = keep[np.lexsort((frontier["child"][keep], frontier["parent"][keep], -lam[keep]))]
+        kept = {k: v[keep] for k, v in frontier.items()}
+        count = len(kept["lam"])
+        chunks.append(dict(kept, depth=np.full(count, depth)))
+        if count == 0 or (ceiling is not None and depth >= ceiling):
+            return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}, pruned
+        ratios = np.array([w.ratio for w in ifs.level(depth + 1)])
+        p = len(ratios)
+        frontier = {"lam": (kept["lam"][:, None] * ratios[None, :]).ravel(),
+                    "first": np.repeat(kept["first"], p),
+                    "parent": np.repeat(np.arange(n_rows, n_rows + count), p),
+                    "child": np.tile(np.arange(p), count)}
+        n_rows += count
+        depth += 1
+
+
+def _word_maps(ifs: LimitIfs, words, rows):
+    """Composed linear parts and offsets of ``rows``, which must hold every
+    parent of theirs, as a prefix of the sorted stream does.  A child is
+    lin @ linear and lin @ translation + off of its parent's (lin, off)."""
+    lin = np.empty((len(words["lam"]), ifs.dim, ifs.dim))
+    off = np.empty((len(words["lam"]), ifs.dim))
+    depth, child = words["depth"][rows], words["child"][rows]
+    for n in range(1, int(depth.max(initial=0)) + 1):
+        for j, w in enumerate(ifs.level(n)):
+            r = rows[(depth == n) & (child == j)]
+            if n == 1:
+                lin[r], off[r] = w.linear, w.translation
+            else:
+                up = words["parent"][r]
+                lin[r], off[r] = lin[up] @ w.linear, lin[up] @ w.translation + off[up]
+    return lin[rows], off[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -742,10 +755,6 @@ class MinkowskiLink:
     lattice: bool | None
     asserted: bool
     overlap: bool
-
-    @property
-    def trace_band(self):
-        return self.trace.band
 
     @property
     def scaled_band(self):

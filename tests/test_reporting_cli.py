@@ -1,0 +1,135 @@
+"""Config validation, report determinism and exit codes through the CLI."""
+
+import json
+import re
+
+import numpy as np
+
+from fractrace import cli
+from fractrace.fractal_geometry import Similarity
+from fractrace.reporting import PAIR_TRIPLE, parse_config
+
+
+def line_ifs(r1, r2):
+    return {"generation": "stationary",
+            "maps": [{"ratio": r1, "translation": 0.0},
+                     {"ratio": r2, "translation": 1.0 - r2}]}
+
+
+PLANAR_IFS = {"generation": "stationary",
+              "maps": [{"ratio": 1 / 3, "translation": [0.0, 0.0]},
+                       {"ratio": 1 / 3, "translation": [2 / 3, 0.0]},
+                       {"ratio": 1 / 3, "translation": [0.0, 2 / 3]}]}
+
+BATCH = {"experiments": [
+    {"kind": "IFS_CLASSICAL", "name": "classical",
+     "parameters": {"ifs": line_ifs(0.3, 0.4), "depth": 9,
+                    "box_dimension": {"cloud_depth": 8}, "minkowski": True,
+                    "cylinder": {"exponent": 0.6, "depth": 6},
+                    "contraction": {"depth": 8}}},
+    {"kind": "GAP_TRIPLE", "name": "gap-model",
+     "parameters": {"ifs": line_ifs(0.25, 0.35), "depth": 14,
+                    "zeta": {"s": [1.0]},
+                    "functional": {"type": "affine", "slope": 0.5,
+                                   "intercept": 2.0}}},
+    {"kind": "PAIR_TRIPLE", "name": "pair-model",
+     "parameters": {"ifs": line_ifs(0.3, 0.35), "cap": 20000,
+                    "zeta": {"s": [1.0]},
+                    "functional": {"type": "box_indicator", "lo": 0.0,
+                                   "hi": 0.5}}},
+    {"kind": "LINK_CHECK", "name": "link",
+     "parameters": {"ifs": line_ifs(0.3, 0.4), "depth": 11}},
+]}
+
+
+def write_config(tmp_path, doc, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run_cli(tmp_path, doc, out="out"):
+    out_dir = tmp_path / out
+    out_dir.mkdir()
+    code = cli.main(["run", "--config", write_config(tmp_path, doc),
+                     "--out-dir", str(out_dir), "--quiet"])
+    return code, out_dir
+
+
+def test_similarity_takes_any_1d_translation():
+    w = Similarity(1 / 3, np.array([2 / 3, 0.0]))
+    assert w.dim == 2
+    assert w.translation.tolist() == [2 / 3, 0.0]
+    assert Similarity(0.5, (1, 2)).translation.tolist() == [1.0, 2.0]
+
+
+def test_planar_config_validates():
+    doc = {"kind": "PAIR_TRIPLE",
+           "parameters": {"ifs": PLANAR_IFS, "cap": 2000}}
+    (exp,) = parse_config(doc)
+    assert exp.kind == PAIR_TRIPLE
+    ifs = exp.params["ifs"]
+    assert ifs.dim == 2
+    assert [w.translation.tolist() for w in ifs.level(1)] == \
+        [[0.0, 0.0], [2 / 3, 0.0], [0.0, 2 / 3]]
+
+
+def test_planar_pair_model_runs_from_the_cli(tmp_path):
+    doc = {"kind": "PAIR_TRIPLE", "name": "planar",
+           "parameters": {"ifs": PLANAR_IFS, "cap": 4000,
+                          "zeta": {"s": [1.5]}}}
+    code, out_dir = run_cli(tmp_path, doc)
+    assert code == 0
+    report = json.loads((out_dir / "planar.report.json").read_text())
+    assert report["kind"] == PAIR_TRIPLE
+    assert report["results"][0]["op"] == "pair_triple"
+    with open(out_dir / report["series"]["entries"]) as fh:
+        header = fh.readline().strip()
+    assert header == "k,mu_k,tag_x_1,tag_x_2,tag_y_1,tag_y_2"
+
+
+def test_batch_reports_replay_byte_for_byte(tmp_path):
+    runs = [run_cli(tmp_path, BATCH, out) for out in ("a", "b")]
+    assert [code for code, _ in runs] == [0, 0]
+    (_, dir_a), (_, dir_b) = runs
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names == sorted(p.name for p in dir_b.iterdir())
+    reports = [n for n in names if n.endswith(".report.json")]
+    assert len(reports) == 4
+    assert any(n.endswith(".csv") for n in names)
+    for name in names:
+        a, b = (d / name for d in (dir_a, dir_b))
+        if name in reports:
+            # meta holds the wall time and nothing nested
+            text_a, text_b = (re.sub(r'"meta": \{[^{}]*\}', "", p.read_text())
+                              for p in (a, b))
+            assert '"meta"' not in text_a and '"results"' in text_a
+            assert text_a == text_b, name
+        else:
+            assert a.read_bytes() == b.read_bytes(), name
+
+
+def test_compare_a_report_with_itself(tmp_path):
+    code, out_dir = run_cli(tmp_path, {"experiments": BATCH["experiments"][2:3]})
+    assert code == 0
+    report = str(out_dir / "pair-model.report.json")
+    diff_path = tmp_path / "diff.json"
+    assert cli.main(["compare", report, report, "--out", str(diff_path),
+                     "--quiet"]) == 0
+    diff = json.loads(diff_path.read_text())
+    assert diff["n_compared"] > 0
+    assert diff["n_significant"] == 0
+
+
+def test_malformed_configs_exit_2(tmp_path, capsys):
+    bad_kind = write_config(tmp_path, {"kind": "NOPE", "parameters": {}}, "a.json")
+    assert cli.main(["run", "--config", bad_kind, "--out-dir", str(tmp_path)]) == 2
+    assert "$.kind" in capsys.readouterr().err
+    bad_ratio = {"kind": "PAIR_TRIPLE",
+                 "parameters": {"ifs": line_ifs(1.5, 0.3), "cap": 100}}
+    path = write_config(tmp_path, bad_ratio, "b.json")
+    assert cli.main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert "$.parameters.ifs.maps[0].ratio" in capsys.readouterr().err
+    broken = tmp_path / "c.json"
+    broken.write_text("{not json")
+    assert cli.main(["run", "--config", str(broken), "--out-dir", str(tmp_path)]) == 2

@@ -124,7 +124,7 @@ def test_pair_enumeration_matches_sorted_oracle():
     brute = np.sort(np.asarray(brute))[::-1]
     model = pair_triple(ifs, max_depth=8, cap=10**9)
     assert len(model) == 2 * len(brute)
-    # the heap pops words in exactly the order a full sort would produce
+    # the pruned level-wise frontier yields exactly the order a full sort would
     assert np.array_equal(model.values[0::2], brute)
     assert np.all(np.diff(model.values) <= 0.0)
 
