@@ -45,6 +45,14 @@ def partial_sums(seq: EigenvalueSequence, kind: str, indices) -> PartialSumSerie
     against the sequence's tail model (exhausted, profile integral, or fitted
     power law), recording the residual error bound.
     """
+    indices, values, err, route = _partial_sums(seq, kind, indices)
+    return PartialSumSeries(kind, indices, values, tail_error=err, tail_route=route)
+
+
+def _partial_sums(seq: EigenvalueSequence, kind: str, indices):
+    """(indices, S_n, tail error bound, tail route) without the series'
+    invariant checks: a tail that exhausts double precision before the cap
+    comes back as the zero or rounding-negative difference it is."""
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim == 0:
         indices = indices[None]
@@ -54,14 +62,13 @@ def partial_sums(seq: EigenvalueSequence, kind: str, indices) -> PartialSumSerie
         if np.any(indices < 1):
             raise ValueError("prefix sums need indices >= 1")
         csum = np.cumsum(seq.prefix(int(indices.max())))
-        return PartialSumSeries(kind, indices, csum[indices - 1])
+        return indices, csum[indices - 1], 0.0, None
     if kind != TRACE_CLASS:
         raise ValueError(f"unknown kind {kind!r}")
     nmax = int(indices.max())
     total, err, route = seq.tail_sum(0)
     csum = np.concatenate([[0.0], np.cumsum(seq.prefix(nmax))])
-    values = total - csum[indices]
-    return PartialSumSeries(kind, indices, values, tail_error=err, tail_route=route)
+    return indices, total - csum[indices], err, route
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +353,9 @@ def eccentricity_scan(seq: EigenvalueSequence, kind: str, tolerance: float = 0.0
         ns = np.unique(np.round(2.0 * grid_ratio ** np.arange(count)).astype(np.int64))
         ns = ns[ns <= n_hi]
         n2 = np.minimum(np.round(ns * lam).astype(np.int64), seq.cap)
-        if kind == NON_TRACE_CLASS:
-            csum = np.cumsum(seq.prefix(int(n2.max())))
-            s1 = csum[ns - 1]
-            s2 = csum[n2 - 1]
-        else:
-            total, _, _ = seq.tail_sum(0)
-            csum = np.concatenate([[0.0], np.cumsum(seq.prefix(int(n2.max())))])
-            s1 = total - csum[ns]
-            s2 = total - csum[n2]
+        _, sums, _, _ = _partial_sums(seq, kind, np.concatenate([ns, n2]))
+        s1, s2 = sums[:len(ns)], sums[len(ns):]
+        if kind == TRACE_CLASS:
             # fast tails exhaust double precision before the cap; a 0/0
             # grid point carries no ratio evidence, so drop it
             keep = s1 > 0.0

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     BudgetExceeded,
@@ -277,6 +276,8 @@ def similarity_dimension(ifs) -> float:
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Hausdorff distance between two finite clouds (kd-tree accelerated)."""
+    # imported where used: scipy.spatial is a large share of package import
+    from scipy.spatial import cKDTree
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     d_ab = cKDTree(b).query(a)[0].max()
@@ -527,6 +528,7 @@ def box_dimension_estimate(cloud, eps=None, resolution=None,
         return BoxDimensionEstimate(0.0, 0.0, 0.0, one, one, np.zeros(1))
     if resolution is None:
         # finest meaningful scale for a bare cloud: its largest nearest-neighbor gap
+        from scipy.spatial import cKDTree
         nn = cKDTree(pts).query(pts, k=2)[0][:, 1]
         resolution = float(nn.max())
 

@@ -14,6 +14,12 @@ shape everything here:
 * Report bytes are deterministic.  Keys are sorted, floats are written with
   17 significant digits (enough to round-trip exactly), and the only field a
   replay can change is meta.wall_time_s.
+* CSV series are plain columns.  Integer cells are written with ``str`` and
+  float cells with ``repr``, the shortest text that round-trips the float64
+  (so ``0.1`` stays ``0.1``, where the report JSON writes 17 significant
+  digits and quotes nan and infinities; CSV writes them bare).  A model's
+  entries CSV has one row per entry, so each repeated eigenvalue repeats
+  its row.
 
 Exit codes, used by the CLI and mirrored in ``run``'s return value: 0 on
 success, 2 for config or schema violations, 3 for numeric precondition
@@ -36,7 +42,7 @@ from . import fractal_geometry as fg
 from . import spectral_triples as st
 from .errors import (BudgetExceeded, FractraceError, KindMismatch,
                      ValidationError)
-from .sequences import EigenvalueSequence
+from .sequences import NON_TRACE_CLASS, EigenvalueSequence, _write_csv
 
 SEQUENCE_ANALYSIS = "SEQUENCE_ANALYSIS"
 EXEMPLAR = "EXEMPLAR"
@@ -790,27 +796,13 @@ def parse_config(doc, budget: Budget = Budget()) -> list:
 # ---------------------------------------------------------------------------
 # CSV series
 
-def _cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def _write_csv(path, header, columns):
-    cols = [np.asarray(c) for c in columns]
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
 def _sample_indices(cap: int, n: int = 256) -> np.ndarray:
     return np.unique(np.geomspace(1, cap, n).astype(np.int64))
 
 
 def _series_partial_sums(path, seq: EigenvalueSequence):
     n = _sample_indices(seq.cap)
-    s = np.cumsum(seq.prefix(seq.cap))[n - 1]
+    s = asy.partial_sums(seq, NON_TRACE_CLASS, n).values
     _write_csv(path, "n,S_n", [n, s])
 
 
@@ -1441,7 +1433,8 @@ def config_schema() -> dict:
         "experiment": {
             "kind": "one of " + ", ".join(KINDS),
             "name?": "report/file stem; " + _NAME_OK,
-            "seed?": "int >= 0, echoed for sampled diagnostics",
+            "seed?": "int >= 0, reserved: echoed as meta.rng_seed, "
+                     "no operation draws random numbers",
             "series?": "bool, write CSV series (default true)",
             "output?": {"report": "report file name"},
             "parameters": "kind-specific object, see kinds",

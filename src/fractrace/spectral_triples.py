@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     EmptySubsequence,
@@ -25,7 +24,7 @@ from .errors import (
     SeedCoincident,
     UndefinedTag,
 )
-from .sequences import EigenvalueSequence
+from .sequences import EigenvalueSequence, _write_csv
 from .asymptotics import (
     DixmierEstimate,
     OrdEstimate,
@@ -197,13 +196,8 @@ def _entries_to_csv(path, values, tx, ty, max_rows=None):
         head = ("k,mu_k,"
                 + ",".join(f"tag_x_{i}" for i in range(1, dim + 1)) + ","
                 + ",".join(f"tag_y_{i}" for i in range(1, dim + 1)))
-    with open(path, "w") as fh:
-        fh.write(head + "\n")
-        for k in range(n_rows):
-            cells = [str(k + 1), repr(float(values[k]))]
-            cells += [repr(float(v)) for v in tx[k]]
-            cells += [repr(float(v)) for v in ty[k]]
-            fh.write(",".join(cells) + "\n")
+    _write_csv(path, head, [np.arange(1, n_rows + 1), values[:n_rows],
+                            *tx[:n_rows].T, *ty[:n_rows].T])
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +578,7 @@ def sample_functional(model, f, tolerance: float | None = None,
             raise ValueError("tabulated points and values disagree in length")
         if tolerance is None:
             tolerance = 1e-8 * max(1.0, float(np.abs(pts).max()))
+        from scipy.spatial import cKDTree
         tree = cKDTree(pts)
         vx = _lookup_table(tree, table, tx, tolerance)
         vy = _lookup_table(tree, table, ty, tolerance)

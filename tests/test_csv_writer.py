@@ -1,0 +1,214 @@
+"""The columnar CSV writer against the row loops it replaced.
+
+Each reference below is the per-cell loop the package used before the
+writer formatted columns: ``repr`` per float cell, ``str`` per integer cell.
+The writer must give the same bytes through every entry point.
+"""
+
+import dataclasses
+import math
+import os
+import tempfile
+from unittest import mock
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from fractrace import reporting, sequences
+from fractrace.sequences import EigenvalueSequence
+from fractrace.spectral_triples import gap_triple, pair_triple
+from fractrace.fractal_geometry import (LimitIfs, Similarity,
+                                        gaps_from_interval_ifs)
+from systems import make_cantor, make_planar
+
+BLOCK = sequences._CSV_BLOCK_ROWS
+
+# signed zeros, infinities, NaNs with other payloads, the smallest
+# subnormal, the normal/subnormal edge and the places where repr switches
+# between positional and exponent notation (1e16 and 1e-4 / 1e-5)
+_NAN_PAYLOADS = np.array([0x7FF0000000000001, -0x0008000000000000,
+                          0x7FF8000000000123], dtype=np.int64).view(np.float64)
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, *_NAN_PAYLOADS.tolist(),
+           5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
+           2.2250738585072014e-308, 1e16, -1e16, 9999999999999998.0,
+           1.0000000000000002e16, 1e-4, 9.999999999999999e-05, 1e-5,
+           1.0000000000000001e-05, 9.999999999999999e-06, 0.1, 1 / 3,
+           1.7976931348623157e308]
+
+floats64 = st.one_of(st.sampled_from(SPECIAL), st.floats())
+positive = st.one_of(
+    st.sampled_from([x for x in SPECIAL if 0 < x < math.inf]),
+    st.floats(min_value=5e-324, allow_infinity=False))
+
+# models whose arrays the oracle tests swap for drawn columns
+GAP_MODEL = gap_triple(gaps_from_interval_ifs(make_cantor(), depth=2))
+PAIR_MODELS = {
+    1: pair_triple(LimitIfs.stationary([Similarity(1 / 3, [0.0]),
+                                        Similarity(1 / 3, [2 / 3])]), cap=4),
+    2: pair_triple(make_planar(), cap=4),
+    3: pair_triple(LimitIfs.stationary([Similarity(1 / 2, [0.0, 0.0, 0.0]),
+                                        Similarity(1 / 2, [0.5, 0.5, 0.5])]),
+                   cap=4),
+}
+
+
+def column(dtype, n):
+    elements = {"f8": floats64, "f4": st.floats(width=32),
+                "i8": st.integers(-2**63, 2**63 - 1),
+                "u8": st.integers(0, 2**64 - 1), "b": st.booleans()}[dtype]
+    return hnp.arrays(np.dtype(dtype), n, elements=elements)
+
+
+# ---------------------------------------------------------------------------
+# the row loops the writer replaced
+
+def reference_cell(v) -> str:
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def reference_write_csv(path, header, columns):
+    cols = [np.asarray(c) for c in columns]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*cols):
+            fh.write(",".join(reference_cell(v) for v in row) + "\n")
+
+
+def reference_entries_csv(path, values, tx, ty, max_rows=None):
+    n_rows = len(values) if max_rows is None else min(len(values), int(max_rows))
+    dim = tx.shape[1]
+    if dim == 1:
+        head = "k,mu_k,tag_x,tag_y"
+    else:
+        head = ("k,mu_k,"
+                + ",".join(f"tag_x_{i}" for i in range(1, dim + 1)) + ","
+                + ",".join(f"tag_y_{i}" for i in range(1, dim + 1)))
+    with open(path, "w") as fh:
+        fh.write(head + "\n")
+        for k in range(n_rows):
+            cells = [str(k + 1), repr(float(values[k]))]
+            cells += [repr(float(v)) for v in tx[k]]
+            cells += [repr(float(v)) for v in ty[k]]
+            fh.write(",".join(cells) + "\n")
+
+
+def reference_sequence_csv(path, vals):
+    with open(path, "w") as fh:
+        fh.write("n,mu_n\n")
+        for k, v in enumerate(vals, start=1):
+            fh.write(f"{k},{float(v)!r}\n")
+
+
+def written(write, *args, **kwargs) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        write(path, *args, **kwargs)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def block_rows(data):
+    """A block size that splits small tables, or the real one."""
+    return data.draw(st.sampled_from([1, 2, 3, 5, BLOCK]), label="block")
+
+
+def max_rows_for(data, n):
+    return data.draw(st.sampled_from([None, 0, 1, n, n + 3]), label="max_rows")
+
+
+# ---------------------------------------------------------------------------
+# oracle tests, one per entry point
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_write_csv_matches_row_loop(data):
+    n = data.draw(st.integers(0, 24), label="n")
+    dtypes = data.draw(st.lists(st.sampled_from(["f8", "f4", "i8", "u8", "b"]),
+                                min_size=1, max_size=5), label="dtypes")
+    cols = [data.draw(column(dt, n), label=dt) for dt in dtypes]
+    header = ",".join(f"c{i}" for i in range(len(cols)))
+    with mock.patch.object(sequences, "_CSV_BLOCK_ROWS", block_rows(data)):
+        got = written(reporting._write_csv, header, cols)
+    assert got == written(reference_write_csv, header, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gap_model_csv_matches_row_loop(data):
+    n = data.draw(st.integers(0, 12), label="n")
+    # every model entry is listed twice
+    values, starts, ends = (np.repeat(data.draw(column("f8", n)), 2)
+                            for _ in range(3))
+    model = dataclasses.replace(GAP_MODEL, values=values, tags_x=starts,
+                                tags_y=ends)
+    max_rows = max_rows_for(data, 2 * n)
+    with mock.patch.object(sequences, "_CSV_BLOCK_ROWS", block_rows(data)):
+        got = written(model.to_csv, max_rows=max_rows)
+    assert got == written(reference_entries_csv, values, *model.tag_matrix(),
+                          max_rows=max_rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pair_model_csv_matches_row_loop(data):
+    n = data.draw(st.integers(0, 12), label="n")
+    dim = data.draw(st.sampled_from([1, 2, 3]), label="dim")
+    values = np.repeat(data.draw(column("f8", n)), 2)
+    tx, ty = (np.repeat(data.draw(column("f8", (n, dim))), 2, axis=0)
+              for _ in range(2))
+    model = dataclasses.replace(PAIR_MODELS[dim], values=values, tags_x=tx,
+                                tags_y=ty)
+    max_rows = max_rows_for(data, 2 * n)
+    with mock.patch.object(sequences, "_CSV_BLOCK_ROWS", block_rows(data)):
+        got = written(model.to_csv, max_rows=max_rows)
+    assert got == written(reference_entries_csv, values, tx, ty,
+                          max_rows=max_rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sequence_csv_matches_row_loop(data):
+    vals = sorted(data.draw(st.lists(positive, min_size=2, max_size=24)),
+                  reverse=True)
+    assume(vals[0] != vals[-1])
+    seq = EigenvalueSequence.from_values(vals)
+    n = data.draw(st.sampled_from([None, 0, 1, len(vals)]), label="n")
+    with mock.patch.object(sequences, "_CSV_BLOCK_ROWS", block_rows(data)):
+        got = written(seq.to_csv, n)
+    assert got == written(reference_sequence_csv,
+                          seq.prefix(seq.cap if n is None else n))
+
+
+# ---------------------------------------------------------------------------
+# tables longer than one block, at the real block size
+
+def test_tables_past_one_block_match_row_loops():
+    n = 2 * BLOCK + 7
+    rng = np.random.default_rng(3)
+    pool = np.array(SPECIAL + rng.normal(size=40).tolist())
+    floats = pool[rng.integers(len(pool), size=n)]
+    ints = rng.integers(-2**62, 2**62, size=n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        singles = floats.astype(np.float32)
+    cols = [np.arange(1, n + 1), floats, ints, singles, ints > 0, floats[::-1]]
+    assert (written(reporting._write_csv, "a,b,c,d,e,f", cols)
+            == written(reference_write_csv, "a,b,c,d,e,f", cols))
+
+    model = pair_triple(make_planar(), cap=n)
+    for max_rows in (None, BLOCK, BLOCK + 1):
+        assert (written(model.to_csv, max_rows=max_rows)
+                == written(reference_entries_csv, model.values, model.tags_x,
+                           model.tags_y, max_rows=max_rows))
+    gaps = gap_triple(gaps_from_interval_ifs(make_cantor(), depth=13))
+    assert len(gaps) > BLOCK
+    assert (written(gaps.to_csv)
+            == written(reference_entries_csv, gaps.values, *gaps.tag_matrix()))
+    seq = EigenvalueSequence.from_values(np.sort(np.abs(floats[
+        np.isfinite(floats) & (floats != 0)]))[::-1])
+    assert (written(seq.to_csv)
+            == written(reference_sequence_csv, seq.prefix(seq.cap)))
+

@@ -1,10 +1,14 @@
 """Config validation, report determinism and exit codes through the CLI."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 
+import fractrace
 from fractrace import cli
 from fractrace.fractal_geometry import Similarity
 from fractrace.reporting import PAIR_TRIPLE, parse_config
@@ -86,6 +90,46 @@ def test_planar_pair_model_runs_from_the_cli(tmp_path):
     with open(out_dir / report["series"]["entries"]) as fh:
         header = fh.readline().strip()
     assert header == "k,mu_k,tag_x_1,tag_x_2,tag_y_1,tag_y_2"
+
+
+LAZY_SCIPY = """
+import json, sys
+import numpy as np
+import fractrace.cli
+assert "scipy.spatial" not in sys.modules, "scipy.spatial imported with the CLI"
+from fractrace import cli
+from fractrace.reporting import parse_config
+from fractrace.spectral_triples import pair_triple, sample_functional
+config, out_dir = sys.argv[1:]
+assert cli.main(["run", "--config", config, "--out-dir", out_dir, "--quiet"]) == 0
+(exp,) = parse_config(json.load(open(config)))
+model = pair_triple(exp.params["ifs"], cap=exp.params["cap"])
+points = np.unique(np.vstack(model.tag_matrix()), axis=0)
+f = lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1]
+table = sample_functional(model, (points, f(points)))
+direct = sample_functional(model, f)
+assert np.array_equal(table.values_x, direct.values_x)
+assert np.array_equal(table.values_y, direct.values_y)
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_cli_import_leaves_scipy_spatial_out(tmp_path):
+    """scipy.spatial loads on first kd-tree use, not with the CLI; a planar
+    pair run and a tabulated functional, which does use it, still work."""
+    doc = {"kind": "PAIR_TRIPLE", "name": "planar",
+           "parameters": {"ifs": PLANAR_IFS, "cap": 2000}}
+    src = os.path.dirname(os.path.dirname(fractrace.__file__))
+    path = [src] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = tmp_path / "out"
+    out.mkdir()
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY,
+                           write_config(tmp_path, doc), str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+    assert (out / "planar.report.json").exists()
 
 
 def test_batch_reports_replay_byte_for_byte(tmp_path):
