@@ -21,6 +21,7 @@ from .errors import (
     EmptySubsequence,
     GridTooCoarse,
     NotL1Weak,
+    TailExhausted,
 )
 from .sequences import (
     NON_TRACE_CLASS,
@@ -43,9 +44,17 @@ def partial_sums(seq: EigenvalueSequence, kind: str, indices) -> PartialSumSerie
 
     NON_TRACE_CLASS sums the prefix; TRACE_CLASS sums the tail beyond n
     against the sequence's tail model (exhausted, profile integral, or fitted
-    power law), recording the residual error bound.
+    power law), recording the residual error bound.  A tail sum that has
+    exhausted double precision (total - prefix <= 0) raises TailExhausted.
     """
     indices, values, err, route = _partial_sums(seq, kind, indices)
+    if kind == TRACE_CLASS:
+        lost = values <= 0
+        if lost.any():
+            first = int(indices[lost].min())
+            raise TailExhausted(
+                f"tail sum beyond n={first} is not positive: the tail is "
+                "below the rounding of the total")
     return PartialSumSeries(kind, indices, values, tail_error=err, tail_route=route)
 
 
@@ -413,18 +422,18 @@ def singular_trace_estimate(weights, seq: EigenvalueSequence, subseq,
             raise ValueError("weights shorter than the subsequence needs")
     if kind == NON_TRACE_CLASS:
         num = np.cumsum(w * mu)[subseq - 1]
-        den = np.cumsum(mu)[subseq - 1]
+        _, den, _, _ = _partial_sums(seq, kind, subseq)
     else:
+        # index 0 brings back the whole tail sum, so tail_sum runs once
+        _, sums, _, _ = _partial_sums(seq, kind, np.concatenate([[0], subseq]))
+        total, den = sums[0], sums[1:]
         total_w = float(np.sum(w * mu))
-        total, _, _ = seq.tail_sum(0)
         within = float(np.sum(mu))
         cw = np.concatenate([[0.0], np.cumsum(w * mu)])
-        cm = np.concatenate([[0.0], np.cumsum(mu)])
         # weights beyond the materialized range are extrapolated as the mean
         # over the last decade (only the residual tail sees this)
         w_tail = float(np.mean(w[-max(len(w) // 10, 1):]))
         num = (total_w - cw[subseq]) + w_tail * (total - within)
-        den = total - cm[subseq]
     ratios = num / den
     tail = ratios[len(ratios) // 2:]
     value = float(tail.mean())

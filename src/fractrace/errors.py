@@ -29,6 +29,12 @@ class TailUnfittable(FractraceError):
     code = "TAIL_UNFITTABLE"
 
 
+class TailExhausted(FractraceError):
+    """A tail sum total - S_n that rounding has brought to zero or below."""
+
+    code = "TAIL_EXHAUSTED"
+
+
 class GridTooCoarse(FractraceError):
     code = "GRID_TOO_COARSE"
 

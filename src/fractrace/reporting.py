@@ -13,7 +13,10 @@ shape everything here:
   differ significantly iff their intervals are disjoint.
 * Report bytes are deterministic.  Keys are sorted, floats are written with
   17 significant digits (enough to round-trip exactly), and the only field a
-  replay can change is meta.wall_time_s.
+  replay can change is meta.wall_time_s.  A list whose elements are all
+  finite Python floats is formatted in one pass with that same 17-digit
+  rule, so a long echoed ``values`` list costs one format call, not one
+  recursive call per element.
 * CSV series are plain columns.  Integer cells are written with ``str`` and
   float cells with ``repr``, the shortest text that round-trips the float64
   (so ``0.1`` stays ``0.1``, where the report JSON writes 17 significant
@@ -77,6 +80,9 @@ class Budget:
 # ---------------------------------------------------------------------------
 # deterministic JSON
 
+_FLOAT_ONLY = frozenset({float})
+
+
 def _format_float(x: float) -> str:
     if math.isnan(x):
         return '"nan"'
@@ -86,6 +92,26 @@ def _format_float(x: float) -> str:
     if "." not in s and "e" not in s:
         s += ".0"
     return s
+
+
+def _emit_floats(xs, pad: str) -> str:
+    """``_emit`` of a nonempty list of finite Python floats, in one pass.
+
+    One %-format over the whole list writes every text with the 17-digit
+    rule of ``_format_float``.  Its '.0' suffix goes where that text has
+    neither '.' nor 'e', which for a finite float is exactly an integral
+    value below 1e17 in magnitude: larger integers take the exponent form,
+    and a non-integer lies at least one ulp (more than |x| 2**-53) from
+    every integer, farther than rounding to 17 significant digits can move
+    it.
+    """
+    fmt = "\n".join(["%.17g.0" if x.is_integer() and -1e17 < x < 1e17
+                      else "%.17g" for x in xs])
+    text = fmt % tuple(xs)
+    if len(text) - (len(xs) - 1) < 72:
+        return "[" + text.replace("\n", ", ") + "]"
+    inner = pad + "  "
+    return "[\n" + inner + text.replace("\n", ",\n" + inner) + "\n" + pad + "]"
 
 
 def _emit(obj, indent: int) -> str:
@@ -103,6 +129,8 @@ def _emit(obj, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if set(map(type, obj)) == _FLOAT_ONLY and all(map(math.isfinite, obj)):
+            return _emit_floats(obj, pad)
         items = [_emit(v, indent + 1) for v in obj]
         if all(not isinstance(v, (list, tuple, dict)) for v in obj) \
                 and sum(len(s) for s in items) < 72:
@@ -148,8 +176,37 @@ def _is_name(s) -> bool:
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and math.isfinite(x)
+    """A finite int or float, not a bool; an int beyond float64 range
+    counts as not finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+_INT_OR_FLOAT = frozenset({int, float})
+
+
+def _positive_values(raw: list):
+    """``raw`` as a read-only float64 array when every element is a finite
+    positive number, else None.  A list of plain ints and floats takes one
+    numpy test; any other element type goes through ``_is_num`` one element
+    at a time, with the same verdict."""
+    if set(map(type, raw)) <= _INT_OR_FLOAT:
+        try:
+            arr = np.array(raw, dtype=float)
+        except OverflowError:  # an int beyond float64 range
+            return None
+        if not (np.isfinite(arr).all() and (arr > 0).all()):
+            return None
+    elif all(_is_num(v) and v > 0 for v in raw):
+        arr = np.array([float(v) for v in raw])
+    else:
+        return None
+    arr.flags.writeable = False
+    return arr
 
 
 def _is_int(x) -> bool:
@@ -445,8 +502,9 @@ def _check_sequence_params(ctx, obj, path, budget):
         return ctx.fail(path, "give exactly one of values and mu")
     if has_values:
         raw = obj["values"]
-        if not isinstance(raw, list) or len(raw) < 4 \
-                or not all(_is_num(v) and v > 0 for v in raw):
+        values = _positive_values(raw) \
+            if isinstance(raw, list) and len(raw) >= 4 else None
+        if values is None:
             return ctx.fail(f"{path}.values",
                             "must be a list of at least 4 positive numbers")
         if len(raw) > budget.entries:
@@ -454,8 +512,7 @@ def _check_sequence_params(ctx, obj, path, budget):
                             f"length exceeds the entry budget {budget.entries}")
         if "cap" in obj:
             ctx.fail(f"{path}.cap", "not allowed with explicit values")
-        return {"values": [float(v) for v in raw], "tolerance": tolerance,
-                "cap": len(raw)}
+        return {"values": values, "tolerance": tolerance, "cap": len(raw)}
     mu = obj["mu"]
     if not isinstance(mu, dict):
         return ctx.fail(f"{path}.mu", "must be an object")
@@ -860,8 +917,7 @@ def _analyze_entry(seq, tolerance) -> dict:
 def _run_sequence_analysis(exp, budget, out_dir):
     p = exp.params
     if "values" in p:
-        seq = EigenvalueSequence.from_values(np.array(p["values"]),
-                                             name=exp.name)
+        seq = EigenvalueSequence.from_values(p["values"], name=exp.name)
         build = {"module": "sequences", "op": "from_values",
                  "parameters": {"n": len(p["values"])},
                  "values": {"cap": int(seq.cap)}}
@@ -1237,7 +1293,8 @@ def run(config_path: str, out_dir: str = ".", budget: Budget = Budget(),
     except OSError as e:
         print(f"$: cannot read config: {e}", file=stderr)
         return 2
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # a JSONDecodeError, or an integer literal past int()'s digit limit
         print(f"$: invalid JSON: {e}", file=stderr)
         return 2
     try:
@@ -1367,7 +1424,7 @@ def compare(path_a: str, path_b: str, out_path: str | None = None,
         try:
             with open(path) as fh:
                 docs.append(json.load(fh))
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             print(f"$: cannot read report {path}: {e}", file=stderr)
             return 2
     try:
@@ -1442,7 +1499,8 @@ def config_schema() -> dict:
         "kinds": {
             SEQUENCE_ANALYSIS: {
                 "values|mu": "explicit list of >= 4 positive numbers, or "
-                             "{form: 'power', coefficient > 0, exponent > 0}",
+                             "{form: 'power', coefficient > 0, exponent > 0}; "
+                             "every number finite and within float64 range",
                 "cap?": "int in [1000, entry budget]; mu form only",
                 "tolerance?": "positive number (default 0.02)",
             },

@@ -234,6 +234,43 @@ def test_trace_monotone_in_weights(seed):
     assert t1.lo >= 0.0
 
 
+def _reference_trace_ratios(weights, seq, subseq, kind):
+    """singular_trace_estimate's ratios with its sums written out inline."""
+    nmax = int(subseq[-1])
+    mu = seq.prefix(nmax)
+    w = np.asarray(weights, dtype=float)[:nmax]
+    if kind == NON_TRACE_CLASS:
+        return np.cumsum(w * mu)[subseq - 1] / np.cumsum(mu)[subseq - 1]
+    total_w = float(np.sum(w * mu))
+    total, _, _ = seq.tail_sum(0)
+    within = float(np.sum(mu))
+    cw = np.concatenate([[0.0], np.cumsum(w * mu)])
+    cm = np.concatenate([[0.0], np.cumsum(mu)])
+    w_tail = float(np.mean(w[-max(len(w) // 10, 1):]))
+    num = (total_w - cw[subseq]) + w_tail * (total - within)
+    return num / (total - cm[subseq])
+
+
+@pytest.mark.parametrize("seq, kind", [
+    (power_seq(1.0, cap=20_000), NON_TRACE_CLASS),
+    (power_seq(2.0, cap=20_000), TRACE_CLASS),  # power-fit tail
+    (EigenvalueSequence.from_values(np.arange(1, 5001) ** -1.5),
+     TRACE_CLASS),  # exhausted tail
+], ids=["prefix", "power-fit", "exhausted"])
+def test_trace_ratios_match_the_inline_sums(seq, kind, monkeypatch):
+    calls = []
+    tail_sum = seq.tail_sum
+    monkeypatch.setattr(seq, "tail_sum",
+                        lambda *a: calls.append(a) or tail_sum(*a))
+    rng = np.random.default_rng(3)
+    w = rng.uniform(0.5, 1.5, seq.cap)
+    sub = np.unique(np.geomspace(2, seq.cap // 2, 40).astype(np.int64))
+    tv = singular_trace_estimate(w, seq, sub, kind)
+    assert len(calls) == (kind == TRACE_CLASS)
+    assert np.array_equal(tv.ratios,
+                          _reference_trace_ratios(w, seq, sub, kind))
+
+
 def test_trace_rejects_empty_subsequence():
     seq = power_seq(1.0, cap=1000)
     with pytest.raises(EmptySubsequence):

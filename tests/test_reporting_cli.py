@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import fractrace
 from fractrace import cli
@@ -177,3 +178,36 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     broken = tmp_path / "c.json"
     broken.write_text("{not json")
     assert cli.main(["run", "--config", str(broken), "--out-dir", str(tmp_path)]) == 2
+
+
+BIG = "1" + "0" * 400  # beyond float64 range
+
+
+@pytest.mark.parametrize("parameters, path", [
+    ('{"values": [%s, 3, 2, 1]}' % BIG, "$.parameters.values"),
+    ('{"values": [4, 3, 2, 1], "tolerance": %s}' % BIG,
+     "$.parameters.tolerance"),
+], ids=["values", "tolerance"])
+def test_oversized_integers_fail_validation(tmp_path, capsys, parameters,
+                                            path):
+    config = tmp_path / "big.json"
+    config.write_text('{"kind": "SEQUENCE_ANALYSIS", "parameters": %s}'
+                      % parameters)
+    code = cli.main(["run", "--config", str(config), "--out-dir",
+                     str(tmp_path), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(path + ": must be ")
+    assert "Traceback" not in err and "Overflow" not in err
+
+
+def test_integer_literal_past_the_digit_limit_is_invalid_json(tmp_path,
+                                                              capsys):
+    config = tmp_path / "huge.json"
+    config.write_text('{"kind": "SEQUENCE_ANALYSIS", "parameters": '
+                      '{"values": [%s, 3, 2, 1]}}' % ("9" * 5000))
+    assert cli.main(["run", "--config", str(config), "--out-dir",
+                     str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("$: invalid JSON: ")
+    assert cli.main(["compare", str(config), str(config), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("$: cannot read report ")

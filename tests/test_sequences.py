@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractrace.errors import CapExceeded, NotVanishing
+from fractrace.errors import (CapExceeded, FractraceError, NotVanishing,
+                              TailExhausted)
 from fractrace.sequences import (
     NON_TRACE_CLASS,
     TRACE_CLASS,
@@ -120,6 +121,20 @@ def test_tail_series_is_decreasing():
     seq = EigenvalueSequence.from_values(0.5 ** np.arange(1, 40))
     ps = partial_sums(seq, TRACE_CLASS, np.arange(0, 39))
     assert np.all(np.diff(ps.values) < 0)
+
+
+def test_exhausted_tail_sums_raise_a_typed_error():
+    # 2^-n: past n = 54 the prefix sum rounds to the total, so the tail
+    # beyond it is 0 in double precision
+    seq = EigenvalueSequence.from_values(0.5 ** np.arange(1, 200))
+    ps = partial_sums(seq, TRACE_CLASS, np.arange(0, 54))
+    assert np.all(ps.values > 0)
+    for indices, first in ((np.arange(1, 200), 54), ([120, 60, 10], 60),
+                           (150, 150)):
+        with pytest.raises(TailExhausted, match=f"beyond n={first} ") as e:
+            partial_sums(seq, TRACE_CLASS, indices)
+        assert isinstance(e.value, FractraceError)
+        assert e.value.code == "TAIL_EXHAUSTED"
 
 
 def test_partial_sums_rejects_bad_kind_and_indices():
