@@ -186,24 +186,19 @@ def _is_num(x) -> bool:
         return False
 
 
-_INT_OR_FLOAT = frozenset({int, float})
-
-
 def _positive_values(raw: list):
     """``raw`` as a read-only float64 array when every element is a finite
-    positive number, else None.  A list of plain ints and floats takes one
-    numpy test; any other element type goes through ``_is_num`` one element
-    at a time, with the same verdict."""
-    if set(map(type, raw)) <= _INT_OR_FLOAT:
-        try:
-            arr = np.array(raw, dtype=float)
-        except OverflowError:  # an int beyond float64 range
-            return None
-        if not (np.isfinite(arr).all() and (arr > 0).all()):
-            return None
-    elif all(_is_num(v) and v > 0 for v in raw):
-        arr = np.array([float(v) for v in raw])
-    else:
+    positive number, else None.  Each distinct element type is checked once
+    (an int or float subclass, not bool), then one numpy test checks the
+    values."""
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool)
+               for t in set(map(type, raw))):
+        return None
+    try:
+        arr = np.array(raw, dtype=float)
+    except OverflowError:  # an int beyond float64 range
+        return None
+    if not (np.isfinite(arr).all() and (arr > 0).all()):
         return None
     arr.flags.writeable = False
     return arr
