@@ -32,7 +32,6 @@ from .sequences import (
     log_profile,
 )
 
-_JUMP_RATIO = 0.05  # mu_{n+1}/mu_n below this counts as a jump
 _N_WINDOWS = 8
 
 
@@ -70,14 +69,13 @@ def _partial_sums(seq: EigenvalueSequence, kind: str, indices):
     if kind == NON_TRACE_CLASS:
         if np.any(indices < 1):
             raise ValueError("prefix sums need indices >= 1")
-        csum = np.cumsum(seq.prefix(int(indices.max())))
-        return indices, csum[indices - 1], 0.0, None
+        sums = seq._prefix_sums(int(indices.max()))
+        return indices, sums[indices], 0.0, None
     if kind != TRACE_CLASS:
         raise ValueError(f"unknown kind {kind!r}")
-    nmax = int(indices.max())
     total, err, route = seq.tail_sum(0)
-    csum = np.concatenate([[0.0], np.cumsum(seq.prefix(nmax))])
-    return indices, total - csum[indices], err, route
+    sums = seq._prefix_sums(int(indices.max()))
+    return indices, total - sums[indices], err, route
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +106,6 @@ def _ratio_samples(seq: EigenvalueSequence, n_lo: float, n_hi: float, m: int = 2
         r = np.log(seq.mu(n)) / np.log(1.0 / n.astype(float))
     return t, r
 
-def _jump_positions(seq: EigenvalueSequence):
-    mu = seq.prefix(seq.cap)
-    ratios = mu[1:] / mu[:-1]
-    return np.nonzero(ratios < _JUMP_RATIO)[0] + 1  # 1-based pre-jump index
-
 
 def order_of_infinitesimal(seq: EigenvalueSequence) -> OrdEstimate:
     """liminf of log mu_n / log(1/n), from tail windows.
@@ -126,7 +119,7 @@ def order_of_infinitesimal(seq: EigenvalueSequence) -> OrdEstimate:
     """
     if seq.cap < 16:
         raise CapExceeded("cap too small for tail windows")
-    jumps = _jump_positions(seq)
+    jumps = seq._jump_positions()
     if len(jumps) >= 2 and math.log(float(jumps[-1])) >= 0.5 * math.log(seq.cap):
         use = jumps[jumps >= 3]
         if len(use) >= 2:
@@ -249,13 +242,13 @@ class IdealClassification:
 def _log_window_slopes(seq: EigenvalueSequence, cap: int | None = None):
     """Per-window least squares slope of S_n against log n."""
     cap = seq.cap if cap is None else min(cap, seq.cap)
-    csum = np.cumsum(seq.prefix(cap))
+    sums = seq._prefix_sums(cap)
     edges = _window_edges(cap)
     slopes = []
     for a, b in zip(edges[:-1], edges[1:]):
         n = np.unique(np.geomspace(max(a, 2), b, 64).astype(np.int64))
         x = np.log(n.astype(float))
-        y = csum[n - 1]
+        y = sums[n]
         A = np.vstack([np.ones_like(x), x]).T
         coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
         slopes.append(float(coef[1]))
@@ -346,12 +339,13 @@ def eccentricity_scan(seq: EigenvalueSequence, kind: str, tolerance: float = 0.0
         ts = np.arange(math.log(2.0), hi, math.log(grid_ratio))
         knots = prof.knots[(prof.knots > math.log(2.0)) & (prof.knots < hi)]
         ts = np.union1d(ts, knots)
+        # one call on both grids looks up the piece masses once
+        both = np.concatenate([ts, ts + llam])
         if kind == NON_TRACE_CLASS:
-            l1 = prof.log_sigma(1.0, ts)
-            l2 = prof.log_sigma(1.0, ts + llam)
+            ls = prof.log_sigma(1.0, both)
         else:
-            l1, _ = prof.log_s_tail(1.0, ts)
-            l2, _ = prof.log_s_tail(1.0, ts + llam)
+            ls, _ = prof.log_s_tail(1.0, both)
+        l1, l2 = ls[:len(ts)], ls[len(ts):]
         gaps = np.abs(np.expm1(l2 - l1))
         route = "analytic"
     else:

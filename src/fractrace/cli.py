@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, metavar="FILE",
                        help="JSON experiment config")
     run_p.add_argument("--out-dir", default=".", metavar="DIR",
-                       help="directory for reports and series (default .)")
+                       help="directory for reports and series, created if "
+                            "missing (default .)")
     run_p.add_argument("--budget", default=None, metavar="ENTRIES[,WORDS]",
                        help="override the global eigenvalue-entry and word "
                             f"budgets (default {reporting.DEFAULT_ENTRY_BUDGET}"

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -1279,7 +1280,10 @@ def run_experiment(exp: Experiment, budget: Budget, out_dir: str) -> dict:
 
 def run(config_path: str, out_dir: str = ".", budget: Budget = Budget(),
         quiet: bool = False, stdout=None, stderr=None) -> int:
-    """Validate and run a config file; returns the process exit code."""
+    """Validate and run a config file; returns the process exit code.
+
+    out_dir is created, parents included, before the first experiment runs.
+    """
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
@@ -1297,6 +1301,11 @@ def run(config_path: str, out_dir: str = ".", budget: Budget = Budget(),
     except ValidationError as e:
         for problem in e.problems:
             print(problem, file=stderr)
+        return 2
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        print(f"$: cannot write {out_dir}: {e}", file=stderr)
         return 2
     failures = 0
     for exp in exps:

@@ -25,6 +25,8 @@ NON_TRACE_CLASS = "NON_TRACE_CLASS"
 TRACE_CLASS = "TRACE_CLASS"
 
 _TINY_RATE = 1e-12
+_JUMP_RATIO = 0.05  # mu_{n+1}/mu_n below this counts as a jump
+_SLICE = 1 << 16    # entries per slice of the validation pass
 
 
 def _log_abs_expm1(z):
@@ -38,6 +40,19 @@ def _log_abs_expm1(z):
     out[neg] = 0.0
     with np.errstate(divide="ignore"):
         out[mid] = np.log(np.abs(np.expm1(z[mid])))
+    return out
+
+
+def _log_exp_integral(g, r, dt):
+    """log of integral_0^dt exp(g + r u) du, elementwise.
+
+    Rates below _TINY_RATE in size integrate as constants, g + log dt.
+    """
+    flat = np.abs(r) < _TINY_RATE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = g + _log_abs_expm1(r * dt) - np.log(np.abs(np.where(flat, 1.0, r)))
+        if flat.any():
+            out = np.where(flat, g + np.log(dt), out)
     return out
 
 
@@ -82,7 +97,10 @@ class LogLinearProfile:
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
-        i = self._piece_of(t)
+        return self._f_on(self._piece_of(t), t)
+
+    def _f_on(self, i, t):
+        """f at t, given the pieces i that hold t."""
         return self.f_left[i] + self.slopes[i] * (t - self.knots[i])
 
     def scaled(self, alpha: float) -> "LogLinearProfile":
@@ -97,35 +115,19 @@ class LogLinearProfile:
     # pieces are accumulated with logaddexp to survive exponents of +-1000.
 
     def _piece_log_masses(self, gamma: float):
-        t0 = self.knots[:-1]
-        length = np.diff(self.knots)
+        """(log mass, rate r, exponent g0 at the left knot) of every piece."""
         r = 1.0 - gamma * self.slopes
-        g0 = t0 - gamma * self.f_left
-        flat = np.abs(r) < _TINY_RATE
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lm = g0 + _log_abs_expm1(r * length) - np.log(np.abs(np.where(flat, 1.0, r)))
-        lm = np.where(flat, g0 + np.log(length), lm)
-        return lm, r, g0
-
-    def _partial_from_left(self, gamma, tq):
-        """log integral over (knots[i], tq] for the piece containing tq."""
-        i = self._piece_of(tq)
-        t0 = self.knots[i]
-        r = 1.0 - gamma * self.slopes[i]
-        g0 = t0 - gamma * self.f_left[i]
-        dt = np.asarray(tq, dtype=float) - t0
-        flat = np.abs(r) < _TINY_RATE
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lp = g0 + _log_abs_expm1(r * dt) - np.log(np.abs(np.where(flat, 1.0, r)))
-        with np.errstate(divide="ignore"):
-            lp = np.where(flat, g0 + np.log(dt), lp)
-        return i, lp
+        g0 = self.knots[:-1] - gamma * self.f_left
+        return _log_exp_integral(g0, r, np.diff(self.knots)), r, g0
 
     def log_sigma(self, gamma: float, tq):
         """log of integral_{knots[0]}^{tq} mu(e^t)^gamma e^t dt, vectorized in tq."""
-        lm, _, _ = self._piece_log_masses(gamma)
+        lm, r, g0 = self._piece_log_masses(gamma)
         prefix = np.logaddexp.accumulate(lm)
-        i, lp = self._partial_from_left(gamma, tq)
+        tq = np.asarray(tq, dtype=float)
+        i = self._piece_of(tq)
+        # the integral over (knots[i], tq] of the piece containing tq
+        lp = _log_exp_integral(g0[i], r[i], tq - self.knots[i])
         full = np.where(i > 0, prefix[np.maximum(i - 1, 0)], -np.inf)
         return np.logaddexp(full, lp)
 
@@ -139,16 +141,11 @@ class LogLinearProfile:
         """
         lm, r, _ = self._piece_log_masses(gamma)
         suffix = np.logaddexp.accumulate(lm[::-1])[::-1]
+        tq = np.asarray(tq, dtype=float)
         i = self._piece_of(tq)
-        t1 = self.knots[i + 1]
-        rr = r[i]
-        dt = t1 - np.asarray(tq, dtype=float)
-        gq = np.asarray(tq, dtype=float) - gamma * self.f(np.asarray(tq, dtype=float))
-        flat = np.abs(rr) < _TINY_RATE
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lp = gq + _log_abs_expm1(rr * dt) - np.log(np.abs(np.where(flat, 1.0, rr)))
-        with np.errstate(divide="ignore"):
-            lp = np.where(flat, gq + np.log(dt), lp)
+        # the integral over (tq, knots[i + 1]] of the piece containing tq
+        lp = _log_exp_integral(tq - gamma * self._f_on(i, tq), r[i],
+                               self.knots[i + 1] - tq)
         rest = np.where(
             i + 1 < len(lm),
             suffix[np.minimum(i + 1, len(lm) - 1)],
@@ -171,13 +168,47 @@ class LogLinearProfile:
         return bool(np.all(np.diff(tail) < 0) and (tail[-1] - tail[0]) < -1.0)
 
 
+def _scan_values(vals, rtol=None, atol=0.0):
+    """Jump positions of vals: the 1-based indices n with
+    mu_{n+1}/mu_n < _JUMP_RATIO.
+
+    With rtol given, the same pass checks the values, raising ValueError
+    where the whole-array tests `vals <= 0` or
+    `np.diff(vals) > rtol * vals[:-1] + atol` would, positivity first.  The
+    elementwise expressions run on slices of _SLICE entries, each reaching
+    one entry into the next, so their temporaries stay in cache.
+    """
+    jumps = [np.zeros(0, dtype=np.intp)]
+    rising = False
+    for lo in range(0, len(vals), _SLICE):
+        v = vals[lo:lo + _SLICE + 1]
+        a, b = v[:-1], v[1:]
+        if rtol is not None:
+            if (v <= 0).any():
+                raise ValueError("eigenvalues must be positive")
+            rising = rising or bool((b - a > rtol * a + atol).any())
+            if rising:
+                continue
+        jumps.append(np.flatnonzero(b / a < _JUMP_RATIO) + (lo + 1))
+    if rising:
+        raise ValueError("eigenvalues must be nonincreasing")
+    return np.concatenate(jumps)
+
+
 class EigenvalueSequence:
     """Nonincreasing positive sequence with lazy evaluation up to a cap.
 
     Construct via from_values, from_function, or from_profile.  Values are
-    1-indexed.  Monotonicity and positivity are validated on every
-    materialized prefix; a prefix that never decreases at all trips the
-    vanishing check.
+    1-indexed.
+
+    Materialization: prefix() is the only method that evaluates mu_fn and
+    replaces the cached prefix array.  Each materialized prefix (and each
+    from_values list) is validated in one blocked pass over cache-sized
+    slices, which checks positivity and monotonicity and also finds the jump
+    positions (successive ratios below _JUMP_RATIO); a prefix that never
+    decreases at all trips the vanishing check.  The jump positions and the
+    prefix sums [0, S_1, ..., S_n] are cached with the prefix they describe
+    and dropped when it is replaced, so every diagnostic reads one array.
     """
 
     def __init__(self, mu_fn, *, cap=DEFAULT_CAP, length=None,
@@ -188,6 +219,8 @@ class EigenvalueSequence:
         self.profile = profile
         self.name = name
         self._prefix = None
+        self._jumps = None   # jump positions within _prefix
+        self._sums = None    # [0, S_1, ..., S_len(_prefix)]
 
     # -- constructors -------------------------------------------------------
 
@@ -196,15 +229,13 @@ class EigenvalueSequence:
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or len(values) == 0:
             raise ValueError("values must be a nonempty 1d array")
-        if np.any(values <= 0):
-            raise ValueError("eigenvalues must be positive")
-        if np.any(np.diff(values) > 0):
-            raise ValueError("eigenvalues must be nonincreasing")
+        jumps = _scan_values(values, rtol=0.0)
         if values[0] == values[-1] and len(values) > 1:
             raise NotVanishing("sequence is constant over its whole range")
         seq = EigenvalueSequence(None, cap=len(values), length=len(values),
                                  name=name)
         seq._prefix = values
+        seq._jumps = jumps
         return seq
 
     @staticmethod
@@ -238,14 +269,33 @@ class EigenvalueSequence:
         if self._prefix is None or len(self._prefix) < n:
             idx = np.arange(1, n + 1, dtype=np.int64)
             vals = np.asarray(self._mu_fn(idx), dtype=float)
-            if np.any(vals <= 0):
-                raise ValueError("eigenvalues must be positive")
-            if np.any(np.diff(vals) > 1e-15 * vals[:-1] + 1e-300):
-                raise ValueError("eigenvalues must be nonincreasing")
+            jumps = _scan_values(vals, rtol=1e-15, atol=1e-300)
             if n == self.cap and len(vals) > 1 and vals[0] == vals[-1]:
                 raise NotVanishing("sequence constant up to the cap")
-            self._prefix = vals
+            self._prefix, self._jumps, self._sums = vals, jumps, None
         return self._prefix[:n]
+
+    def _prefix_sums(self, n: int):
+        """[0, S_1, ..., S_n], a view of the sums cached with the prefix.
+
+        np.cumsum accumulates in index order, so S_k does not depend on how
+        far the cached sums reach.
+        """
+        self.prefix(n)
+        if self._sums is None:
+            sums = np.empty(len(self._prefix) + 1)
+            sums[0] = 0.0
+            np.cumsum(self._prefix, out=sums[1:])
+            self._sums = sums
+        return self._sums[:n + 1]
+
+    def _jump_positions(self):
+        """1-based indices n <= cap with mu_{n+1}/mu_n below _JUMP_RATIO."""
+        self.prefix(self.cap)
+        if self._jumps is None:
+            # powers of explicit values take their prefix without a pass
+            self._jumps = _scan_values(self._prefix)
+        return self._jumps
 
     def power(self, alpha: float) -> "EigenvalueSequence":
         """Sequence of mu_n^alpha; profiles and explicit values transform."""
@@ -285,13 +335,15 @@ class EigenvalueSequence:
         """
         n = int(n)
         if self.length is not None and self.length <= self.cap:
-            vals = self.prefix(self.length) ** gamma
+            vals = self._powered_prefix(self.length, gamma)
             if n >= self.length:
                 return 0.0, 0.0, "exhausted"
             return float(vals[n:].sum()), 0.0, "exhausted"
 
         if self.profile is not None:
-            t = np.log(float(n))
+            # log 0 lies outside the profile: the whole sum (n = 0) is mu_1
+            # plus the tail beyond n = 1, with the n = 1 error bound
+            t = np.log(float(max(n, 1)))
             if self.profile.t_max < t:
                 raise CapExceeded("profile horizon below requested index")
             val, rem = self.profile.log_s_tail(gamma, np.array([t]))
@@ -299,6 +351,8 @@ class EigenvalueSequence:
                 raise TailUnfittable("profile tail not summable within horizon")
             total = float(np.exp(val[0]))
             mu_n = float(np.exp(-gamma * self.profile.f(np.array([t]))[0]))
+            if n == 0:
+                total += mu_n
             # integral vs sum mismatch is at most one term
             return total, mu_n + float(np.exp(rem)), "profile"
 
@@ -307,7 +361,7 @@ class EigenvalueSequence:
             raise TailUnfittable(
                 "tail exponent does not clear summability by 3 standard errors"
             )
-        vals = self.prefix(self.cap) ** gamma
+        vals = self._powered_prefix(self.cap, gamma)
         beyond = c * self.cap ** (1.0 - a) / (a - 1.0)
         lo_a, hi_a = a - 3.0 * se, a + 3.0 * se
         spread = abs(c * self.cap ** (1.0 - lo_a) / (lo_a - 1.0) - beyond) if lo_a > 1 else beyond
@@ -315,6 +369,11 @@ class EigenvalueSequence:
             raise CapExceeded("tail request beyond cap")
         within = float(vals[n:].sum())
         return within + beyond, spread + abs(beyond) * 1e-3, "power_fit"
+
+    def _powered_prefix(self, n: int, gamma: float):
+        """prefix(n) ** gamma, without the copy when gamma is 1."""
+        vals = self.prefix(n)
+        return vals if gamma == 1.0 else vals ** gamma
 
     def _fit_tail_power(self, gamma: float):
         """Least squares of log mu^gamma against log n over the last decade."""

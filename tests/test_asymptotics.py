@@ -22,6 +22,7 @@ from fractrace.asymptotics import (
     singular_trace_estimate,
 )
 from fractrace.errors import EmptySubsequence, NotL1Weak
+from fractrace.exemplars import CONSTANT, TwoSlopeSpec, two_slope_sequence
 from fractrace.sequences import (
     NON_TRACE_CLASS,
     TRACE_CLASS,
@@ -256,7 +257,9 @@ def _reference_trace_ratios(weights, seq, subseq, kind):
     (power_seq(2.0, cap=20_000), TRACE_CLASS),  # power-fit tail
     (EigenvalueSequence.from_values(np.arange(1, 5001) ** -1.5),
      TRACE_CLASS),  # exhausted tail
-], ids=["prefix", "power-fit", "exhausted"])
+    (two_slope_sequence(TwoSlopeSpec(1.7, 1.3, (CONSTANT, 1.0)), cap=20_000),
+     TRACE_CLASS),  # profile tail
+], ids=["prefix", "power-fit", "exhausted", "profile"])
 def test_trace_ratios_match_the_inline_sums(seq, kind, monkeypatch):
     calls = []
     tail_sum = seq.tail_sum

@@ -1,14 +1,25 @@
-"""Golden replay: a small sweep-shaped batch must reproduce its checked-in
+"""Golden replay: small sweep-shaped batches must reproduce their checked-in
 reports byte for byte, apart from the run-dependent meta fields.
 
 ``golden/config.json`` holds an explicit ``values`` list of 2,000 floats
 (integral ones among them), a ``mu`` power sequence and a two-slope
-exemplar.  To regenerate the reports after an intended change of output:
+exemplar.  ``golden/series/config.json`` runs with series on: a summable
+and a slowly decaying ``mu`` power sequence (both discrete scan kinds), a
+staircase ``values`` list (the jump route), and a two-slope and a step
+exemplar (the analytic scans).  Its CSV series are pinned by their SHA-256
+digests in ``golden/series/csv.sha256``.  To regenerate after an intended
+change of output:
 
     PYTHONPATH=src python -m fractrace.cli run \\
         --config tests/golden/config.json --out-dir tests/golden/reports
+    PYTHONPATH=src python -m fractrace.cli run \\
+        --config tests/golden/series/config.json \\
+        --out-dir tests/golden/series/reports
+    cd tests/golden/series/reports && sha256sum *.csv > ../csv.sha256 \\
+        && rm *.csv
 """
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -37,3 +48,23 @@ def test_golden_batch_replays_byte_for_byte(tmp_path):
         golden = _masked(GOLDEN / "reports" / name)
         assert golden.count("<masked>") == 2, name
         assert _masked(tmp_path / name) == golden, name
+
+
+def test_series_golden_batch_replays_byte_for_byte(tmp_path):
+    series = GOLDEN / "series"
+    code = cli.main(["run", "--config", str(series / "config.json"),
+                     "--out-dir", str(tmp_path), "--quiet"])
+    assert code == 0
+    reports = sorted(p.name for p in (series / "reports").iterdir())
+    digests = dict(reversed(line.split()) for line in
+                   (series / "csv.sha256").read_text().splitlines())
+    assert len(reports) == 5 and len(digests) == 10
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(reports + list(digests))
+    for name in reports:
+        golden = _masked(series / "reports" / name)
+        assert golden.count("<masked>") == 2, name
+        assert _masked(tmp_path / name) == golden, name
+    for name, digest in digests.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, name

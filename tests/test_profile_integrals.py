@@ -1,0 +1,93 @@
+"""Closed-form profile integrals against mpmath quadrature.
+
+``LogLinearProfile.log_sigma`` and ``log_s_tail`` sum per-piece closed forms
+of integral exp(t - gamma f(t)) dt in log space.  The oracle integrates each
+piece numerically at 30 digits.  Drawn profiles include flat-rate pieces
+(|1 - gamma s| < 1e-12, where the closed form switches to the logarithmic
+antiderivative), staircase jumps that take f to about 10^3, and queries
+exactly on knots.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fractrace.sequences import LogLinearProfile
+
+GAMMAS = [0.5, 1.0, 1.5, 2.5]
+
+
+@st.composite
+def profiles(draw):
+    gamma = draw(st.sampled_from(GAMMAS))
+    m = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.floats(0.05, 5.0), min_size=m, max_size=m))
+    knots = np.concatenate([[draw(st.floats(-2.0, 2.0))],
+                            np.cumsum(lengths)])
+    knots[1:] += knots[0]
+    flat = st.sampled_from([1.0 / gamma, (1.0 + 1e-13) / gamma,
+                            (1.0 - 5e-13) / gamma, (1.0 + 1e-11) / gamma])
+    slopes = np.array(draw(st.lists(st.one_of(flat, st.floats(-0.5, 3.0)),
+                                    min_size=m, max_size=m)))
+    f_left = np.empty(m)
+    f = draw(st.floats(0.0, 10.0))
+    for i in range(m):
+        f += draw(st.one_of(st.just(0.0), st.floats(0.0, 300.0)))
+        f_left[i] = f
+        f += slopes[i] * lengths[i]
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    queries = np.concatenate([knots, knots[0] + np.asarray(inner)
+                              * (knots[-1] - knots[0])])
+    queries = np.minimum(queries, knots[-1])
+    return gamma, LogLinearProfile(knots, f_left, slopes), queries
+
+
+def piece_integral(prof, gamma, i, a, b):
+    """integral_a^b exp(t - gamma f(t)) dt on piece i, at 30 digits."""
+    t0 = mpmath.mpf(float(prof.knots[i]))
+    f0, s = mpmath.mpf(float(prof.f_left[i])), mpmath.mpf(float(prof.slopes[i]))
+    g = mpmath.mpf(gamma)
+    return mpmath.quad(lambda t: mpmath.exp(t - g * (f0 + s * (t - t0))),
+                       [mpmath.mpf(float(a)), mpmath.mpf(float(b))])
+
+
+def oracle(prof, gamma, tq, upper):
+    """log integral over [knots[0], tq] (upper False) or [tq, t_max]."""
+    total = mpmath.mpf(0)
+    for i in range(len(prof.slopes)):
+        a, b = prof.knots[i], prof.knots[i + 1]
+        lo, hi = (a, min(b, tq)) if not upper else (max(a, tq), b)
+        if lo < hi:
+            total += piece_integral(prof, gamma, i, lo, hi)
+    return -math.inf if total == 0 else float(mpmath.log(total))
+
+
+def assert_close(got, want):
+    if want == -math.inf:
+        assert got == -math.inf
+    else:
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (got, want)
+
+
+@given(profiles())
+@settings(max_examples=40, deadline=None)
+def test_log_sigma_matches_quadrature(drawn):
+    gamma, prof, queries = drawn
+    with mpmath.workdps(30):
+        got = prof.log_sigma(gamma, queries)
+        for tq, value in zip(queries, got):
+            assert_close(float(value), oracle(prof, gamma, tq, upper=False))
+
+
+@given(profiles())
+@settings(max_examples=40, deadline=None)
+def test_log_s_tail_matches_quadrature(drawn):
+    gamma, prof, queries = drawn
+    with mpmath.workdps(30):
+        got, rem = prof.log_s_tail(gamma, queries)
+        for tq, value in zip(queries, got):
+            assert_close(float(value), oracle(prof, gamma, tq, upper=True))
+    assert not math.isnan(rem)

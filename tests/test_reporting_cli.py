@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fractrace
-from fractrace import cli
+from fractrace import cli, reporting
 from fractrace.fractal_geometry import Similarity
 from fractrace.reporting import PAIR_TRIPLE, parse_config
 
@@ -121,7 +121,7 @@ def test_cli_import_leaves_scipy_spatial_out(tmp_path):
     doc = {"kind": "PAIR_TRIPLE", "name": "planar",
            "parameters": {"ifs": PLANAR_IFS, "cap": 2000}}
     src = os.path.dirname(os.path.dirname(fractrace.__file__))
-    path = [src] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)
+    path = [src] + [os.environ.get("PYTHONPATH")] * ("PYTHONPATH" in os.environ)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = tmp_path / "out"
     out.mkdir()
@@ -213,3 +213,27 @@ def test_integer_literal_past_the_digit_limit_is_invalid_json(tmp_path,
     assert capsys.readouterr().err.startswith("$: invalid JSON: ")
     assert cli.main(["compare", str(config), str(config), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("$: cannot read report ")
+
+
+def test_run_creates_a_missing_out_dir(tmp_path):
+    out_dir = tmp_path / "new" / "nested"
+    config = write_config(tmp_path, {"experiments": BATCH["experiments"][3:]})
+    assert cli.main(["run", "--config", config, "--out-dir", str(out_dir),
+                     "--quiet"]) == 0
+    assert (out_dir / "link.report.json").exists()
+
+
+def test_run_refuses_an_out_dir_it_cannot_create(tmp_path, capsys,
+                                                 monkeypatch):
+    ran = []
+    monkeypatch.setattr(reporting, "run_experiment",
+                        lambda *a: ran.append(a))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "out"
+    config = write_config(tmp_path, {"experiments": BATCH["experiments"][3:]})
+    assert cli.main(["run", "--config", config, "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"$: cannot write {out_dir}: ")
+    assert "Traceback" not in captured.err
+    assert ran == [] and not out_dir.exists()

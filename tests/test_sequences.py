@@ -18,6 +18,7 @@ from fractrace.sequences import (
     log_profile,
 )
 from fractrace.asymptotics import partial_sums
+from fractrace.exemplars import CONSTANT, TwoSlopeSpec, two_slope_sequence
 
 
 def harmonic(cap: int = 5000) -> EigenvalueSequence:
@@ -135,6 +136,24 @@ def test_exhausted_tail_sums_raise_a_typed_error():
             partial_sums(seq, TRACE_CLASS, indices)
         assert isinstance(e.value, FractraceError)
         assert e.value.code == "TAIL_EXHAUSTED"
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5])
+def test_profile_tail_sum_at_zero_is_the_whole_sum(gamma):
+    seq = two_slope_sequence(TwoSlopeSpec(1.7, 1.3, (CONSTANT, 1.0)),
+                             cap=20_000)
+    total, err, route = seq.tail_sum(0, gamma)
+    beyond_1, err_1, _ = seq.tail_sum(1, gamma)
+    mu_1 = float(np.exp(-gamma * seq.profile.f(0.0)))
+    assert route == "profile"
+    assert total == beyond_1 + mu_1 and err == err_1
+    # the terms up to the cap plus the profile tail beyond it
+    beyond_cap, err_cap, _ = seq.tail_sum(seq.cap, gamma)
+    direct = float(np.sum(seq.prefix(seq.cap) ** gamma)) + beyond_cap
+    assert abs(total - direct) <= err + err_cap
+    ps = partial_sums(seq, TRACE_CLASS, [0, 1, 100, seq.cap])
+    assert np.all(np.diff(ps.values) < 0) and ps.values[-1] > 0
+    assert ps.tail_route == "profile"
 
 
 def test_partial_sums_rejects_bad_kind_and_indices():
