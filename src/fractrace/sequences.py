@@ -201,14 +201,15 @@ class EigenvalueSequence:
     Construct via from_values, from_function, or from_profile.  Values are
     1-indexed.
 
-    Materialization: prefix() is the only method that evaluates mu_fn and
-    replaces the cached prefix array.  Each materialized prefix (and each
-    from_values list) is validated in one blocked pass over cache-sized
-    slices, which checks positivity and monotonicity and also finds the jump
-    positions (successive ratios below _JUMP_RATIO); a prefix that never
-    decreases at all trips the vanishing check.  The jump positions and the
-    prefix sums [0, S_1, ..., S_n] are cached with the prefix they describe
-    and dropped when it is replaced, so every diagnostic reads one array.
+    Materialization: prefix() is the only method that evaluates mu_fn over
+    1..n and replaces the cached prefix array.  Each materialized prefix
+    (and each from_values list) is validated in one blocked pass over
+    cache-sized slices, which checks positivity and monotonicity and also
+    finds the jump positions (successive ratios below _JUMP_RATIO); a prefix
+    that never decreases at all trips the vanishing check.  The jump
+    positions and the prefix sums [0, S_1, ..., S_n] are cached with the
+    prefix they describe and dropped when it is replaced, so every
+    diagnostic reads one array.
     """
 
     def __init__(self, mu_fn, *, cap=DEFAULT_CAP, length=None,
