@@ -505,8 +505,11 @@ def analyze_sequence(seq: EigenvalueSequence, tolerance: float = 0.02,
     ordest = order_of_infinitesimal(seq)
     cb = c_bounds(log_profile(seq))
     cls = classify_ideal(seq, 1.0)
-    k = kind if kind is not None else resolve_kind(seq)
-    scan = eccentricity_scan(seq, k, tolerance)
+    if kind is None:
+        # resolve_kind without a profile is this same classification
+        kind = resolve_kind(seq) if seq.profile is not None \
+            else TRACE_CLASS if cls.label == L1 else NON_TRACE_CLASS
+    scan = eccentricity_scan(seq, kind, tolerance)
     trace = None
     if cls.label in (L1_WEAK, L1_WEAK_0):
         trace = dixmier_trace_estimate(seq, check=False)

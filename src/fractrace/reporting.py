@@ -1,19 +1,22 @@
 """Configuration-driven experiment runner with replayable JSON reports.
 
 A config file describes one experiment (or a batch under "experiments"); the
-runner validates it against the schema, executes the requested operations,
-and writes one report per experiment plus optional CSV series.  Three rules
-shape everything here:
+runner validates it, executes the requested operations, and writes one
+report per experiment plus optional CSV series.  These rules shape
+everything here:
 
 * Validation is exhaustive.  Every schema violation is collected with its
   JSON path before anything runs, so a config is fixed in one round trip.
+  One field table, ``_OBJECTS``, drives the validation and renders the
+  ``schema`` document.
 * Every float measurement in a report carries an interval.  Point values get
   the degenerate [v, v]; estimates carry the band the producing operation
   reported.  ``compare`` then has a uniform significance test: two values
   differ significantly iff their intervals are disjoint.
 * Report bytes are deterministic.  Keys are sorted, floats are written with
-  17 significant digits (enough to round-trip exactly), and the only field a
-  replay can change is meta.wall_time_s.  A list whose elements are all
+  17 significant digits (enough to round-trip exactly), and the only fields
+  a replay can change are meta.wall_time_s and meta.package, which names
+  the installed fractrace distribution.  A list whose elements are all
   finite Python floats is formatted in one pass with that same 17-digit
   rule, so a long echoed ``values`` list costs one format call, not one
   recursive call per element.
@@ -37,6 +40,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,7 +169,7 @@ def _val(value, lo=None, hi=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# config schema and validation
+# config fields: one table drives validation and the schema document
 
 _NAME_OK = "letters, digits, '.', '_', '-', not starting with a separator"
 
@@ -225,214 +229,565 @@ class _Ctx:
                 self.fail(f"{path}.{k}", "unknown field")
 
 
-def _opt_num(ctx, obj, path, key, default=None, lo=None, hi=None,
-             lo_open=False):
-    if key not in obj:
-        return default
-    x = obj[key]
+_ENTRIES = "entry budget"  # a bound that is the run's entry budget
+_PER_KIND = "parameters"   # the object named by the experiment's kind
+
+
+class _F(NamedTuple):
+    """One config field of the table.
+
+    ``type`` is a value type of ``_VALUE_TYPES``, an object of ``_OBJECTS``,
+    or ``T[]``, a nonempty list of T.  ``lo``/``hi`` bound a number
+    (strictly where ``lo_open``/``hi_open``); ``hi`` may be ``_ENTRIES``,
+    which also caps an integer default.  ``when`` lists the discriminator
+    values that use the field.  ``msg`` replaces the type's problem text,
+    also for a missing required field; ``missing`` is the text for a missing
+    field, put at the object's path.  ``stop`` ends the walk of the object
+    at a problem with the field.  ``flag`` lets an object be given as true
+    (all defaults) or false (off); ``null`` reads null as absent;
+    ``excludes`` names a field that may not be given together with this one.
+    """
+
+    type: str
+    doc: str = ""
+    req: bool = False
+    default: object = None
+    lo: float | None = None
+    hi: object = None
+    lo_open: bool = False
+    hi_open: bool = False
+    when: tuple | None = None
+    choices: tuple = ()
+    msg: str | None = None
+    missing: str | None = None
+    stop: bool = False
+    flag: bool = False
+    null: bool = False
+    excludes: str | None = None
+
+
+class _Obj(NamedTuple):
+    """A config object: its fields in walk order, its discriminator and the
+    named check of its rules that are not local to one field.
+
+    ``tag`` is a choice field whose value selects the fields in use, or
+    'a|b' when exactly one of the fields a and b must be given.  With
+    ``off`` set, keys are checked against every field first and a field of
+    another variant gets ``off`` (formatted with the variant) as its
+    problem; without it the tag is checked first and such a field is
+    unknown.  ``check(ctx, values, path, budget)`` returns the object's
+    value, or None; its docstring lists the rules it checks.
+    """
+
+    fields: dict
+    tag: str | None = None
+    off: str | None = None
+    check: object = None
+
+
+def _choice(*choices, msg=None, **kw) -> _F:
+    quoted = [f"'{c}'" for c in choices]
+    text = quoted[0] if len(quoted) == 1 \
+        else ", ".join(quoted[:-1]) + " or " + quoted[-1]
+    return _F("choice", choices=choices, msg=msg or "must be " + text,
+              req=True, **kw)
+
+
+def _bounded(ctx, x, path, f, budget):
+    hi = budget.entries if f.hi is _ENTRIES else f.hi
+    if f.lo is not None and (x <= f.lo if f.lo_open else x < f.lo):
+        op = ">" if f.lo_open else ">="
+        return ctx.fail(path, f.msg or f"must be {op} {f.lo}")
+    if hi is not None and (x >= hi if f.hi_open else x > hi):
+        op = "<" if f.hi_open else "<="
+        return ctx.fail(path, f.msg or f"must be {op} {hi}")
+    return x
+
+
+def _number(ctx, x, path, f, budget):
     if not _is_num(x):
-        return ctx.fail(f"{path}.{key}", "must be a finite number")
-    if lo is not None and (x <= lo if lo_open else x < lo):
-        op = ">" if lo_open else ">="
-        return ctx.fail(f"{path}.{key}", f"must be {op} {lo}")
-    if hi is not None and x > hi:
-        return ctx.fail(f"{path}.{key}", f"must be <= {hi}")
-    return float(x)
+        return ctx.fail(path, f.msg or "must be a finite number")
+    return _bounded(ctx, float(x), path, f, budget)
 
 
-def _opt_int(ctx, obj, path, key, default=None, lo=None, hi=None):
-    if key not in obj:
-        return default
-    x = obj[key]
+def _integer(ctx, x, path, f, budget):
     if not _is_int(x):
-        return ctx.fail(f"{path}.{key}", "must be an integer")
-    if lo is not None and x < lo:
-        return ctx.fail(f"{path}.{key}", f"must be >= {lo}")
-    if hi is not None and x > hi:
-        return ctx.fail(f"{path}.{key}", f"must be <= {hi}")
-    return int(x)
+        return ctx.fail(path, "must be an integer")
+    return _bounded(ctx, int(x), path, f, budget)
 
 
-def _opt_bool(ctx, obj, path, key, default=None):
-    if key not in obj:
-        return default
-    if not isinstance(obj[key], bool):
-        return ctx.fail(f"{path}.{key}", "must be true or false")
-    return obj[key]
+def _boolean(ctx, x, path, f, budget):
+    return x if isinstance(x, bool) \
+        else ctx.fail(path, "must be true or false")
 
 
-def _point(ctx, x, path, dim=None):
-    """A number or list of numbers -> 1d float array, or None."""
+def _name(ctx, x, path, f, budget):
+    return x if _is_name(x) else ctx.fail(path, _NAME_OK)
+
+
+def _choice_value(ctx, x, path, f, budget):
+    return x if x in f.choices else ctx.fail(path, f.msg)
+
+
+def _point(ctx, x, path, f=None, budget=None):
+    """A number or list of numbers as a 1d float array."""
     if _is_num(x):
         x = [x]
     if not isinstance(x, list) or not x or not all(_is_num(v) for v in x):
         return ctx.fail(path, "must be a finite number or list of them")
-    if dim is not None and len(x) != dim:
-        return ctx.fail(path, f"must have {dim} coordinates")
     return np.array([float(v) for v in x])
 
 
-def _check_map(ctx, obj, path):
-    if not isinstance(obj, dict):
-        return ctx.fail(path, "must be an object")
-    ctx.check_keys(obj, path, {"ratio", "translation", "flip", "orthogonal"})
-    ratio = obj.get("ratio")
-    if not _is_num(ratio) or not 0 < ratio < 1:
-        return ctx.fail(f"{path}.ratio", "must be a number in (0, 1)")
-    if "translation" not in obj:
-        return ctx.fail(f"{path}.translation", "required")
-    trans = obj["translation"]
-    flip = _opt_bool(ctx, obj, path, "flip", False)
-    orth = obj.get("orthogonal")
-    if flip and orth is not None:
-        return ctx.fail(path, "give at most one of flip and orthogonal")
-    if _is_num(trans):
-        try:
-            return fg.interval_map(ratio, trans, flip=bool(flip))
-        except (ValueError, TypeError) as e:
-            return ctx.fail(path, str(e))
-    pt = _point(ctx, trans, f"{path}.translation")
-    if pt is None:
-        return None
-    if flip:
-        return ctx.fail(f"{path}.flip", "only meaningful with a scalar translation")
-    if orth is not None:
-        if (not isinstance(orth, list)
-                or any(not isinstance(r, list) or len(r) != len(pt)
-                       or not all(_is_num(v) for v in r) for r in orth)
-                or len(orth) != len(pt)):
-            return ctx.fail(f"{path}.orthogonal",
-                            f"must be a {len(pt)}x{len(pt)} matrix of numbers")
-        orth = np.array(orth, dtype=float)
-    try:
-        return fg.Similarity(ratio, pt, orth)
-    except (ValueError, TypeError) as e:
-        return ctx.fail(path, str(e))
+def _coords(ctx, x, path, f, budget):
+    """A number as given, or a list of numbers as a float array."""
+    return x if _is_num(x) else _point(ctx, x, path)
 
 
-def _check_map_list(ctx, obj, path):
-    if not isinstance(obj, list) or not obj:
-        return ctx.fail(path, "must be a nonempty list of maps")
-    maps = [_check_map(ctx, m, f"{path}[{i}]") for i, m in enumerate(obj)]
-    return None if any(m is None for m in maps) else maps
+def _pair(ctx, x, path, f, budget):
+    if not isinstance(x, list) or len(x) != 2:
+        return ctx.fail(path, f.msg)
+    pts = tuple(_point(ctx, p, f"{path}[{i}]") for i, p in enumerate(x))
+    return None if any(p is None for p in pts) else pts
 
 
-def _check_ifs(ctx, obj, path):
-    if not isinstance(obj, dict):
-        return ctx.fail(path, "must be an object")
-    ctx.check_keys(obj, path, {"generation", "maps", "blocks", "levels", "box"})
-    gen = obj.get("generation")
-    if gen not in ("stationary", "periodic", "explicit"):
-        return ctx.fail(f"{path}.generation",
-                        "must be 'stationary', 'periodic' or 'explicit'")
-    body_key = {"stationary": "maps", "periodic": "blocks",
-                "explicit": "levels"}[gen]
-    for k in ("maps", "blocks", "levels"):
-        if k in obj and k != body_key:
-            ctx.fail(f"{path}.{k}", f"not a {gen} field")
-    if body_key not in obj:
-        return ctx.fail(f"{path}.{body_key}", "required")
-    if gen == "stationary":
-        maps = _check_map_list(ctx, obj["maps"], f"{path}.maps")
-        blocks = None if maps is None else [maps]
-    else:
-        raw = obj[body_key]
-        if not isinstance(raw, list) or not raw:
-            return ctx.fail(f"{path}.{body_key}", "must be a nonempty list")
-        blocks = [_check_map_list(ctx, b, f"{path}.{body_key}[{i}]")
-                  for i, b in enumerate(raw)]
-        if any(b is None for b in blocks):
-            blocks = None
-    box = None
-    if "box" in obj:
-        raw = obj["box"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            return ctx.fail(f"{path}.box", "must be [lo, hi]")
-        lo = _point(ctx, raw[0], f"{path}.box[0]")
-        hi = _point(ctx, raw[1], f"{path}.box[1]")
-        if lo is None or hi is None:
-            return None
-        if len(lo) != len(hi) or not np.all(lo < hi):
-            return ctx.fail(f"{path}.box", "needs lo < hi componentwise")
-        box = (lo, hi)
-    if blocks is None:
-        return None
-    try:
-        if gen == "stationary":
-            return fg.LimitIfs.stationary(blocks[0], osc_box=box)
-        if gen == "periodic":
-            return fg.LimitIfs.periodic(blocks, osc_box=box)
-        return fg.LimitIfs.explicit(blocks, osc_box=box)
-    except (ValueError, TypeError) as e:
-        return ctx.fail(path, str(e))
+def _interval(ctx, x, path, f, budget):
+    if not (isinstance(x, list) and len(x) == 2
+            and all(_is_num(v) for v in x) and x[0] < x[1]):
+        return ctx.fail(path, "must be [lo, hi] with lo < hi")
+    return (float(x[0]), float(x[1]))
 
 
-_FUNCTIONAL_TYPES = ("constant", "affine", "box_indicator")
+def _positives(ctx, x, path, f, budget):
+    if not isinstance(x, list) or not x \
+            or not all(_is_num(s) and s > 0 for s in x):
+        return ctx.fail(path, f.msg)
+    return [float(s) for s in x]
 
 
-def _check_functional(ctx, obj, path):
-    """Returns (callable, echo dict) or None."""
-    if not isinstance(obj, dict):
-        return ctx.fail(path, "must be an object")
-    ftype = obj.get("type")
-    if ftype not in _FUNCTIONAL_TYPES:
-        return ctx.fail(f"{path}.type",
-                        "must be one of " + ", ".join(_FUNCTIONAL_TYPES))
-    if ftype == "constant":
-        ctx.check_keys(obj, path, {"type", "value"})
-        value = _opt_num(ctx, obj, path, "value", 1.0)
-        if value is None:
-            return None
-        return st.affine_functional(0.0, value), {"type": ftype, "value": value}
-    if ftype == "affine":
-        ctx.check_keys(obj, path, {"type", "slope", "intercept"})
-        if "slope" not in obj:
-            return ctx.fail(f"{path}.slope", "required")
-        slope = obj["slope"]
-        if not _is_num(slope):
-            slope = _point(ctx, slope, f"{path}.slope")
-            if slope is None:
+def _values(ctx, x, path, f, budget):
+    values = _positive_values(x) \
+        if isinstance(x, list) and len(x) >= 4 else None
+    return ctx.fail(path, "must be a list of at least 4 positive numbers") \
+        if values is None else values
+
+
+_VALUE_TYPES = {
+    "number": (_number, "number"),
+    "integer": (_integer, "integer"),
+    "boolean": (_boolean, "boolean"),
+    "name": (_name, "string: " + _NAME_OK),
+    "choice": (_choice_value, "string"),
+    "point": (_point, "number, or list of numbers"),
+    "coords": (_coords, "number, or list of numbers"),
+    "pair": (_pair, "[point, point]; a point is a number or list of numbers"),
+    "interval": (_interval, "[number, number]"),
+    "positives": (_positives, "nonempty list of positive numbers"),
+    "values": (_values, "list of >= 4 positive numbers"),
+    # the shape depends on the translation: the map's check tests it
+    "matrix": (lambda ctx, x, path, f, budget: x, "list of rows of numbers"),
+}
+_LIST_MSG = {"map[]": "must be a nonempty list of maps",
+             "map[][]": "must be a nonempty list"}
+
+
+def _value(ctx, x, path, f, budget):
+    """The checked value of one given field; None when it has a problem."""
+    t = f.type
+    if t.endswith("[]"):
+        if not isinstance(x, list) or not x:
+            return ctx.fail(path, _LIST_MSG[t])
+        items = [_value(ctx, e, f"{path}[{i}]", _F(t[:-2]), budget)
+                 for i, e in enumerate(x)]
+        return None if any(i is None for i in items) else items
+    if t in _OBJECTS:
+        if f.flag and isinstance(x, bool):
+            if not x:
                 return None
-            slope = list(map(float, slope))
-        intercept = _opt_num(ctx, obj, path, "intercept", 0.0)
-        if intercept is None:
+            x = {}
+        if not isinstance(x, dict):
+            return ctx.fail(path, f.msg or ("must be a flag or an object"
+                                            if f.flag else "must be an object"))
+        before = len(ctx.problems)
+        out = _walk(ctx, x, path, t, budget)
+        return out if len(ctx.problems) == before else None
+    return _VALUE_TYPES[t][0](ctx, x, path, f, budget)
+
+
+def _variant(ctx, obj, path, spec, budget):
+    if "|" in spec.tag:
+        names = spec.tag.split("|")
+        given = [k for k in names if k in obj]
+        if len(given) != 1:
+            return ctx.fail(path, "give exactly one of " + " and ".join(names))
+        return given[0]
+    return _value(ctx, obj.get(spec.tag), f"{path}.{spec.tag}",
+                  spec.fields[spec.tag], budget)
+
+
+def _walk(ctx, obj, path, name, budget):
+    """Check ``obj`` against ``_OBJECTS[name]``: every problem goes to ctx
+    with its JSON path.  Returns the value of the object's check (the
+    checked fields when it has none), or None when the walk stopped."""
+    spec = _OBJECTS[name]
+    if not isinstance(obj, dict):
+        return ctx.fail(path, "must be an object")
+    fields = spec.fields
+    tag_first = spec.tag is not None and spec.off is None
+    if not tag_first:
+        ctx.check_keys(obj, path, fields)
+    variant = None
+    if spec.tag is not None:
+        variant = _variant(ctx, obj, path, spec, budget)
+        if variant is None:
             return None
-        return (st.affine_functional(np.asarray(slope, dtype=float)
-                                     if isinstance(slope, list) else slope,
-                                     intercept),
+    in_use = {k: f for k, f in fields.items()
+              if f.when is None or variant in f.when}
+    if tag_first:
+        ctx.check_keys(obj, path, in_use)
+    else:
+        for key in fields:
+            if key in obj and key not in in_use:
+                ctx.fail(f"{path}.{key}", spec.off.format(variant))
+    v = {}
+    for key, f in in_use.items():
+        if key == spec.tag:
+            v[key] = variant
+        elif key not in obj or (obj[key] is None and f.null):
+            if f.req and f.missing:
+                ctx.fail(path, f.missing)
+            elif f.req:
+                ctx.fail(f"{path}.{key}", f.msg or "required")
+            v[key] = min(f.default, budget.entries) if f.hi is _ENTRIES \
+                else f.default
+        else:
+            if f.type == _PER_KIND:
+                f = f._replace(type=variant)
+            v[key] = _value(ctx, obj[key], f"{path}.{key}", f, budget)
+        if f.stop and v[key] is None:
+            return None
+    for key, f in in_use.items():
+        if f.excludes and v[key] not in (None, False) \
+                and v[f.excludes] not in (None, False):
+            return ctx.fail(path,
+                            f"give at most one of {f.excludes} and {key}")
+    return spec.check(ctx, v, path, budget) if spec.check else v
+
+
+# -- named checks: the rules that are not local to one field ----------------
+
+_GENERATIONS = {"stationary": fg.STATIONARY, "periodic": fg.PERIODIC,
+                "explicit": fg.EXPLICIT}
+
+
+def _map(ctx, v, path, budget):
+    """flip needs a scalar translation
+    orthogonal is a dim x dim matrix, dim that of the translation"""
+    t, orth = v["translation"], v["orthogonal"]
+    if t is None:
+        return None
+    try:
+        if not isinstance(t, np.ndarray):
+            return fg.interval_map(v["ratio"], t, flip=bool(v["flip"]))
+        if v["flip"]:
+            return ctx.fail(f"{path}.flip",
+                            "only meaningful with a scalar translation")
+        if orth is not None:
+            n = len(t)
+            if not isinstance(orth, list) or len(orth) != n \
+                    or any(not isinstance(r, list) or len(r) != n
+                           or not all(_is_num(x) for x in r) for r in orth):
+                return ctx.fail(f"{path}.orthogonal",
+                                f"must be a {n}x{n} matrix of numbers")
+            orth = np.array(orth, dtype=float)
+        return fg.Similarity(v["ratio"], t, orth)
+    except (ValueError, TypeError) as e:
+        return ctx.fail(path, str(e))
+
+
+def _ifs(ctx, v, path, budget):
+    """box has lo < hi componentwise
+    every map has the same ambient dimension"""
+    box = v["box"]
+    if box is not None and (len(box[0]) != len(box[1])
+                            or not np.all(box[0] < box[1])):
+        return ctx.fail(f"{path}.box", "needs lo < hi componentwise")
+    gen = v["generation"]
+    body = v[{"stationary": "maps", "periodic": "blocks",
+              "explicit": "levels"}[gen]]
+    if body is None:
+        return None
+    try:
+        return fg.LimitIfs(_GENERATIONS[gen],
+                           [body] if gen == "stationary" else body,
+                           osc_box=box)
+    except (ValueError, TypeError) as e:
+        return ctx.fail(path, str(e))
+
+
+def _functional(ctx, v, path, budget):
+    """box_indicator: lo <= hi componentwise, and a box of positive width"""
+    ftype = v["type"]
+    if ftype == "constant":
+        if v["value"] is None:
+            return None
+        return st.affine_functional(0.0, v["value"]), v
+    if ftype == "affine":
+        slope, intercept = v["slope"], v["intercept"]
+        if slope is None or intercept is None:
+            return None
+        if isinstance(slope, np.ndarray):
+            slope = slope.tolist()
+        return (st.affine_functional(slope, intercept),
                 {"type": ftype, "slope": slope, "intercept": intercept})
-    ctx.check_keys(obj, path, {"type", "lo", "hi", "margin"})
-    if "lo" not in obj or "hi" not in obj:
-        return ctx.fail(path, "box_indicator needs lo and hi")
-    lo = _point(ctx, obj["lo"], f"{path}.lo")
-    hi = _point(ctx, obj["hi"], f"{path}.hi")
-    margin = _opt_num(ctx, obj, path, "margin", 0.0, lo=0.0)
-    if lo is None or hi is None or margin is None:
+    lo, hi, margin = v["lo"], v["hi"], v["margin"]
+    if lo is None or hi is None:
         return None
     if len(lo) != len(hi) or not np.all(lo <= hi):
         return ctx.fail(path, "needs lo <= hi componentwise")
-    return (st.box_indicator(lo, hi, margin=margin),
-            {"type": ftype, "lo": list(map(float, lo)),
-             "hi": list(map(float, hi)), "margin": margin})
+    if margin is None:
+        return None
+    try:
+        func = st.box_indicator(lo, hi, margin=margin)
+    except ValueError as e:
+        return ctx.fail(path, str(e))
+    return func, {"type": ftype, "lo": lo.tolist(), "hi": hi.tolist(),
+                  "margin": margin}
 
 
-def _check_zeta(ctx, obj, path):
-    if not isinstance(obj, dict):
-        return ctx.fail(path, "must be an object")
-    ctx.check_keys(obj, path, {"s"})
-    raw = obj.get("s")
-    if not isinstance(raw, list) or not raw \
-            or not all(_is_num(s) and s > 0 for s in raw):
-        return ctx.fail(f"{path}.s", "must be a nonempty list of positive numbers")
-    return [float(s) for s in raw]
+def _sequence_rules(ctx, v, path, budget):
+    """values: at most the entry budget of them"""
+    values = v.get("values")
+    if values is not None:
+        if len(values) > budget.entries:
+            ctx.fail(f"{path}.values",
+                     f"length exceeds the entry budget {budget.entries}")
+        v["cap"] = len(values)
+    return v
 
 
-def _check_interval(ctx, obj, path):
-    if not (isinstance(obj, list) and len(obj) == 2
-            and all(_is_num(v) for v in obj) and obj[0] < obj[1]):
-        return ctx.fail(path, "must be [lo, hi] with lo < hi")
-    return (float(obj[0]), float(obj[1]))
+def _exemplar_rules(ctx, v, path, budget):
+    """two_slope: beta <= alpha"""
+    if v.get("alpha") is not None and v.get("beta") is not None \
+            and v["beta"] > v["alpha"]:
+        ctx.fail(f"{path}.beta", "must be <= alpha")
+    return v
 
+
+def _gaps_on(p) -> bool:
+    """Whether the gap analysis runs: as asked, else on a 1d system."""
+    return p["ifs"].dim == 1 if p["gaps"] is None else p["gaps"]
+
+
+def _ifs_classical_rules(ctx, v, path, budget):
+    """gaps needs a 1d system
+    minkowski needs the gap analysis
+    minkowski needs an exponent on a non-stationary system"""
+    ifs, mink = v["ifs"], v["minkowski"]
+    if v["gaps"] and ifs is not None and ifs.dim != 1:
+        ctx.fail(f"{path}.gaps", "gap analysis needs a 1d system")
+    if mink is not None:
+        if mink["exponent"] is None and ifs is not None \
+                and ifs.generation != fg.STATIONARY:
+            ctx.fail(f"{path}.minkowski.exponent",
+                     "required for a non-stationary system")
+        if v["gaps"] is False or (ifs is not None and not _gaps_on(v)):
+            ctx.fail(f"{path}.minkowski", "needs the gap analysis enabled")
+    return v
+
+
+def _one_dim(ctx, v, path, msg):
+    if v["ifs"] is not None and v["ifs"].dim != 1:
+        ctx.fail(f"{path}.ifs", msg)
+        v["ifs"] = None
+
+
+def _residue_rule(ctx, v, path):
+    if v["residue"] and v["ifs"] is not None \
+            and v["ifs"].generation != fg.STATIONARY:
+        ctx.fail(f"{path}.residue", "needs a stationary system")
+
+
+def _gap_triple_rules(ctx, v, path, budget):
+    """ifs is a 1d system
+    residue needs a stationary system"""
+    _one_dim(ctx, v, path, "gap models need a 1d system")
+    _residue_rule(ctx, v, path)
+    return v
+
+
+def _pair_triple_rules(ctx, v, path, budget):
+    """seed_pair points have the ambient dimension
+    residue needs a stationary system"""
+    ifs, seed = v["ifs"], v["seed_pair"]
+    if ifs is not None and seed is not None:
+        for i, pt in enumerate(seed):
+            if len(pt) != ifs.dim:
+                ctx.fail(f"{path}.seed_pair[{i}]",
+                         f"must have {ifs.dim} coordinates")
+    _residue_rule(ctx, v, path)
+    return v
+
+
+def _link_check_rules(ctx, v, path, budget):
+    """ifs is a 1d system"""
+    _one_dim(ctx, v, path, "the link check needs a 1d system")
+    return v
+
+
+# -- the table ---------------------------------------------------------------
+
+_POSITIVE = dict(lo=0.0, lo_open=True)
+_IFS = _F("ifs", req=True)
+_DEPTH = _F("integer", "word length of the construction", req=True, lo=1)
+_INTERVAL = _F("interval", "bounding interval of the gap analysis; null: "
+               "the ifs box, else the smallest invariant interval")
+_ROWS = _F("integer", "rows written to the entries or gaps CSV",
+           default=DEFAULT_SERIES_ROWS, lo=1)
+_TOLERANCE = _F("number", "eccentricity tolerance", default=0.02, **_POSITIVE)
+_SEQUENCE_CAP = _F("integer", "entries materialized; the default is capped "
+                   "at the entry budget", default=10**5, lo=1000, hi=_ENTRIES)
+_MODEL_FIELDS = {
+    "zeta": _F("zeta", "zeta values to compute"),
+    "residue": _F("boolean", "compute the zeta residue; null: true for a "
+                  "stationary system"),
+    "functional": _F("functional", "a state to evaluate on the model"),
+    "exponent": _F("number", "the functional's weight exponent; null: the "
+                   "dimension estimate", **_POSITIVE),
+    "tolerance": _F("number", "eccentricity tolerance of the functional; "
+                    "null: adapts to the observed gap floor", null=True,
+                    **_POSITIVE),
+    "series_max_rows": _ROWS,
+}
+
+_OBJECTS = {
+    "experiment": _Obj({
+        "kind": _choice(*KINDS, msg="must be one of " + ", ".join(KINDS)),
+        "name": _F("name", "report and file stem; null: the kind in lower "
+                   "case, with '-<index>' in a batch"),
+        "seed": _F("integer", "reserved: echoed as meta.rng_seed, no "
+                   "operation draws random numbers", lo=0),
+        "series": _F("boolean", "write CSV series", default=True),
+        "output": _F("output"),
+        "parameters": _F(_PER_KIND, "the kind's parameters", req=True,
+                         msg="required object"),
+    }, tag="kind"),
+    "output": _Obj({"report": _F("name", "report file name; null: "
+                                 "<name>.report.json")}),
+    SEQUENCE_ANALYSIS: _Obj({
+        "values": _F("values", "the eigenvalues, nonincreasing", req=True,
+                     when=("values",)),
+        "mu": _F("mu", "the eigenvalues as a function of n", req=True,
+                 when=("mu",)),
+        "cap": _SEQUENCE_CAP._replace(when=("mu",)),
+        "tolerance": _TOLERANCE,
+    }, tag="values|mu", off="not allowed with explicit {}",
+        check=_sequence_rules),
+    "mu": _Obj({
+        "form": _choice("power"),
+        "coefficient": _F("number", "c in c n^-exponent", default=1.0,
+                          **_POSITIVE),
+        "exponent": _F("number", req=True, **_POSITIVE),
+    }),
+    EXEMPLAR: _Obj({
+        "family": _choice("two_slope", "step"),
+        "cap": _SEQUENCE_CAP,
+        "tolerance": _TOLERANCE,
+        "gammas": _F("positives", "exponents to scan the powered sequence "
+                     "at", default=[],
+                     msg="must be a nonempty list of positive numbers"),
+        "alpha": _F("number", "steeper slope", req=True, when=("two_slope",),
+                    **_POSITIVE),
+        "beta": _F("number", "shallower slope", req=True,
+                   when=("two_slope",), **_POSITIVE),
+        "gaps": _F("gaps", "lengths of the slope pieces",
+                   default={"form": "constant", "value": 1.0},
+                   when=("two_slope",)),
+        "q": _F("number", "step exponent", req=True,
+                when=("step",), lo=1.0, lo_open=True),
+    }, tag="family", off="not a {} field", check=_exemplar_rules),
+    "gaps": _Obj({
+        "form": _choice("constant", "linear"),
+        "value": _F("number", default=1.0, when=("constant",), **_POSITIVE),
+    }, tag="form", off="not allowed with form '{}'"),
+    IFS_CLASSICAL: _Obj({
+        "ifs": _IFS,
+        "depth": _DEPTH,
+        "interval": _INTERVAL,
+        "gaps": _F("boolean", "run the gap analysis; null: on for a 1d "
+                   "system"),
+        "box_dimension": _F("box_dimension", flag=True),
+        "minkowski": _F("minkowski", flag=True, null=True),
+        "cylinder": _F("cylinder"),
+        "translation": _F("boolean", "the translation dimension formula",
+                          default=False),
+        "contraction": _F("contraction", flag=True),
+        "series_max_rows": _ROWS,
+    }, check=_ifs_classical_rules),
+    "box_dimension": _Obj({"cloud_depth": _F(
+        "integer", "null: the experiment's depth", lo=1)}),
+    "minkowski": _Obj({"exponent": _F(
+        "number", "null: the similarity dimension", hi=1, **_POSITIVE)}),
+    "cylinder": _Obj({
+        "exponent": _F("number", req=True, **_POSITIVE),
+        "depth": _F("integer", "null: the experiment's depth", lo=1),
+    }),
+    "contraction": _Obj({"depth": _F(
+        "integer", "null: the experiment's depth", lo=1)}),
+    GAP_TRIPLE: _Obj(dict({"ifs": _IFS, "depth": _DEPTH,
+                           "interval": _INTERVAL}, **_MODEL_FIELDS),
+                     check=_gap_triple_rules),
+    PAIR_TRIPLE: _Obj(dict({
+        "ifs": _IFS,
+        "cap": _F("integer", "eigen-entries enumerated; the default is "
+                  "capped at the entry budget", default=2 * 10**5, lo=2,
+                  hi=_ENTRIES),
+        "max_depth": _F("integer", "longest word; null: no limit", lo=0),
+        "seed_pair": _F("pair", "null: the fixed points of the first two "
+                        "maps", msg="must be [x, y]"),
+    }, **_MODEL_FIELDS), check=_pair_triple_rules),
+    LINK_CHECK: _Obj({
+        "ifs": _IFS, "depth": _DEPTH, "interval": _INTERVAL,
+        "exponent": _F("number", "null: the similarity dimension", hi=1,
+                       **_POSITIVE),
+    }, check=_link_check_rules),
+    "ifs": _Obj({
+        "generation": _choice(*_GENERATIONS),
+        "maps": _F("map[]", req=True, when=("stationary",)),
+        "blocks": _F("map[][]", "cycled level by level", req=True,
+                     when=("periodic",)),
+        "levels": _F("map[][]", "one block per level, then the system ends",
+                     req=True, when=("explicit",)),
+        "box": _F("pair", "[lo, hi] corners of an asserted open set",
+                  msg="must be [lo, hi]"),
+    }, tag="generation", off="not a {} field", check=_ifs),
+    "map": _Obj({
+        "ratio": _F("number", req=True, stop=True, lo=0, hi=1, lo_open=True,
+                    hi_open=True, msg="must be a number in (0, 1)"),
+        "translation": _F("coords", "fixes the ambient dimension",
+                          req=True),
+        "flip": _F("boolean", "1d orientation reversal", default=False),
+        "orthogonal": _F("matrix", "orthogonal part, dim x dim", null=True,
+                         excludes="flip"),
+    }, check=_map),
+    "functional": _Obj({
+        "type": _choice("constant", "affine", "box_indicator",
+                        msg="must be one of constant, affine, box_indicator"),
+        "value": _F("number", default=1.0, when=("constant",)),
+        "slope": _F("coords", "a number or a vector", req=True,
+                    when=("affine",)),
+        "intercept": _F("number", default=0.0, when=("affine",)),
+        "lo": _F("point", "lower corner", req=True, stop=True,
+                 when=("box_indicator",),
+                 missing="box_indicator needs lo and hi"),
+        "hi": _F("point", "upper corner", req=True, stop=True,
+                 when=("box_indicator",),
+                 missing="box_indicator needs lo and hi"),
+        "margin": _F("number", "ramp width; 0 is the sharp indicator",
+                     default=0.0, lo=0.0, when=("box_indicator",)),
+    }, tag="type", check=_functional),
+    "zeta": _Obj({"s": _F("positives", "exponents", req=True,
+                          msg="must be a nonempty list of positive numbers")}),
+}
 
 @dataclass
 class Experiment:
@@ -445,375 +800,20 @@ class Experiment:
     raw: dict      # the user's object, echoed into the report
 
 
-_COMMON_KEYS = {"kind", "name", "seed", "series", "output", "parameters"}
-
-
-def _check_experiment(ctx, obj, path, budget, index):
-    if not isinstance(obj, dict):
-        return ctx.fail(path, "must be an object")
-    kind = obj.get("kind")
-    if kind not in KINDS:
-        ctx.fail(f"{path}.kind", "must be one of " + ", ".join(KINDS))
+def _experiment(ctx, obj, path, budget, index):
+    v = _walk(ctx, obj, path, "experiment", budget)
+    if v is None:
         return None
-    ctx.check_keys(obj, path, _COMMON_KEYS)
-    name = obj.get("name", kind.lower() if index is None
-                   else f"{kind.lower()}-{index}")
-    if not _is_name(name):
-        ctx.fail(f"{path}.name", _NAME_OK)
-        name = "invalid"
-    rng_seed = _opt_int(ctx, obj, path, "seed", None, lo=0)
-    series = _opt_bool(ctx, obj, path, "series", True)
-    report_name = f"{name}.report.json"
-    if "output" in obj:
-        out = obj["output"]
-        if not isinstance(out, dict):
-            ctx.fail(f"{path}.output", "must be an object")
-        else:
-            ctx.check_keys(out, f"{path}.output", {"report"})
-            rn = out.get("report", report_name)
-            if not _is_name(rn):
-                ctx.fail(f"{path}.output.report", _NAME_OK)
-            else:
-                report_name = rn
-    praw = obj.get("parameters")
-    ppath = f"{path}.parameters"
-    if not isinstance(praw, dict):
-        ctx.fail(ppath, "required object")
+    kind = v["kind"]
+    name = v["name"] if "name" in obj \
+        else kind.lower() if index is None else f"{kind.lower()}-{index}"
+    if name is None:
         return None
-    params = _KIND_VALIDATORS[kind](ctx, praw, ppath, budget)
-    if params is None:
-        return None
+    report = (v["output"] or {}).get("report") or f"{name}.report.json"
     # problems elsewhere still fail the parse; returning the experiment here
     # lets the name/report collision checks run over the whole batch
-    return Experiment(kind, name, rng_seed, bool(series), report_name,
-                      params, obj)
-
-
-def _check_sequence_params(ctx, obj, path, budget):
-    ctx.check_keys(obj, path, {"values", "mu", "cap", "tolerance"})
-    tolerance = _opt_num(ctx, obj, path, "tolerance", 0.02, lo=0.0, lo_open=True)
-    has_values = "values" in obj
-    has_mu = "mu" in obj
-    if has_values == has_mu:
-        return ctx.fail(path, "give exactly one of values and mu")
-    if has_values:
-        raw = obj["values"]
-        values = _positive_values(raw) \
-            if isinstance(raw, list) and len(raw) >= 4 else None
-        if values is None:
-            return ctx.fail(f"{path}.values",
-                            "must be a list of at least 4 positive numbers")
-        if len(raw) > budget.entries:
-            return ctx.fail(f"{path}.values",
-                            f"length exceeds the entry budget {budget.entries}")
-        if "cap" in obj:
-            ctx.fail(f"{path}.cap", "not allowed with explicit values")
-        return {"values": values, "tolerance": tolerance, "cap": len(raw)}
-    mu = obj["mu"]
-    if not isinstance(mu, dict):
-        return ctx.fail(f"{path}.mu", "must be an object")
-    ctx.check_keys(mu, f"{path}.mu", {"form", "coefficient", "exponent"})
-    if mu.get("form") != "power":
-        return ctx.fail(f"{path}.mu.form", "must be 'power'")
-    coeff = _opt_num(ctx, mu, f"{path}.mu", "coefficient", 1.0, lo=0.0,
-                     lo_open=True)
-    expo = _opt_num(ctx, mu, f"{path}.mu", "exponent", None, lo=0.0,
-                    lo_open=True)
-    if expo is None and "exponent" not in mu:
-        return ctx.fail(f"{path}.mu.exponent", "required")
-    cap = _opt_int(ctx, obj, path, "cap", min(10**5, budget.entries),
-                   lo=1000, hi=budget.entries)
-    if None in (coeff, expo, cap, tolerance):
-        return None
-    return {"mu": {"form": "power", "coefficient": coeff, "exponent": expo},
-            "cap": cap, "tolerance": tolerance}
-
-
-def _check_exemplar_params(ctx, obj, path, budget):
-    ctx.check_keys(obj, path, {"family", "alpha", "beta", "gaps", "q", "cap",
-                               "tolerance", "gammas"})
-    family = obj.get("family")
-    if family not in ("two_slope", "step"):
-        return ctx.fail(f"{path}.family", "must be 'two_slope' or 'step'")
-    cap = _opt_int(ctx, obj, path, "cap", min(10**5, budget.entries),
-                   lo=1000, hi=budget.entries)
-    tolerance = _opt_num(ctx, obj, path, "tolerance", 0.02, lo=0.0,
-                         lo_open=True)
-    gammas = []
-    if "gammas" in obj:
-        raw = obj["gammas"]
-        if not isinstance(raw, list) or not raw \
-                or not all(_is_num(g) and g > 0 for g in raw):
-            ctx.fail(f"{path}.gammas",
-                     "must be a nonempty list of positive numbers")
-        else:
-            gammas = [float(g) for g in raw]
-    out = {"family": family, "cap": cap, "tolerance": tolerance,
-           "gammas": gammas}
-    if family == "two_slope":
-        for k in ("q",):
-            if k in obj:
-                ctx.fail(f"{path}.{k}", "not a two_slope field")
-        alpha = _opt_num(ctx, obj, path, "alpha", None, lo=0.0, lo_open=True)
-        beta = _opt_num(ctx, obj, path, "beta", None, lo=0.0, lo_open=True)
-        if "alpha" not in obj:
-            ctx.fail(f"{path}.alpha", "required")
-        if "beta" not in obj:
-            ctx.fail(f"{path}.beta", "required")
-        if alpha is not None and beta is not None and beta > alpha:
-            ctx.fail(f"{path}.beta", "must be <= alpha")
-        gaps = (ex.CONSTANT, 1.0)
-        if "gaps" in obj:
-            g = obj["gaps"]
-            if not isinstance(g, dict):
-                ctx.fail(f"{path}.gaps", "must be an object")
-            else:
-                ctx.check_keys(g, f"{path}.gaps", {"form", "value"})
-                form = g.get("form")
-                if form == "constant":
-                    v = _opt_num(ctx, g, f"{path}.gaps", "value", 1.0,
-                                 lo=0.0, lo_open=True)
-                    gaps = None if v is None else (ex.CONSTANT, v)
-                elif form == "linear":
-                    if "value" in g:
-                        ctx.fail(f"{path}.gaps.value",
-                                 "not allowed with form 'linear'")
-                    gaps = (ex.LINEAR,)
-                else:
-                    ctx.fail(f"{path}.gaps.form",
-                             "must be 'constant' or 'linear'")
-                    gaps = None
-        if None in (alpha, beta, cap, tolerance) or gaps is None:
-            return None
-        out.update(alpha=alpha, beta=beta, gaps=gaps)
-        return out
-    for k in ("alpha", "beta", "gaps"):
-        if k in obj:
-            ctx.fail(f"{path}.{k}", "not a step field")
-    q = _opt_num(ctx, obj, path, "q", None, lo=1.0, lo_open=True)
-    if "q" not in obj:
-        return ctx.fail(f"{path}.q", "required")
-    if None in (q, cap, tolerance):
-        return None
-    out.update(q=q)
-    return out
-
-
-def _check_ifs_classical_params(ctx, obj, path, budget):
-    ctx.check_keys(obj, path, {"ifs", "depth", "interval", "gaps",
-                               "box_dimension", "minkowski", "cylinder",
-                               "translation", "contraction",
-                               "series_max_rows"})
-    if "ifs" not in obj:
-        return ctx.fail(f"{path}.ifs", "required")
-    ifs = _check_ifs(ctx, obj["ifs"], f"{path}.ifs")
-    depth = _opt_int(ctx, obj, path, "depth", None, lo=1)
-    if "depth" not in obj:
-        ctx.fail(f"{path}.depth", "required")
-    interval = None
-    if "interval" in obj:
-        interval = _check_interval(ctx, obj["interval"], f"{path}.interval")
-    rows = _opt_int(ctx, obj, path, "series_max_rows", DEFAULT_SERIES_ROWS,
-                    lo=1)
-    params = {"ifs": ifs, "depth": depth, "interval": interval,
-              "series_max_rows": rows}
-
-    do_gaps = _opt_bool(ctx, obj, path, "gaps", None)
-    if ifs is not None:
-        if do_gaps is None:
-            do_gaps = ifs.dim == 1
-        elif do_gaps and ifs.dim != 1:
-            ctx.fail(f"{path}.gaps", "gap analysis needs a 1d system")
-    params["gaps"] = bool(do_gaps)
-
-    box = None
-    if "box_dimension" in obj:
-        b = obj["box_dimension"]
-        if isinstance(b, bool):
-            box = {} if b else None
-        elif isinstance(b, dict):
-            ctx.check_keys(b, f"{path}.box_dimension", {"cloud_depth"})
-            cd = _opt_int(ctx, b, f"{path}.box_dimension", "cloud_depth",
-                          None, lo=1)
-            box = {"cloud_depth": cd}
-        else:
-            ctx.fail(f"{path}.box_dimension", "must be a flag or an object")
-    params["box_dimension"] = box
-
-    mink = None
-    if "minkowski" in obj:
-        m = obj["minkowski"]
-        if isinstance(m, bool):
-            m = {} if m else None
-        if m is not None:
-            if not isinstance(m, dict):
-                ctx.fail(f"{path}.minkowski", "must be a flag or an object")
-                m = None
-            else:
-                ctx.check_keys(m, f"{path}.minkowski", {"exponent"})
-                d = _opt_num(ctx, m, f"{path}.minkowski", "exponent", None,
-                             lo=0.0, lo_open=True)
-                if d is not None and d > 1:
-                    ctx.fail(f"{path}.minkowski.exponent", "must be <= 1")
-                    d = None
-                if "exponent" in m and d is None:
-                    m = None
-                else:
-                    if d is None and ifs is not None \
-                            and ifs.generation != fg.STATIONARY:
-                        ctx.fail(f"{path}.minkowski.exponent",
-                                 "required for a non-stationary system")
-                    m = {"exponent": d}
-        mink = m
-        if mink is not None and not params["gaps"]:
-            ctx.fail(f"{path}.minkowski", "needs the gap analysis enabled")
-    params["minkowski"] = mink
-
-    cyl = None
-    if "cylinder" in obj:
-        c = obj["cylinder"]
-        if not isinstance(c, dict):
-            ctx.fail(f"{path}.cylinder", "must be an object")
-        else:
-            ctx.check_keys(c, f"{path}.cylinder", {"exponent", "depth"})
-            s = _opt_num(ctx, c, f"{path}.cylinder", "exponent", None,
-                         lo=0.0, lo_open=True)
-            cd = _opt_int(ctx, c, f"{path}.cylinder", "depth", None, lo=1)
-            if "exponent" not in c:
-                ctx.fail(f"{path}.cylinder.exponent", "required")
-            if s is not None:
-                cyl = {"exponent": s, "depth": cd if cd is not None else depth}
-    params["cylinder"] = cyl
-
-    params["translation"] = bool(_opt_bool(ctx, obj, path, "translation",
-                                           False))
-    contr = None
-    if "contraction" in obj:
-        c = obj["contraction"]
-        if isinstance(c, bool):
-            contr = {} if c else None
-        elif isinstance(c, dict):
-            ctx.check_keys(c, f"{path}.contraction", {"depth"})
-            contr = {"depth": _opt_int(ctx, c, f"{path}.contraction",
-                                       "depth", None, lo=1)}
-        else:
-            ctx.fail(f"{path}.contraction", "must be a flag or an object")
-    params["contraction"] = contr
-    if ifs is None or depth is None:
-        return None
-    return params
-
-
-def _check_model_common(ctx, obj, path, budget, params):
-    """Shared zeta / residue / functional / series knobs of the two models."""
-    zeta = None
-    if "zeta" in obj:
-        zeta = _check_zeta(ctx, obj["zeta"], f"{path}.zeta")
-    params["zeta"] = zeta
-    params["residue"] = _opt_bool(ctx, obj, path, "residue", None)
-    func = None
-    if "functional" in obj:
-        func = _check_functional(ctx, obj["functional"], f"{path}.functional")
-    params["functional"] = func
-    params["exponent"] = _opt_num(ctx, obj, path, "exponent", None,
-                                  lo=0.0, lo_open=True)
-    tol = None
-    if "tolerance" in obj and obj["tolerance"] is not None:
-        tol = _opt_num(ctx, obj, path, "tolerance", None, lo=0.0, lo_open=True)
-    params["tolerance"] = tol
-    params["series_max_rows"] = _opt_int(ctx, obj, path, "series_max_rows",
-                                         DEFAULT_SERIES_ROWS, lo=1)
-
-
-def _check_gap_triple_params(ctx, obj, path, budget):
-    ctx.check_keys(obj, path, {"ifs", "depth", "interval", "zeta", "residue",
-                               "functional", "exponent", "tolerance",
-                               "series_max_rows"})
-    if "ifs" not in obj:
-        return ctx.fail(f"{path}.ifs", "required")
-    ifs = _check_ifs(ctx, obj["ifs"], f"{path}.ifs")
-    if ifs is not None and ifs.dim != 1:
-        ctx.fail(f"{path}.ifs", "gap models need a 1d system")
-        ifs = None
-    depth = _opt_int(ctx, obj, path, "depth", None, lo=1)
-    if "depth" not in obj:
-        ctx.fail(f"{path}.depth", "required")
-    interval = None
-    if "interval" in obj:
-        interval = _check_interval(ctx, obj["interval"], f"{path}.interval")
-    params = {"ifs": ifs, "depth": depth, "interval": interval}
-    _check_model_common(ctx, obj, path, budget, params)
-    if params["residue"] and ifs is not None \
-            and ifs.generation != fg.STATIONARY:
-        ctx.fail(f"{path}.residue", "needs a stationary system")
-    if ifs is None or depth is None:
-        return None
-    return params
-
-
-def _check_pair_triple_params(ctx, obj, path, budget):
-    ctx.check_keys(obj, path, {"ifs", "cap", "max_depth", "seed_pair", "zeta",
-                               "residue", "functional", "exponent",
-                               "tolerance", "series_max_rows"})
-    if "ifs" not in obj:
-        return ctx.fail(f"{path}.ifs", "required")
-    ifs = _check_ifs(ctx, obj["ifs"], f"{path}.ifs")
-    cap = _opt_int(ctx, obj, path, "cap", min(2 * 10**5, budget.entries),
-                   lo=2, hi=budget.entries)
-    max_depth = _opt_int(ctx, obj, path, "max_depth", None, lo=0)
-    seed = None
-    if "seed_pair" in obj:
-        raw = obj["seed_pair"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            ctx.fail(f"{path}.seed_pair", "must be [x, y]")
-        else:
-            dim = ifs.dim if ifs is not None else None
-            x = _point(ctx, raw[0], f"{path}.seed_pair[0]", dim)
-            y = _point(ctx, raw[1], f"{path}.seed_pair[1]", dim)
-            if x is not None and y is not None:
-                seed = (x, y)
-    params = {"ifs": ifs, "cap": cap, "max_depth": max_depth, "seed": seed}
-    _check_model_common(ctx, obj, path, budget, params)
-    if params["residue"] and ifs is not None \
-            and ifs.generation != fg.STATIONARY:
-        ctx.fail(f"{path}.residue", "needs a stationary system")
-    if ifs is None or cap is None:
-        return None
-    return params
-
-
-def _check_link_params(ctx, obj, path, budget):
-    ctx.check_keys(obj, path, {"ifs", "depth", "interval", "exponent"})
-    if "ifs" not in obj:
-        return ctx.fail(f"{path}.ifs", "required")
-    ifs = _check_ifs(ctx, obj["ifs"], f"{path}.ifs")
-    if ifs is not None and ifs.dim != 1:
-        ctx.fail(f"{path}.ifs", "the link check needs a 1d system")
-        ifs = None
-    depth = _opt_int(ctx, obj, path, "depth", None, lo=1)
-    if "depth" not in obj:
-        ctx.fail(f"{path}.depth", "required")
-    interval = None
-    if "interval" in obj:
-        interval = _check_interval(ctx, obj["interval"], f"{path}.interval")
-    expo = _opt_num(ctx, obj, path, "exponent", None, lo=0.0, lo_open=True)
-    if expo is not None and expo > 1:
-        ctx.fail(f"{path}.exponent", "must be <= 1")
-        expo = None
-    if ifs is None or depth is None:
-        return None
-    return {"ifs": ifs, "depth": depth, "interval": interval,
-            "exponent": expo}
-
-
-_KIND_VALIDATORS = {
-    SEQUENCE_ANALYSIS: _check_sequence_params,
-    EXEMPLAR: _check_exemplar_params,
-    IFS_CLASSICAL: _check_ifs_classical_params,
-    GAP_TRIPLE: _check_gap_triple_params,
-    PAIR_TRIPLE: _check_pair_triple_params,
-    LINK_CHECK: _check_link_params,
-}
+    return Experiment(kind, name, v["seed"], bool(v["series"]), report,
+                      v["parameters"], obj)
 
 
 def parse_config(doc, budget: Budget = Budget()) -> list:
@@ -829,10 +829,10 @@ def parse_config(doc, budget: Budget = Budget()) -> list:
         if not isinstance(raw, list) or not raw:
             ctx.fail("$.experiments", "must be a nonempty list")
             raise ValidationError(ctx.problems)
-        exps = [_check_experiment(ctx, e, f"$.experiments[{i}]", budget, i)
+        exps = [_experiment(ctx, e, f"$.experiments[{i}]", budget, i)
                 for i, e in enumerate(raw)]
     else:
-        exps = [_check_experiment(ctx, doc, "$", budget, None)]
+        exps = [_experiment(ctx, doc, "$", budget, None)]
     names = [e.name for e in exps if e is not None]
     for n in sorted(set(names)):
         if names.count(n) > 1:
@@ -943,11 +943,14 @@ def _sequence_series(exp, out_dir, seq, scan):
 def _run_exemplar(exp, budget, out_dir):
     p = exp.params
     if p["family"] == "two_slope":
-        spec = ex.TwoSlopeSpec(p["alpha"], p["beta"], p["gaps"])
+        g = p["gaps"]
+        gaps = (ex.CONSTANT, g["value"]) if g["form"] == ex.CONSTANT \
+            else (ex.LINEAR,)
+        spec = ex.TwoSlopeSpec(p["alpha"], p["beta"], gaps)
         seq = ex.two_slope_sequence(spec, cap=p["cap"])
         build = {"module": "exemplars", "op": "two_slope_sequence",
                  "parameters": {"alpha": p["alpha"], "beta": p["beta"],
-                                "gaps": list(p["gaps"]), "cap": p["cap"]},
+                                "gaps": list(gaps), "cap": p["cap"]},
                  "values": {"cap": int(seq.cap)}}
     else:
         seq = ex.step_sequence(ex.StepSpec(q=p["q"]), cap=p["cap"])
@@ -1006,7 +1009,7 @@ def _run_ifs_classical(exp, budget, out_dir):
                         "op": "similarity_dimension", "parameters": {},
                         "values": {"dimension": _val(sdim)}})
     gaps = None
-    if p["gaps"]:
+    if _gaps_on(p):
         gaps = fg.gaps_from_interval_ifs(ifs, p["depth"],
                                          interval=p["interval"],
                                          budget=budget.words)
@@ -1056,7 +1059,8 @@ def _run_ifs_classical(exp, budget, out_dir):
                        [content.eps, content.ratio_lo, content.ratio_hi])
             series["tube"] = fname
     if p["cylinder"] is not None:
-        s, cd = p["cylinder"]["exponent"], p["cylinder"]["depth"]
+        s = p["cylinder"]["exponent"]
+        cd = p["cylinder"]["depth"] or p["depth"]
         cm = fg.cylinder_measure(ifs, s, cd, budget=budget.words)
         results.append({"module": "fractal_geometry", "op": "cylinder_measure",
                         "parameters": {"exponent": s, "depth": cd},
@@ -1145,15 +1149,12 @@ def _residue_wanted(p, model) -> bool:
     return model.ifs.generation == fg.STATIONARY
 
 
-def _model_entries(exp, model, budget, out_dir):
+def _model_entries(exp, model, out_dir):
     """Operations shared by the two model kinds, in report order."""
     p = exp.params
-    if len(model) > budget.entries:
-        raise BudgetExceeded(
-            f"model has {len(model)} entries, budget {budget.entries}")
     results = [_spectral_dim_entry(model)]
     if p["zeta"]:
-        results.extend(_zeta_entries(model, p["zeta"]))
+        results.extend(_zeta_entries(model, p["zeta"]["s"]))
     if _residue_wanted(p, model):
         results.append(_residue_entry(model))
     if p["functional"] is not None:
@@ -1171,12 +1172,23 @@ def _model_entries(exp, model, budget, out_dir):
     return results, series
 
 
-def _run_gap_triple(exp, budget, out_dir):
-    p = exp.params
+def _gap_model(p, budget):
+    """The gap list of the experiment's system and the gap triple over it,
+    which must fit the entry budget.  (A pair model fits by validation: its
+    cap is at most the entry budget.)"""
     gaps = fg.gaps_from_interval_ifs(p["ifs"], p["depth"],
                                      interval=p["interval"],
                                      budget=budget.words)
     model = st.gap_triple(gaps)
+    if len(model) > budget.entries:
+        raise BudgetExceeded(
+            f"model has {len(model)} entries, budget {budget.entries}")
+    return gaps, model
+
+
+def _run_gap_triple(exp, budget, out_dir):
+    p = exp.params
+    gaps, model = _gap_model(p, budget)
     build = {"module": "spectral_triples", "op": "gap_triple",
              "parameters": {"depth": p["depth"],
                             "interval": list(p["interval"])
@@ -1186,37 +1198,31 @@ def _run_gap_triple(exp, budget, out_dir):
                         "completeness_cutoff": _val(gaps.completeness_cutoff),
                         "max_value": _val(model.values[0]),
                         "min_value": _val(model.values[-1])}}
-    results, series = _model_entries(exp, model, budget, out_dir)
+    results, series = _model_entries(exp, model, out_dir)
     return [build] + results, series, len(model)
 
 
 def _run_pair_triple(exp, budget, out_dir):
     p = exp.params
-    model = st.pair_triple(p["ifs"], seed=p["seed"], cap=p["cap"],
+    seed = p["seed_pair"]
+    model = st.pair_triple(p["ifs"], seed=seed, cap=p["cap"],
                            max_depth=p["max_depth"])
     build = {"module": "spectral_triples", "op": "pair_triple",
              "parameters": {"cap": p["cap"], "max_depth": p["max_depth"],
-                            "seed_pair": None if p["seed"] is None else
-                            [list(map(float, p["seed"][0])),
-                             list(map(float, p["seed"][1]))]},
+                            "seed_pair": None if seed is None else
+                            [seed[0].tolist(), seed[1].tolist()]},
              "values": {"entries": len(model),
                         "truncated": bool(model.truncated),
                         "ambient_dim": int(model.dim),
                         "seed_distance": _val(model.seed_distance),
                         "max_depth_reached": int(model.depths.max())}}
-    results, series = _model_entries(exp, model, budget, out_dir)
+    results, series = _model_entries(exp, model, out_dir)
     return [build] + results, series, len(model)
 
 
 def _run_link_check(exp, budget, out_dir):
     p = exp.params
-    gaps = fg.gaps_from_interval_ifs(p["ifs"], p["depth"],
-                                     interval=p["interval"],
-                                     budget=budget.words)
-    model = st.gap_triple(gaps)
-    if len(model) > budget.entries:
-        raise BudgetExceeded(
-            f"model has {len(model)} entries, budget {budget.entries}")
+    gaps, model = _gap_model(p, budget)
     link = st.minkowski_link_check(model, d=p["exponent"])
     results = [
         _gap_list_entry(gaps, p["depth"], p["interval"]),
@@ -1454,103 +1460,48 @@ def compare(path_a: str, path_b: str, out_path: str | None = None,
 def config_schema() -> dict:
     """Machine-readable description of the accepted config layout.
 
-    Types are described as strings; every constraint here is enforced by
-    ``parse_config`` with the violation reported at its JSON path.
+    The document is rendered from ``_OBJECTS``, the field table that
+    ``parse_config`` walks, so every field, bound and default shown here is
+    the one enforced.  A key without '?' is required (for the variants in
+    its ``for`` list, when it has one); ``default`` is what an absent
+    optional field means, null standing for the value its ``doc`` names.
+    ``rules`` lists the checks of each object that span several fields.
     """
-    interval = "[lo, hi], numbers, lo < hi"
-    ifs_doc = {
-        "generation": "'stationary' | 'periodic' | 'explicit'",
-        "maps": "stationary only: nonempty list of map",
-        "blocks": "periodic only: nonempty list of list of map",
-        "levels": "explicit only: nonempty list of list of map",
-        "box?": "[lo, hi] points bounding an asserted open set",
-    }
-    map_doc = {
-        "ratio": "number in (0, 1)",
-        "translation": "number, or list of numbers (the ambient dimension)",
-        "flip?": "bool, 1d orientation reversal (scalar translation only)",
-        "orthogonal?": "dim x dim matrix; exclusive with flip",
-    }
-    functional_doc = {
-        "type": "'constant' | 'affine' | 'box_indicator'",
-        "value?": "constant: the value (default 1)",
-        "slope?": "affine: number or vector",
-        "intercept?": "affine: number (default 0)",
-        "lo?/hi?": "box_indicator: corner points, lo <= hi",
-        "margin?": "box_indicator: ramp width >= 0 (default 0, sharp)",
-    }
-    model_common = {
-        "zeta?": "{s: nonempty list of positive numbers}",
-        "residue?": "bool; defaults to true for stationary systems",
-        "functional?": "functional object",
-        "exponent?": "positive number; functional weight exponent",
-        "tolerance?": "positive number; eccentricity tolerance "
-                      "(default adapts to the observed gap floor)",
-        "series_max_rows?": f"int >= 1 (default {DEFAULT_SERIES_ROWS})",
-    }
+    def field(f):
+        t = f.type
+        doc = {"type": "object: the parameters of the kind" if t == _PER_KIND
+               else ("boolean or " if f.flag else "") + t
+               if t in _OBJECTS or t.endswith("[]") else _VALUE_TYPES[t][1]}
+        if f.choices:
+            doc["enum"] = list(f.choices)
+        if f.lo is not None:
+            doc["exclusiveMinimum" if f.lo_open else "minimum"] = f.lo
+        if f.hi is not None:
+            doc["exclusiveMaximum" if f.hi_open else "maximum"] = f.hi
+        if not f.req:
+            doc["default"] = f.default
+        for key, value in (("for", f.when), ("nullable", f.null),
+                           ("excludes", f.excludes), ("doc", f.doc)):
+            if value:
+                doc[key] = list(value) if key == "for" else value
+        return doc
+
+    objects = {name: {k if f.req else k + "?": field(f)
+                      for k, f in spec.fields.items()}
+               for name, spec in _OBJECTS.items()}
     return {
         "format": "fractrace-config/1",
         "root": "an experiment object, or {experiments: [experiment, ...]}",
-        "experiment": {
-            "kind": "one of " + ", ".join(KINDS),
-            "name?": "report/file stem; " + _NAME_OK,
-            "seed?": "int >= 0, reserved: echoed as meta.rng_seed, "
-                     "no operation draws random numbers",
-            "series?": "bool, write CSV series (default true)",
-            "output?": {"report": "report file name"},
-            "parameters": "kind-specific object, see kinds",
-        },
-        "kinds": {
-            SEQUENCE_ANALYSIS: {
-                "values|mu": "explicit list of >= 4 positive numbers, or "
-                             "{form: 'power', coefficient > 0, exponent > 0}; "
-                             "every number finite and within float64 range",
-                "cap?": "int in [1000, entry budget]; mu form only",
-                "tolerance?": "positive number (default 0.02)",
-            },
-            EXEMPLAR: {
-                "family": "'two_slope' | 'step'",
-                "alpha/beta": "two_slope: slopes, 0 < beta <= alpha",
-                "gaps?": "two_slope: {form: 'constant', value > 0} or "
-                         "{form: 'linear'}",
-                "q": "step: exponent > 1",
-                "cap?": "int in [1000, entry budget]",
-                "tolerance?": "positive number (default 0.02)",
-                "gammas?": "nonempty list of positive exponents to scan",
-            },
-            IFS_CLASSICAL: {
-                "ifs": "ifs object",
-                "depth": "int >= 1",
-                "interval?": interval,
-                "gaps?": "bool (default: ambient dimension is 1)",
-                "box_dimension?": "bool or {cloud_depth?: int >= 1}",
-                "minkowski?": "bool or {exponent?: number in (0, 1]}; "
-                              "needs gaps",
-                "cylinder?": "{exponent: number > 0, depth?: int >= 1}",
-                "translation?": "bool",
-                "contraction?": "bool or {depth?: int >= 1}",
-                "series_max_rows?": f"int >= 1 (default {DEFAULT_SERIES_ROWS})",
-            },
-            GAP_TRIPLE: dict({
-                "ifs": "ifs object, ambient dimension 1",
-                "depth": "int >= 1",
-                "interval?": interval,
-            }, **model_common),
-            PAIR_TRIPLE: dict({
-                "ifs": "ifs object",
-                "cap": "int in [2, entry budget]",
-                "max_depth?": "int >= 0",
-                "seed_pair?": "[x, y] points in the ambient dimension",
-            }, **model_common),
-            LINK_CHECK: {
-                "ifs": "ifs object, ambient dimension 1",
-                "depth": "int >= 1",
-                "interval?": interval,
-                "exponent?": "number in (0, 1] (default: similarity dimension)",
-            },
-        },
-        "types": {"ifs": ifs_doc, "map": map_doc,
-                  "functional": functional_doc},
+        "notation": "T[] is a nonempty list of T; a discriminator 'a|b' "
+                    "means exactly one of a and b is given",
+        "experiment": objects.pop("experiment"),
+        "kinds": {kind: objects.pop(kind) for kind in KINDS},
+        "types": objects,
+        "discriminators": {name: spec.tag for name, spec in _OBJECTS.items()
+                           if spec.tag},
+        "rules": {name: [line.strip() for line in
+                         spec.check.__doc__.strip().splitlines()]
+                  for name, spec in _OBJECTS.items() if spec.check},
         "budgets": {"entries": DEFAULT_ENTRY_BUDGET,
                     "words": DEFAULT_WORD_BUDGET,
                     "flag": "--budget ENTRIES[,WORDS]"},

@@ -88,7 +88,8 @@ class LogLinearProfile:
 
     def _piece_of(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.knots[0] - 1e-12) or np.any(t > self.t_max * (1 + 1e-12) + 1e-12):
+        slack = 1e-12 * (abs(self.t_max) + 1.0)
+        if np.any(t < self.knots[0] - 1e-12) or np.any(t > self.t_max + slack):
             raise CapExceeded(
                 f"profile query outside [{self.knots[0]}, {self.t_max}]"
             )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractrace import asymptotics
 from fractrace.asymptotics import (
     INCONCLUSIVE,
     L1,
@@ -95,6 +96,24 @@ def test_dimension_is_reciprocal_ord():
     rep = analyze_sequence(power_seq(2.0))
     assert rep.dimension == pytest.approx(1.0 / rep.ord_estimate.value, rel=1e-12)
     assert rep.dimension_lo <= rep.dimension <= rep.dimension_hi
+
+
+@pytest.mark.parametrize("a, kind", [(1.7, TRACE_CLASS), (0.8, NON_TRACE_CLASS)])
+def test_analyze_sequence_classifies_once(monkeypatch, a, kind):
+    """Without a profile the scan kind comes from the report's own
+    classification, as resolve_kind would give it."""
+    seq = power_seq(a, cap=20_000)
+    assert resolve_kind(seq) == kind
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify_ideal(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "classify_ideal", counted)
+    rep = analyze_sequence(seq)
+    assert len(calls) == 1
+    assert rep.scan.kind == kind
 
 
 # --- ideal membership --------------------------------------------------------

@@ -2,9 +2,11 @@
 
 ``golden/rejected.json`` is a corpus of configs that validation rejects,
 each with the problems ``parse_config`` reports and the CLI's exit code.
-It reaches every reachable problem site of the validator.  A case may carry
-a ``budget`` [entries, words] for checks against the entry budget.  The
-problems are compared as multisets: their order is not part of the pin.
+Replayed under ``python -m trace --count``, it reaches every place the
+validator reports a problem, except a zero-width ``box_indicator`` box
+(see ``test_reporting_cli``).  A case may carry a ``budget`` [entries,
+words] for checks against the entry budget.  The problems are compared as
+multisets: their order is not part of the pin.
 """
 
 import json

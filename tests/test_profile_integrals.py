@@ -2,7 +2,9 @@
 
 ``LogLinearProfile.log_sigma`` and ``log_s_tail`` sum per-piece closed forms
 of integral exp(t - gamma f(t)) dt in log space.  The oracle integrates each
-piece numerically at 30 digits.  Drawn profiles include flat-rate pieces
+piece numerically at 30 digits, with the exponent's value at the left end of
+the range factored out: quadrature works to an absolute tolerance, so an
+integrand near e^-65 would lose its relative accuracy.  Drawn profiles include flat-rate pieces
 (|1 - gamma s| < 1e-12, where the closed form switches to the logarithmic
 antiderivative), staircase jumps that take f to about 10^3, and queries
 exactly on knots.
@@ -12,7 +14,7 @@ import math
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractrace.sequences import LogLinearProfile
@@ -46,12 +48,19 @@ def profiles(draw):
 
 
 def piece_integral(prof, gamma, i, a, b):
-    """integral_a^b exp(t - gamma f(t)) dt on piece i, at 30 digits."""
+    """integral_a^b exp(t - gamma f(t)) dt on piece i, at 30 digits.
+
+    On the piece the exponent is g(a) + r (t - a) with r = 1 - gamma s;
+    exp(g(a)) multiplies the quadrature of exp(r (t - a)).
+    """
     t0 = mpmath.mpf(float(prof.knots[i]))
     f0, s = mpmath.mpf(float(prof.f_left[i])), mpmath.mpf(float(prof.slopes[i]))
     g = mpmath.mpf(gamma)
-    return mpmath.quad(lambda t: mpmath.exp(t - g * (f0 + s * (t - t0))),
-                       [mpmath.mpf(float(a)), mpmath.mpf(float(b))])
+    a, b = mpmath.mpf(float(a)), mpmath.mpf(float(b))
+    r = 1 - g * s
+    g_a = a - g * (f0 + s * (a - t0))
+    return mpmath.exp(g_a) * mpmath.quad(lambda t: mpmath.exp(r * (t - a)),
+                                         [a, b])
 
 
 def oracle(prof, gamma, tq, upper):
@@ -82,7 +91,15 @@ def test_log_sigma_matches_quadrature(drawn):
             assert_close(float(value), oracle(prof, gamma, tq, upper=False))
 
 
+# a tail of about e^-66, where a quadrature of the unscaled integrand at 30
+# digits is off by 7.6e-8
+FAR_TAIL = (2.5, LogLinearProfile([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0],
+                                  [0.0, 0.4, 0.8, 1.2, 1.6, 28.0],
+                                  [0.4] * 5 + [2.0]), np.array([5.0]))
+
+
 @given(profiles())
+@example(FAR_TAIL)
 @settings(max_examples=40, deadline=None)
 def test_log_s_tail_matches_quadrature(drawn):
     gamma, prof, queries = drawn
@@ -91,3 +108,12 @@ def test_log_s_tail_matches_quadrature(drawn):
         for tq, value in zip(queries, got):
             assert_close(float(value), oracle(prof, gamma, tq, upper=True))
     assert not math.isnan(rem)
+
+
+def test_a_query_on_a_negative_last_knot_is_inside_the_profile():
+    prof = LogLinearProfile([-2.0, -1.5], [0.0], [1.0])
+    with mpmath.workdps(30):
+        assert_close(float(prof.log_sigma(0.5, [-1.5])[0]),
+                     oracle(prof, 0.5, -1.5, upper=False))
+        got, _ = prof.log_s_tail(0.5, [-1.5])
+        assert got[0] == -math.inf

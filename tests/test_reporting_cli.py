@@ -180,6 +180,17 @@ def test_malformed_configs_exit_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(broken), "--out-dir", str(tmp_path)]) == 2
 
 
+def test_a_zero_width_indicator_box_is_a_config_problem(tmp_path, capsys):
+    doc = {"kind": "GAP_TRIPLE",
+           "parameters": {"ifs": line_ifs(0.3, 0.4), "depth": 5,
+                          "functional": {"type": "box_indicator", "lo": 0.5,
+                                         "hi": 0.5}}}
+    path = write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("$.parameters.functional: box must "
+                                       "satisfy lo < hi componentwise\n")
+
+
 BIG = "1" + "0" * 400  # beyond float64 range
 
 
