@@ -8,8 +8,9 @@ and a slowly decaying ``mu`` power sequence (both discrete scan kinds), a
 staircase ``values`` list (the jump route), and a two-slope and a step
 exemplar (the analytic scans).  ``golden/models/config.json`` runs the
 model kinds with series on: a stationary and a periodic IFS_CLASSICAL, a
-GAP_TRIPLE, a PAIR_TRIPLE on a line and on a planar system, and a
-LINK_CHECK.  The CSV series of both are pinned by their SHA-256 digests in
+planar one (box counting and the contraction iteration in two dimensions), a
+line one iterated to depth 15 (32,768-point clouds), a GAP_TRIPLE, a
+PAIR_TRIPLE on a line and on a planar system, and a LINK_CHECK.  The CSV series of both are pinned by their SHA-256 digests in
 ``csv.sha256``.  To regenerate after an intended change of output:
 
     PYTHONPATH=src python -m fractrace.cli run \\
@@ -78,4 +79,4 @@ def test_series_golden_batch_replays_byte_for_byte(tmp_path):
 
 
 def test_models_golden_batch_replays_byte_for_byte(tmp_path):
-    _replay_with_series(tmp_path, GOLDEN / "models", 6, 14)
+    _replay_with_series(tmp_path, GOLDEN / "models", 8, 17)
