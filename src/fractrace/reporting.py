@@ -530,7 +530,9 @@ def _functional(ctx, v, path, budget):
     if ftype == "constant":
         if v["value"] is None:
             return None
-        return st.affine_functional(0.0, v["value"]), v
+        value = float(v["value"])
+        # one value per tag point, whatever the dimension of the points
+        return (lambda points: np.full(len(points), value)), v
     if ftype == "affine":
         slope, intercept = v["slope"], v["intercept"]
         if slope is None or intercept is None:

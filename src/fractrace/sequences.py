@@ -259,9 +259,16 @@ class EigenvalueSequence:
         n = np.asarray(n)
         if np.any(n < 1) or np.any(n > self.cap):
             raise CapExceeded(f"indices must lie in [1, {self.cap}]")
-        if self._prefix is not None and self._mu_fn is None:
-            return self._prefix[np.asarray(n, dtype=np.int64) - 1]
-        return np.asarray(self._mu_fn(np.asarray(n, dtype=np.int64)), dtype=float)
+        n = n.astype(np.int64)
+        if self._prefix is None:
+            return np.asarray(self._mu_fn(n), dtype=float)
+        # indices inside the materialized prefix read it; mu_fn sees the rest
+        have = len(self._prefix)
+        out = np.asarray(self._prefix[np.minimum(n, have) - 1])
+        beyond = n > have
+        if beyond.any():
+            out[beyond] = self._mu_fn(n[beyond])
+        return out
 
     def prefix(self, n: int):
         """First n values, cached; validates the sequence invariants."""

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fractrace import asymptotics, sequences
 from fractrace.errors import FractraceError
+from fractrace.exemplars import CONSTANT, TwoSlopeSpec, two_slope_sequence
 from fractrace.sequences import (NON_TRACE_CLASS, TRACE_CLASS,
                                  EigenvalueSequence)
 
@@ -214,3 +215,43 @@ def test_a_ratio_of_exactly_the_threshold_is_no_jump():
         with mock.patch.object(sequences, "_SLICE", b):
             seq = EigenvalueSequence.from_values(vals)
             assert seq._jump_positions().tolist() == [2, 3]
+
+
+def counting(mu_fn):
+    """mu_fn and a list that grows by the number of points it is asked at."""
+    asked = []
+
+    def fn(n):
+        asked.append(np.size(n))
+        return mu_fn(n)
+    return fn, asked
+
+
+def test_mu_reads_the_materialized_prefix():
+    fn, asked = counting(lambda n: np.asarray(n, dtype=float) ** -1.7)
+    seq = EigenvalueSequence.from_function(fn, cap=10**5)
+    asymptotics.analyze_sequence(seq)
+    # one materialization of the whole cap, and no mu_fn call after it
+    assert sum(asked) == 10**5
+
+
+def test_mu_inside_outside_and_across_the_prefix():
+    spec = TwoSlopeSpec(1.7, 1.3, (CONSTANT, 1.0))
+    for seq in (two_slope_sequence(spec, cap=5000),
+                EigenvalueSequence.from_function(
+                    lambda n: np.asarray(n, dtype=float) ** -0.8, cap=5000)):
+        fn, asked = counting(seq._mu_fn)
+        seq._mu_fn = fn
+        seq.prefix(1000)
+        queries = [np.array([1, 17, 999, 1000]), np.array([1001, 4999]),
+                   np.array([4999, 3, 1000, 1001, 3])]
+        # what mu gave before it read the prefix: mu_fn at the indices
+        expected = [fn(idx) for idx in queries]
+        asked.clear()
+        for idx, want in zip(queries, expected):
+            got = seq.mu(idx)
+            assert got.dtype == float and got.shape == idx.shape
+            np.testing.assert_array_equal(got, want)
+        # only the indices past the prefix reach mu_fn
+        assert asked == [2, 2]
+        assert seq.mu(5) == seq.prefix(5)[4]

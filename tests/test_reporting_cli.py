@@ -93,6 +93,42 @@ def test_planar_pair_model_runs_from_the_cli(tmp_path):
     assert header == "k,mu_k,tag_x_1,tag_x_2,tag_y_1,tag_y_2"
 
 
+def test_constant_functional_on_a_planar_model(tmp_path):
+    doc = {"kind": "PAIR_TRIPLE", "name": "planar",
+           "parameters": {"ifs": PLANAR_IFS, "cap": 4000,
+                          "functional": {"type": "constant", "value": 2.5}}}
+    code, out_dir = run_cli(tmp_path, doc)
+    assert code == 0
+    report = json.loads((out_dir / "planar.report.json").read_text())
+    (entry,) = [r for r in report["results"]
+                if r["op"] == "hausdorff_functional"]
+    assert entry["parameters"]["functional"] == {"type": "constant",
+                                                 "value": 2.5}
+    assert entry["values"]["value"]["value"] == pytest.approx(2.5, rel=1e-12)
+
+
+def test_constant_functional_on_a_line_is_the_flat_affine_one(tmp_path):
+    """On the line a constant gives the results the affine functional with
+    slope 0 gives, the construction it had before it took planar points."""
+    def results(functional, where):
+        where.mkdir()
+        doc = {"kind": "GAP_TRIPLE", "name": "line",
+               "parameters": {"ifs": line_ifs(0.3, 0.35), "depth": 12,
+                              "functional": functional}}
+        code, out_dir = run_cli(where, doc)
+        assert code == 0
+        report = json.loads((out_dir / "line.report.json").read_text())
+        for r in report["results"]:
+            r["parameters"].pop("functional", None)
+        return report["results"]
+
+    for i, value in enumerate((2.5, -1.25, 0.0)):
+        flat = {"type": "affine", "slope": 0.0, "intercept": value}
+        assert results({"type": "constant", "value": value},
+                       tmp_path / f"constant{i}") == \
+            results(flat, tmp_path / f"affine{i}")
+
+
 LAZY_SCIPY = """
 import json, sys
 import numpy as np
@@ -115,22 +151,61 @@ print("scipy.spatial" in sys.modules)
 """
 
 
-def test_cli_import_leaves_scipy_spatial_out(tmp_path):
-    """scipy.spatial loads on first kd-tree use, not with the CLI; a planar
-    pair run and a tabulated functional, which does use it, still work."""
-    doc = {"kind": "PAIR_TRIPLE", "name": "planar",
-           "parameters": {"ifs": PLANAR_IFS, "cap": 2000}}
+def run_script(tmp_path, script, *docs):
+    """Run ``script`` in a fresh interpreter with the paths of the configs
+    and an output directory as arguments; return its standard output."""
     src = os.path.dirname(os.path.dirname(fractrace.__file__))
     path = [src] + [os.environ.get("PYTHONPATH")] * ("PYTHONPATH" in os.environ)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = tmp_path / "out"
     out.mkdir()
-    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY,
-                           write_config(tmp_path, doc), str(out)],
+    configs = [write_config(tmp_path, doc, f"config{i}.json")
+               for i, doc in enumerate(docs)]
+    proc = subprocess.run([sys.executable, "-c", script, *configs, str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"]
-    assert (out / "planar.report.json").exists()
+    return proc.stdout
+
+
+def test_cli_import_leaves_scipy_spatial_out(tmp_path):
+    """scipy.spatial loads on first kd-tree use, not with the CLI; a planar
+    pair run and a tabulated functional, which does use it, still work."""
+    doc = {"kind": "PAIR_TRIPLE", "name": "planar",
+           "parameters": {"ifs": PLANAR_IFS, "cap": 2000}}
+    assert run_script(tmp_path, LAZY_SCIPY, doc).split() == ["True"]
+    assert (tmp_path / "out" / "planar.report.json").exists()
+
+
+LINE_THEN_PLANE = """
+import sys
+from fractrace import cli
+*configs, out_dir = sys.argv[1:]
+for config in configs:
+    assert cli.main(["run", "--config", config, "--out-dir", out_dir,
+                     "--quiet"]) == 0
+    print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_line_clouds_leave_scipy_spatial_out(tmp_path):
+    """Box counting and the contraction iteration on a line system do not
+    load scipy.spatial; the same run on a planar system, which uses the
+    kd-tree, still works."""
+    line = {"kind": "IFS_CLASSICAL", "name": "line",
+            "parameters": {"ifs": line_ifs(0.3, 0.4), "depth": 6,
+                           "gaps": False, "box_dimension": {"cloud_depth": 10},
+                           "contraction": {"depth": 12}}}
+    plane = {"kind": "IFS_CLASSICAL", "name": "plane",
+             "parameters": {"ifs": PLANAR_IFS, "depth": 4,
+                            "box_dimension": {"cloud_depth": 6},
+                            "contraction": {"depth": 6}}}
+    assert run_script(tmp_path, LINE_THEN_PLANE, line, plane).split() == \
+        ["False", "True"]
+    for name in ("line", "plane"):
+        report = json.loads((tmp_path / "out" / f"{name}.report.json")
+                            .read_text())
+        assert [r["op"] for r in report["results"]][-2:] == \
+            ["box_dimension_estimate", "contraction_limit"]
 
 
 def test_batch_reports_replay_byte_for_byte(tmp_path):
