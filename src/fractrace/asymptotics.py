@@ -33,6 +33,8 @@ from .sequences import (
 )
 
 _N_WINDOWS = 8
+_SCAN_GRID_RATIO = 1.1   # ratio of neighbouring indices on the scan grid
+_SANDWICH_TOL = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +88,7 @@ class OrdEstimate:
     value: float
     lo: float
     hi: float
-    window_values: np.ndarray
     method: str  # "fit" or "jump"
-
-    @property
-    def interval(self):
-        return (self.lo, self.hi)
 
 
 def _window_edges(cap: int, k: int = _N_WINDOWS):
@@ -126,7 +123,7 @@ def order_of_infinitesimal(seq: EigenvalueSequence) -> OrdEstimate:
             n = use.astype(np.int64)
             r = np.log(seq.mu(n)) / np.log(1.0 / n.astype(float))
             return OrdEstimate(float(r.min()), float(r.min()), float(r.max()),
-                               np.asarray(r), "jump")
+                               "jump")
 
     edges = _window_edges(seq.cap)
     means, mids = [], []
@@ -143,7 +140,7 @@ def order_of_infinitesimal(seq: EigenvalueSequence) -> OrdEstimate:
     a_fit = float(np.clip(a_fit, means.min() - 2.0 * spread, means.max() + 2.0 * spread))
     lo = max(min(a_fit, float(means.min())), 1e-9)
     hi = max(a_fit, float(means.max()))
-    return OrdEstimate(max(a_fit, 1e-9), lo, hi, means, "fit")
+    return OrdEstimate(max(a_fit, 1e-9), lo, hi, "fit")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +233,6 @@ class IdealClassification:
     in_l1_weak_0: bool | None
     tail_exponent: float
     tail_exponent_se: float
-    window_slopes: np.ndarray | None = None
 
 
 def _log_window_slopes(seq: EigenvalueSequence, cap: int | None = None):
@@ -255,16 +251,15 @@ def _log_window_slopes(seq: EigenvalueSequence, cap: int | None = None):
     return np.asarray(slopes)
 
 
-def classify_ideal(seq: EigenvalueSequence, alpha: float = 1.0) -> IdealClassification:
-    """Membership of mu^alpha in the summable / weak-summable ideals.
+def classify_ideal(seq: EigenvalueSequence) -> IdealClassification:
+    """Membership of mu in the summable / weak-summable ideals.
 
     The fitted tail exponent must clear the summability threshold 1 by three
     standard errors in either direction; the boundary strip is resolved by
     the growth of S_n against log n (bounded slope ratio = weak, vanishing
     slope = weak-with-null-density, anything else INCONCLUSIVE).
     """
-    s = seq.power(alpha) if alpha != 1.0 else seq
-    c, a, se = s._fit_tail_power(1.0)
+    c, a, se = seq._fit_tail_power(1.0)
     # the fit's se only measures scatter, not the systematic curvature a
     # staircase or merge leaves in the last decade (observed ~1e-5 on data
     # whose true exponent is exactly 1, several nominal sigmas).  Exponents
@@ -275,21 +270,21 @@ def classify_ideal(seq: EigenvalueSequence, alpha: float = 1.0) -> IdealClassifi
         return IdealClassification(L1, True, True, True, a, se)
     if np.isfinite(a) and a < 1.0 - margin:
         return IdealClassification(NONE, False, False, False, a, se)
-    slopes = _log_window_slopes(s)
+    slopes = _log_window_slopes(seq)
     scale = max(abs(float(slopes.mean())), 1e-300)
     rel_spread = float(slopes.max() - slopes.min()) / scale
     if abs(slopes[0]) > 0 and abs(slopes[-1]) < 0.1 * abs(slopes[0]):
-        return IdealClassification(L1_WEAK_0, False, True, True, a, se, slopes)
+        return IdealClassification(L1_WEAK_0, False, True, True, a, se)
     if rel_spread < 0.25:
-        return IdealClassification(L1_WEAK, False, True, None, a, se, slopes)
-    return IdealClassification(INCONCLUSIVE, None, None, None, a, se, slopes)
+        return IdealClassification(L1_WEAK, False, True, None, a, se)
+    return IdealClassification(INCONCLUSIVE, None, None, None, a, se)
 
 
 def resolve_kind(seq: EigenvalueSequence) -> str:
     """TRACE_CLASS when the unit-power tail is summable, else NON_TRACE_CLASS."""
     if seq.profile is not None:
         return TRACE_CLASS if seq.profile.converges(1.0) else NON_TRACE_CLASS
-    cls = classify_ideal(seq, 1.0)
+    cls = classify_ideal(seq)
     return TRACE_CLASS if cls.label == L1 else NON_TRACE_CLASS
 
 
@@ -302,11 +297,10 @@ class EccentricityScan:
     tolerance: float
     route: str  # "analytic" or "discrete"
     t_points: np.ndarray        # log n over the scan grid
-    gaps: np.ndarray            # |S(lam n)/S(n) - 1| at each grid point
+    gaps: np.ndarray            # |S(2n)/S(n) - 1| at each grid point
     accepted_t: np.ndarray
     accepted_n: np.ndarray      # floor(e^t); inf when above float range
     inf_gap: float
-    lam: float = 2.0
 
     def __len__(self):
         return len(self.accepted_t)
@@ -316,31 +310,31 @@ class EccentricityScan:
         return len(self.accepted_t) > 0
 
 
-def eccentricity_scan(seq: EigenvalueSequence, kind: str, tolerance: float = 0.02,
-                      grid_ratio: float = 1.1, lam: float = 2.0,
-                      t_horizon: float | None = None) -> EccentricityScan:
-    """Indices where the lam-fold partial-sum ratio sits within tolerance of 1.
+def eccentricity_scan(seq: EigenvalueSequence, kind: str,
+                      tolerance: float = 0.02) -> EccentricityScan:
+    """Indices n where the doubled partial-sum ratio S(2n)/S(n) sits within
+    tolerance of 1.
 
-    Sequences carrying an analytic profile are scanned on the profile's
-    sigma/s integrals in log space, which reaches scales far beyond any
-    materialization cap (the first acceptance point of slowly varying tails
-    can sit at log n in the hundreds).  Raw sequences scan the discrete sums
-    up to the cap.  Returns every accepted point plus the infimum ratio-gap
-    over the scan as evidence when empty.
+    The scan grid is geometric with ratio _SCAN_GRID_RATIO.  Sequences
+    carrying an analytic profile are scanned on the profile's sigma/s
+    integrals in log space, up to one unit of log n below the profile's
+    horizon, which reaches scales far beyond any materialization cap (the
+    first acceptance point of slowly varying tails can sit at log n in the
+    hundreds).  Raw sequences scan the discrete sums up to the cap.  Returns
+    every accepted point plus the infimum ratio-gap over the scan as
+    evidence when empty.
     """
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
-    llam = math.log(lam)
+    log2 = math.log(2.0)
     if seq.profile is not None:
         prof = seq.profile
-        hi = prof.t_max - llam - 1.0 if t_horizon is None else min(t_horizon, prof.t_max - llam - 1.0)
-        if hi <= math.log(2.0):
+        hi = prof.t_max - log2 - 1.0
+        if hi <= log2:
             raise CapExceeded("profile horizon too small to scan")
-        ts = np.arange(math.log(2.0), hi, math.log(grid_ratio))
-        knots = prof.knots[(prof.knots > math.log(2.0)) & (prof.knots < hi)]
+        ts = np.arange(log2, hi, math.log(_SCAN_GRID_RATIO))
+        knots = prof.knots[(prof.knots > log2) & (prof.knots < hi)]
         ts = np.union1d(ts, knots)
         # one call on both grids looks up the piece masses once
-        both = np.concatenate([ts, ts + llam])
+        both = np.concatenate([ts, ts + log2])
         if kind == NON_TRACE_CLASS:
             ls = prof.log_sigma(1.0, both)
         else:
@@ -349,13 +343,13 @@ def eccentricity_scan(seq: EigenvalueSequence, kind: str, tolerance: float = 0.0
         gaps = np.abs(np.expm1(l2 - l1))
         route = "analytic"
     else:
-        n_hi = int(seq.cap / lam)
+        n_hi = int(seq.cap / 2.0)
         if n_hi < 4:
             raise CapExceeded("cap too small to scan")
-        count = int(math.log(n_hi / 2.0) / math.log(grid_ratio)) + 1
-        ns = np.unique(np.round(2.0 * grid_ratio ** np.arange(count)).astype(np.int64))
+        count = int(math.log(n_hi / 2.0) / math.log(_SCAN_GRID_RATIO)) + 1
+        ns = np.unique(np.round(2.0 * _SCAN_GRID_RATIO ** np.arange(count)).astype(np.int64))
         ns = ns[ns <= n_hi]
-        n2 = np.minimum(np.round(ns * lam).astype(np.int64), seq.cap)
+        n2 = np.minimum(np.round(ns * 2.0).astype(np.int64), seq.cap)
         _, sums, _, _ = _partial_sums(seq, kind, np.concatenate([ns, n2]))
         s1, s2 = sums[:len(ns)], sums[len(ns):]
         if kind == TRACE_CLASS:
@@ -372,7 +366,7 @@ def eccentricity_scan(seq: EigenvalueSequence, kind: str, tolerance: float = 0.0
     with np.errstate(over="ignore"):
         acc_n = np.floor(np.exp(acc_t))
     return EccentricityScan(kind, tolerance, route, ts, gaps, acc_t, acc_n,
-                            float(gaps.min()) if len(gaps) else np.inf, lam)
+                            float(gaps.min()) if len(gaps) else np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +389,11 @@ def singular_trace_estimate(weights, seq: EigenvalueSequence, subseq,
                             kind: str = NON_TRACE_CLASS) -> TraceValue:
     """Ratio limit S_n(weighted)/S_n(plain) along an eccentric subsequence.
 
-    `weights` is an array (aligned to enumeration order, 1-based index k gets
-    weights[k-1]) or a vectorized callable of the index; the weighted partial
-    sum keeps the denominator's enumeration order.  The value is the mean
-    over the tail half of the subsequence, the band its min/max; width below
-    1% of the value marks the limit as insensitive to the averaging choice.
+    `weights` is an array aligned to enumeration order (1-based index k gets
+    weights[k-1]); the weighted partial sum keeps the denominator's
+    enumeration order.  The value is the mean over the tail half of the
+    subsequence, the band its min/max; width below 1% of the value marks the
+    limit as insensitive to the averaging choice.
     """
     subseq = np.unique(np.asarray(subseq, dtype=np.int64))
     if len(subseq) == 0:
@@ -408,12 +402,9 @@ def singular_trace_estimate(weights, seq: EigenvalueSequence, subseq,
         raise CapExceeded("subsequence outside cap")
     nmax = int(subseq[-1])
     mu = seq.prefix(nmax)
-    if callable(weights):
-        w = np.asarray(weights(np.arange(1, nmax + 1, dtype=np.int64)), dtype=float)
-    else:
-        w = np.asarray(weights, dtype=float)[:nmax]
-        if len(w) < nmax:
-            raise ValueError("weights shorter than the subsequence needs")
+    w = np.asarray(weights, dtype=float)[:nmax]
+    if len(w) < nmax:
+        raise ValueError("weights shorter than the subsequence needs")
     if kind == NON_TRACE_CLASS:
         num = np.cumsum(w * mu)[subseq - 1]
         _, den, _, _ = _partial_sums(seq, kind, subseq)
@@ -460,7 +451,7 @@ def dixmier_trace_estimate(seq: EigenvalueSequence, check: bool = True) -> Dixmi
     flagging the value as averaging-invariant.
     """
     if check:
-        cls = classify_ideal(seq, 1.0)
+        cls = classify_ideal(seq)
         if cls.label not in (L1_WEAK, L1_WEAK_0):
             raise NotL1Weak(f"classification at alpha=1 is {cls.label}")
     slopes = _log_window_slopes(seq)
@@ -488,27 +479,23 @@ class TraceabilityReport:
     trace_value: DixmierEstimate | None
     note: str | None = None
 
-    @property
-    def eccentric_subsequence(self):
-        return self.scan.accepted_n
-
-    def sandwich_holds(self, tol: float = 0.05) -> bool:
+    def sandwich_holds(self) -> bool:
+        """1/ord within _SANDWICH_TOL of [c_lower, c_upper]."""
         recip = 1.0 / self.ord_estimate.value
-        lo_ok = self.c_bounds.c_lower - tol <= recip + 1e-12
-        hi_ok = recip <= self.c_bounds.c_upper + tol
+        lo_ok = self.c_bounds.c_lower - _SANDWICH_TOL <= recip + 1e-12
+        hi_ok = recip <= self.c_bounds.c_upper + _SANDWICH_TOL
         return bool(lo_ok and hi_ok)
 
 
-def analyze_sequence(seq: EigenvalueSequence, tolerance: float = 0.02,
-                     kind: str | None = None) -> TraceabilityReport:
+def analyze_sequence(seq: EigenvalueSequence,
+                     tolerance: float = 0.02) -> TraceabilityReport:
     """One-stop traceability diagnostics for a sequence."""
     ordest = order_of_infinitesimal(seq)
     cb = c_bounds(log_profile(seq))
-    cls = classify_ideal(seq, 1.0)
-    if kind is None:
-        # resolve_kind without a profile is this same classification
-        kind = resolve_kind(seq) if seq.profile is not None \
-            else TRACE_CLASS if cls.label == L1 else NON_TRACE_CLASS
+    cls = classify_ideal(seq)
+    # resolve_kind without a profile is this same classification
+    kind = resolve_kind(seq) if seq.profile is not None \
+        else TRACE_CLASS if cls.label == L1 else NON_TRACE_CLASS
     scan = eccentricity_scan(seq, kind, tolerance)
     trace = None
     if cls.label in (L1_WEAK, L1_WEAK_0):

@@ -79,10 +79,6 @@ class SeedCoincident(FractraceError):
     code = "SEED_COINCIDENT"
 
 
-class UndefinedTag(FractraceError):
-    code = "UNDEFINED_TAG"
-
-
 class KindMismatch(FractraceError):
     code = "KIND_MISMATCH"
 

@@ -31,7 +31,6 @@ DEFAULT_HORIZON = 2600.0
 
 CONSTANT = "constant"
 LINEAR = "linear"
-CUSTOM = "custom"
 
 
 @dataclass
@@ -39,9 +38,8 @@ class TwoSlopeSpec:
     """Alternating-slope profile: slope alpha on [b_{2k}, b_{2k+1}), beta on
     [b_{2k+1}, b_{2k+2}), with b_n the partial sums of the gap sequence a_n.
 
-    gaps: (CONSTANT, a) for a_n = a, (LINEAR,) for a_n = n, or
-    (CUSTOM, [a_1, a_2, ...]).  Requires 0 < beta <= alpha, a_n nondecreasing,
-    a_1 > 0.
+    gaps: (CONSTANT, a) for a_n = a > 0, or (LINEAR,) for a_n = n.  Requires
+    0 < beta <= alpha.
     """
 
     alpha: float
@@ -55,23 +53,12 @@ class TwoSlopeSpec:
         if kind == CONSTANT:
             if len(self.gaps) != 2 or self.gaps[1] <= 0:
                 raise ValueError("CONSTANT gaps need a positive value")
-        elif kind == LINEAR:
-            pass
-        elif kind == CUSTOM:
-            a = np.asarray(self.gaps[1], dtype=float)
-            if len(a) == 0 or a[0] <= 0:
-                raise ValueError("CUSTOM gaps need a_1 > 0")
-            if np.any(np.diff(a) < 0):
-                raise ValueError("gap sequence must be nondecreasing")
-        else:
+        elif kind != LINEAR:
             raise ValueError(f"unknown gaps kind {kind!r}")
 
     def gap_values(self, t_horizon: float):
         """a_1, a_2, ... until the partial sums pass t_horizon."""
-        kind = self.gaps[0]
-        if kind == CUSTOM:
-            return np.asarray(self.gaps[1], dtype=float)
-        if kind == CONSTANT:
+        if self.gaps[0] == CONSTANT:
             a = float(self.gaps[1])
             m = int(t_horizon / a) + 2
             return np.full(m, a)
@@ -88,49 +75,37 @@ def two_slope_profile(spec: TwoSlopeSpec, t_horizon: float = DEFAULT_HORIZON) ->
     return LogLinearProfile(b, f_knots[:-1], slopes)
 
 
-def two_slope_sequence(spec: TwoSlopeSpec, cap: int = DEFAULT_CAP,
-                       t_horizon: float = DEFAULT_HORIZON) -> EigenvalueSequence:
-    """mu_n = exp(-f(log n)) for the alternating-slope profile."""
-    horizon = max(t_horizon, math.log(cap) + 2.0)
-    prof = two_slope_profile(spec, horizon)
-    if prof.t_max < math.log(cap):
-        raise CapExceeded("custom gap list ends before the cap")
+def two_slope_sequence(spec: TwoSlopeSpec, cap: int = DEFAULT_CAP) -> EigenvalueSequence:
+    """mu_n = exp(-f(log n)) for the alternating-slope profile, generated to
+    a horizon of DEFAULT_HORIZON or log(cap) + 2, whichever is larger."""
+    prof = two_slope_profile(spec, max(DEFAULT_HORIZON, math.log(cap) + 2.0))
     name = f"two_slope(alpha={spec.alpha:g},beta={spec.beta:g},{spec.gaps[0]})"
     return EigenvalueSequence.from_profile(prof, cap=cap, name=name)
 
 
 @dataclass
 class StepSpec:
-    """Block profile mu(x) = 1/x_k on (x_{k-1}, x_k] with x_k = round(e^{b_k}).
+    """Block profile mu(x) = 1/x_k on (x_{k-1}, x_k] with x_k = round(e^{b_k})
+    and b_k = k^q, q > 1.
 
-    preset q > 1 uses b_k = k^q; a custom strictly increasing b list may be
-    given instead.  Block spacings b_{k+1} - b_k must grow, otherwise the
-    collapse ratios stop vanishing and the construction loses its point.
+    Block spacings b_{k+1} - b_k must grow, otherwise the collapse ratios
+    stop vanishing and the construction loses its point; the snapping of
+    small b_k to integer block ends can undo that growth for q near 1.
     """
 
-    q: float | None = None
-    b_values: list | None = None
+    q: float
 
     def __post_init__(self):
-        if (self.q is None) == (self.b_values is None):
-            raise ValueError("give exactly one of q or b_values")
-        if self.q is not None and self.q <= 1:
+        if self.q <= 1:
             raise SpecNotDiverging("preset exponent must exceed 1")
 
     def b_array(self, t_horizon: float):
-        if self.b_values is not None:
-            b = np.asarray(self.b_values, dtype=float)
-            if b[0] != 0:
-                b = np.concatenate([[0.0], b])
-        else:
-            m = int(t_horizon ** (1.0 / self.q)) + 2
-            b = np.arange(0, m + 1, dtype=float) ** self.q
+        m = int(t_horizon ** (1.0 / self.q)) + 2
+        b = np.arange(0, m + 1, dtype=float) ** self.q
         # snap to integer block ends while e^b is exactly representable; the
         # perturbation beyond that range would be below e^{-36} relative
         exact = b <= 36.0
-        x = np.round(np.exp(b[exact]))
-        b = b.copy()
-        b[exact] = np.log(x)
+        b[exact] = np.log(np.round(np.exp(b[exact])))
         b[0] = 0.0
         if np.any(np.diff(b) <= 0):
             raise SpecNotDiverging("blocks collapse: b must stay strictly increasing")
@@ -146,15 +121,12 @@ def step_profile(spec: StepSpec, t_horizon: float = DEFAULT_HORIZON) -> LogLinea
     return LogLinearProfile(b, b[1:], np.zeros(len(b) - 1))
 
 
-def step_sequence(spec: StepSpec, cap: int = DEFAULT_CAP,
-                  t_horizon: float = DEFAULT_HORIZON) -> EigenvalueSequence:
-    """Piecewise-constant sequence with unboundedly growing collapse factors."""
-    horizon = max(t_horizon, math.log(cap) + 2.0)
-    prof = step_profile(spec, horizon)
-    if prof.t_max < math.log(cap):
-        raise CapExceeded("b list ends before the cap")
-    name = f"step(q={spec.q:g})" if spec.q is not None else "step(custom)"
-    return EigenvalueSequence.from_profile(prof, cap=cap, name=name)
+def step_sequence(spec: StepSpec, cap: int = DEFAULT_CAP) -> EigenvalueSequence:
+    """Piecewise-constant sequence with unboundedly growing collapse factors,
+    generated to the horizon two_slope_sequence uses."""
+    prof = step_profile(spec, max(DEFAULT_HORIZON, math.log(cap) + 2.0))
+    return EigenvalueSequence.from_profile(prof, cap=cap,
+                                           name=f"step(q={spec.q:g})")
 
 
 def step_block_ends(spec: StepSpec, cap: int) -> np.ndarray:

@@ -40,6 +40,7 @@ _BISECTION_TOL = 1e-12
 # truncation is too coarse for that epsilon
 _RESIDUAL_STRADDLE = 0.01
 _MEASURABLE_OSCILLATION = 0.05
+_BOX_OFFSETS = 4  # shifted grid origins averaged per box count
 
 
 def _exact_number(x):
@@ -198,10 +199,6 @@ class LimitIfs:
         """True when every level uses a single common ratio."""
         return all(len({w.ratio for w in level}) == 1 for level in self.blocks)
 
-    @property
-    def distinct_ratios(self) -> tuple:
-        return tuple(sorted({w.ratio for level in self.blocks for w in level}))
-
     def osc_overlap_evidence(self, depth: int = 1) -> float:
         """Worst pairwise bounding-box overlap volume of level images of the
         asserted open set, up to the given depth.  Zero is consistent with
@@ -350,8 +347,6 @@ class ContractionRun:
     rho: np.ndarray
     step_bounds: np.ndarray
     level_displacements: np.ndarray
-    m_first: float
-    m_sup: float
 
     def bound_margin(self) -> float:
         """max rho / (displacement * product) over the run; <= 1 up to
@@ -416,8 +411,6 @@ def contraction_limit(ifs: LimitIfs, seed, depth: int,
         rho=np.array(rho),
         step_bounds=products[: depth - 1],
         level_displacements=displacements,
-        m_first=float(displacements[0]),
-        m_sup=float(displacements.max()),
     )
 
 
@@ -425,7 +418,6 @@ def contraction_limit(ifs: LimitIfs, seed, depth: int,
 class AttractorCloud:
     """One point per word of the given depth, in lexicographic word order."""
 
-    digits: np.ndarray       # (n_words, depth), 1-based digit of each level
     points: np.ndarray       # (n_words, dim)
     word_ratios: np.ndarray  # composed contraction ratio per word
     depth: int
@@ -453,14 +445,12 @@ def attractor_cloud(ifs: LimitIfs, depth: int, seed=None,
     dim = ifs.dim
     seed_pt = np.zeros(dim) if seed is None else _as_cloud(seed, dim)[0]
 
-    digits = np.zeros((1, 0), dtype=np.int64)
     lin = np.eye(dim)[None, :, :]
     off = np.zeros((1, dim))
     ratios = np.ones(1)
     for n in range(1, depth + 1):
         maps = ifs.level(n)
-        p = len(maps)
-        count = lin.shape[0] * p
+        count = lin.shape[0] * len(maps)
         if count > budget:
             raise BudgetExceeded(f"depth {n} needs {count} words, budget {budget}")
         lmat = np.stack([w.linear for w in maps])
@@ -469,12 +459,8 @@ def attractor_cloud(ifs: LimitIfs, depth: int, seed=None,
         lin = np.einsum("wij,mjk->wmik", lin, lmat).reshape(count, dim, dim)
         off = new_off
         ratios = (ratios[:, None] * np.array([w.ratio for w in maps])[None, :]).ravel()
-        digits = np.hstack([
-            np.repeat(digits, p, axis=0),
-            np.tile(np.arange(1, p + 1, dtype=np.int64), digits.shape[0])[:, None],
-        ])
     points = lin @ seed_pt + off
-    return AttractorCloud(digits=digits, points=points, word_ratios=ratios, depth=depth)
+    return AttractorCloud(points=points, word_ratios=ratios, depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -538,17 +524,16 @@ class BoxDimensionEstimate:
     upper: float               # largest windowed slope
     eps: np.ndarray
     counts: np.ndarray
-    window_slopes: np.ndarray
 
 
 def box_dimension_estimate(cloud, eps=None, resolution=None,
-                           window: int = 16, n_offsets: int = 4) -> BoxDimensionEstimate:
+                           window: int = 16) -> BoxDimensionEstimate:
     """Axis-aligned box counting over a geometric epsilon grid.
 
     The cloud only resolves scales above (diameter x largest composed
     ratio), so the default grid stops a little above that and explicit
-    grids below it are rejected.  Counts are averaged over shifted grid
-    origins to wash out alignment artifacts.  A count is the number of
+    grids below it are rejected.  Counts are averaged over _BOX_OFFSETS
+    shifted grid origins to wash out alignment artifacts.  A count is the number of
     distinct rows of integer box indices floor((x - min + shift) / eps): the
     rows are put in order with one np.lexsort and the changes between
     neighbouring rows are counted, in any dimension.  The windowed slopes of
@@ -567,7 +552,7 @@ def box_dimension_estimate(cloud, eps=None, resolution=None,
     diam = float(np.linalg.norm(span))
     if diam == 0.0:
         one = np.ones(1)
-        return BoxDimensionEstimate(0.0, 0.0, 0.0, one, one, np.zeros(1))
+        return BoxDimensionEstimate(0.0, 0.0, 0.0, one, one)
     if resolution is None:
         # finest meaningful scale for a bare cloud: its largest nearest-neighbor gap
         resolution = float(_nearest_distances(pts).max())
@@ -590,11 +575,11 @@ def box_dimension_estimate(cloud, eps=None, resolution=None,
     counts = np.empty(eps.size)
     for i, e in enumerate(eps):
         acc = 0
-        for k in range(n_offsets):
-            boxes = np.floor((shifted + e * k / n_offsets) / e).astype(np.int64)
+        for k in range(_BOX_OFFSETS):
+            boxes = np.floor((shifted + e * k / _BOX_OFFSETS) / e).astype(np.int64)
             rows = boxes[np.lexsort(boxes.T)]
             acc += 1 + np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1))
-        counts[i] = acc / n_offsets
+        counts[i] = acc / _BOX_OFFSETS
 
     x = -np.log(eps)
     y = np.log(counts)
@@ -612,7 +597,6 @@ def box_dimension_estimate(cloud, eps=None, resolution=None,
         upper=float(slopes.max()),
         eps=eps,
         counts=counts,
-        window_slopes=slopes,
     )
 
 
@@ -638,9 +622,7 @@ class GapList:
     residual_starts: np.ndarray
     residual_ends: np.ndarray
     exact: bool
-    hull_tight: bool
     residual_solid: bool
-    map_ratios: tuple
     conservation_defect: float
     # full ratio multiset of the level map when one level repeats forever;
     # () when levels vary or the list did not come from an iterated system
@@ -697,8 +679,8 @@ class GapList:
             levels=np.zeros(len(gaps), dtype=np.int64),
             residual_starts=np.array([float(l) for l, _ in ivs]),
             residual_ends=np.array([float(h) for _, h in ivs]),
-            exact=exact, hull_tight=True, residual_solid=True,
-            map_ratios=(), conservation_defect=float(defect),
+            exact=exact, residual_solid=True,
+            conservation_defect=float(defect),
         )
 
 
@@ -760,7 +742,7 @@ def _stationary_hull(maps):
 
 
 def _level_interval_data(maps, a, b, exact):
-    """Sorted images of [a, b], their gaps, and a tightness flag.
+    """Sorted images of [a, b] and their gaps.
 
     Works in Fractions when exact, floats otherwise.  Raises
     OverlappingImages unless the closed images are pairwise disjoint.
@@ -791,11 +773,7 @@ def _level_interval_data(maps, a, b, exact):
         gaps.append((h1, l2))
     if ivs[-1][1] < b:
         gaps.append((ivs[-1][1], b))
-    tight = ivs[0][0] == a and ivs[-1][1] == b
-    if not exact:
-        tol = 1e-12 * (float(b) - float(a))
-        tight = abs(float(ivs[0][0]) - float(a)) <= tol and abs(float(ivs[-1][1]) - float(b)) <= tol
-    return ivs, gaps, tight
+    return ivs, gaps
 
 
 def _level_max_gap(maps, a: float, b: float) -> float:
@@ -900,7 +878,6 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
 
     level_cache = {i: _level_interval_data(ifs.blocks[i], a, b, use_exact)
                    for i in set(block_ids)}
-    hull_tight = all(tight for _, _, tight in level_cache.values())
 
     lo, hi, glevels, res_lo, res_hi, denom = _gap_numerators(
         [level_cache[i] for i in block_ids], a, b, use_exact, budget)
@@ -925,8 +902,7 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
         starts=starts[order], ends=ends[order],
         levels=glevels[order],
         residual_starts=res_starts[ridx], residual_ends=res_ends[ridx],
-        exact=use_exact, hull_tight=hull_tight, residual_solid=False,
-        map_ratios=ifs.distinct_ratios,
+        exact=use_exact, residual_solid=False,
         conservation_defect=float(defect),
         stationary_ratios=(tuple(float(r) for r in ifs.ratios(1))
                            if ifs.generation == STATIONARY else ()),
@@ -948,7 +924,7 @@ def _gap_numerators(levels, a, b, exact, budget):
     dtype, den, scales = float, 1.0, [1.0] * (m + 1)
     if exact:
         dtype = object
-        den = math.lcm(*(x.denominator for ivs, _, _ in levels
+        den = math.lcm(*(x.denominator for ivs, _ in levels
                          for _, _, aa, bb in ivs for x in (aa, bb)))
         scales = [den ** (m - n) * math.lcm(a.denominator, b.denominator)
                   for n in range(m + 1)]
@@ -962,7 +938,7 @@ def _gap_numerators(levels, a, b, exact, budget):
 
     alpha, beta = np.ones(1, dtype=dtype), np.zeros(1, dtype=dtype)
     gap_lo, gap_hi, gap_level = [], [], []
-    for n, (ivs, lgaps, _) in enumerate(levels, start=1):
+    for n, (ivs, lgaps) in enumerate(levels, start=1):
         if alpha.size * len(ivs) > budget:
             raise BudgetExceeded(f"depth {n} needs {alpha.size * len(ivs)} words, budget {budget}")
         e1 = alpha[:, None] * scaled([g[0] for g in lgaps], scales[n - 1]) + beta[:, None]
@@ -1001,7 +977,6 @@ class MinkowskiContent:
     eps: np.ndarray
     ratio_lo: np.ndarray
     ratio_hi: np.ndarray
-    n_clipped: int
 
 
 def _covered_sum(lengths_sorted, prefix, x):
@@ -1011,13 +986,15 @@ def _covered_sum(lengths_sorted, prefix, x):
     return small + (lengths_sorted.size - pos) * x
 
 
-def minkowski_content_estimate(gaps: GapList, d: float, eps=None) -> MinkowskiContent:
+def minkowski_content_estimate(gaps: GapList, d: float) -> MinkowskiContent:
     """Tube volume statistics vol S_eps / eps^(1-d) for F on the line.
 
-    vol S_eps is exact given the full gap list; with a truncated list the
-    undecided cylinders pin it between covering only their endpoints and
-    covering them whole, and epsilons where that straddle exceeds 1% of the
-    volume are dropped (default grid) or rejected (explicit grid).
+    The epsilon grid is geometric with ratio 0.9, from half the diameter
+    down to ten times the smallest gap (1e-5 times the start for solid
+    residuals).  vol S_eps is exact given the full gap list; with a
+    truncated list the undecided cylinders pin it between covering only
+    their endpoints and covering them whole, and epsilons where that
+    straddle exceeds 1% of the volume are dropped.
     """
     if not 0.0 < d <= 1.0:
         raise ValueError("the content exponent must lie in (0, 1]")
@@ -1027,20 +1004,15 @@ def minkowski_content_estimate(gaps: GapList, d: float, eps=None) -> MinkowskiCo
     rp = np.cumsum(r)
     diam = gaps.diameter
 
-    if eps is None:
-        hi = diam / 2.0
-        if gaps.residual_solid:
-            # no truncation to respect: go deep enough to see the limit
-            lo = hi * 1e-5
-        else:
-            lo = gaps.min_gap() * 10.0 if g.size else hi / 100.0
-            lo = min(lo, hi / 2.0)
-        n_steps = int(math.log(hi / lo) / math.log(1 / 0.9)) + 2
-        eps = np.geomspace(hi, lo, n_steps)
-        forced = False
+    hi = diam / 2.0
+    if gaps.residual_solid:
+        # no truncation to respect: go deep enough to see the limit
+        lo = hi * 1e-5
     else:
-        eps = np.sort(np.asarray(eps, dtype=float))[::-1]
-        forced = True
+        lo = gaps.min_gap() * 10.0 if g.size else hi / 100.0
+        lo = min(lo, hi / 2.0)
+    n_steps = int(math.log(hi / lo) / math.log(1 / 0.9)) + 2
+    eps = np.geomspace(hi, lo, n_steps)
 
     gap_part = _covered_sum(g, gp, 2.0 * eps) if g.size else np.zeros(eps.size)
     res_full = rp[-1] if r.size else 0.0
@@ -1054,13 +1026,9 @@ def minkowski_content_estimate(gaps: GapList, d: float, eps=None) -> MinkowskiCo
     straddle = (vol_hi - vol_lo) / vol_lo
 
     ok = straddle <= _RESIDUAL_STRADDLE
-    if forced and not ok[-1]:
-        raise TruncationTooCoarse(
-            f"residual cylinders move vol S_eps by {straddle[-1]:.2%} at eps={eps[-1]:.3e}")
     if not np.any(ok):
         raise TruncationTooCoarse(
             "no epsilon in the window survives the 1% residual straddle; deepen the gap list")
-    n_clipped = int(np.sum(~ok))
     eps, vol_lo, vol_hi = eps[ok], vol_lo[ok], vol_hi[ok]
 
     scale = eps ** (1.0 - d)
@@ -1090,7 +1058,7 @@ def minkowski_content_estimate(gaps: GapList, d: float, eps=None) -> MinkowskiCo
         measurable=bool(measurable),
         oscillation=float(osc_fine),
         oscillation_coarse=float(osc_coarse),
-        eps=eps, ratio_lo=ratio_lo, ratio_hi=ratio_hi, n_clipped=n_clipped,
+        eps=eps, ratio_lo=ratio_lo, ratio_hi=ratio_hi,
     )
 
 
@@ -1102,7 +1070,6 @@ class TranslationDimension:
     value: float
     upper: float               # limsup statistic of the partial ratios
     lower: float               # liminf statistic
-    partial_ratios: np.ndarray
     closed_form: bool
 
 
@@ -1120,21 +1087,19 @@ def translation_dimension_formula(ifs: LimitIfs, depth: int) -> TranslationDimen
         raise ValueError("depth must be >= 1")
     if ifs.max_depth is not None and depth > ifs.max_depth:
         raise ValueError(f"depth {depth} beyond the {ifs.max_depth} explicit levels")
-    log_p = np.array([math.log(ifs.p(n)) for n in range(1, depth + 1)])
-    log_inv = np.array([math.log(1.0 / ifs.ratios(n)[0]) for n in range(1, depth + 1)])
-    partials = np.cumsum(log_p) / np.cumsum(log_inv)
 
     if ifs.generation in (STATIONARY, PERIODIC):
         num = sum(math.log(len(level)) for level in ifs.blocks)
         den = sum(math.log(1.0 / level[0].ratio) for level in ifs.blocks)
         d = num / den
-        return TranslationDimension(value=d, upper=d, lower=d,
-                                    partial_ratios=partials, closed_form=True)
+        return TranslationDimension(value=d, upper=d, lower=d, closed_form=True)
+    log_p = np.array([math.log(ifs.p(n)) for n in range(1, depth + 1)])
+    log_inv = np.array([math.log(1.0 / ifs.ratios(n)[0]) for n in range(1, depth + 1)])
+    partials = np.cumsum(log_p) / np.cumsum(log_inv)
     tail = partials[(depth - 1) // 2:]
     return TranslationDimension(
         value=float(tail.max()),
         upper=float(tail.max()),
         lower=float(tail.min()),
-        partial_ratios=partials,
         closed_form=False,
     )

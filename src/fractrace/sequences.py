@@ -27,6 +27,7 @@ TRACE_CLASS = "TRACE_CLASS"
 _TINY_RATE = 1e-12
 _JUMP_RATIO = 0.05  # mu_{n+1}/mu_n below this counts as a jump
 _SLICE = 1 << 16    # entries per slice of the validation pass
+_PROFILE_POINTS = 4097  # samples of log_profile
 
 
 def _log_abs_expm1(z):
@@ -326,12 +327,6 @@ class EigenvalueSequence:
             name=f"{self.name}^({alpha:g})" if self.name else "",
         )
 
-    def to_csv(self, path, n: int | None = None):
-        """Columnar dump `n,mu_n`, full float precision."""
-        n = self.cap if n is None else int(n)
-        vals = self.prefix(n)
-        _write_csv(path, "n,mu_n", [np.arange(1, len(vals) + 1), vals])
-
     # -- tail models ----------------------------------------------------------
 
     def tail_sum(self, n: int, gamma: float = 1.0):
@@ -454,20 +449,15 @@ class LogProfile:
         return float(self.ts[1] - self.ts[0])
 
 
-def log_profile(seq: EigenvalueSequence, t_lo: float | None = None,
-                t_hi: float | None = None, m: int = 4097) -> LogProfile:
+def log_profile(seq: EigenvalueSequence) -> LogProfile:
     """Sample f(t) = -log mu_{floor(e^t)} from the sequence itself.
 
-    Defaults cover the upper half of the reachable range,
-    [log(cap)/2, log(cap)], which is where tail statistics live.
+    The grid of _PROFILE_POINTS points covers the upper half of the
+    reachable range, [log(cap)/2, log(cap)], which is where tail statistics
+    live.
     """
-    if t_hi is None:
-        t_hi = float(np.log(seq.cap))
-    if t_lo is None:
-        t_lo = t_hi / 2.0
-    if not t_lo < t_hi:
-        raise ValueError("need t_lo < t_hi")
-    ts = np.linspace(t_lo, t_hi, int(m))
+    t_hi = float(np.log(seq.cap))
+    ts = np.linspace(t_hi / 2.0, t_hi, _PROFILE_POINTS)
     ns = np.maximum(np.floor(np.exp(ts)).astype(np.int64), 1)
     ns = np.minimum(ns, seq.cap)
     fs = -np.log(seq.mu(ns))

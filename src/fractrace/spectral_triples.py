@@ -18,12 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    EmptySubsequence,
-    SBelowDimension,
-    SeedCoincident,
-    UndefinedTag,
-)
+from .errors import EmptySubsequence, SBelowDimension, SeedCoincident
 from .sequences import EigenvalueSequence, _write_csv
 from .asymptotics import (
     DixmierEstimate,
@@ -91,7 +86,6 @@ class GapTripleModel:
     values: np.ndarray
     tags_x: np.ndarray
     tags_y: np.ndarray
-    levels: np.ndarray
     truncated: bool
     _eigen: EigenvalueSequence | None = field(default=None, repr=False, compare=False)
 
@@ -138,7 +132,6 @@ def gap_triple(gaps: GapList) -> GapTripleModel:
         values=np.repeat(gaps.lengths[keep], 2),
         tags_x=np.repeat(gaps.starts[keep], 2),
         tags_y=np.repeat(gaps.ends[keep], 2),
-        levels=np.repeat(gaps.levels[keep], 2),
         truncated=truncated or not np.all(keep),
     )
 
@@ -149,9 +142,7 @@ class PairTripleModel:
 
     Entry k covers one word sigma (twice): value d(x_sigma, y_sigma) with
     x_sigma, y_sigma the images of the seed pair, stored in tags_x/tags_y as
-    (n, dim) rows.  depths and first_digits keep the word length and the
-    leading map index, which is enough to restrict the model to any
-    first-level cylinder.
+    (n, dim) rows; depths keeps each word's length.
     """
 
     ifs: LimitIfs
@@ -162,7 +153,6 @@ class PairTripleModel:
     tags_x: np.ndarray
     tags_y: np.ndarray
     depths: np.ndarray
-    first_digits: np.ndarray
     truncated: bool
     _eigen: EigenvalueSequence | None = field(default=None, repr=False, compare=False)
 
@@ -292,19 +282,17 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
         tags_x=np.repeat(lin @ x + off, 2, axis=0),
         tags_y=np.repeat(lin @ y + off, 2, axis=0),
         depths=np.repeat(words["depth"][idx], 2),
-        first_digits=np.repeat(words["first"][idx], 2),
         truncated=bool(truncated),
     )
 
 
 def _words_above(ifs: LimitIfs, lam_star: float, ceiling):
-    """Ratio product, depth, first digit, parent row (-1 on level 1) and map
-    index of every word above lam_star, depth by depth and in stream order
-    within a depth; and whether any word was pruned."""
+    """Ratio product, depth, parent row (-1 on level 1) and map index of
+    every word above lam_star, depth by depth and in stream order within a
+    depth; and whether any word was pruned."""
     p = len(ifs.level(1))
     frontier = {"lam": np.array([w.ratio for w in ifs.level(1)]),
-                "first": np.arange(1, p + 1), "parent": np.full(p, -1),
-                "child": np.arange(p)}
+                "parent": np.full(p, -1), "child": np.arange(p)}
     chunks, n_rows, depth, pruned = [], 0, 1, False
     while True:
         lam = frontier["lam"]
@@ -320,7 +308,6 @@ def _words_above(ifs: LimitIfs, lam_star: float, ceiling):
         ratios = np.array([w.ratio for w in ifs.level(depth + 1)])
         p = len(ratios)
         frontier = {"lam": (kept["lam"][:, None] * ratios[None, :]).ravel(),
-                    "first": np.repeat(kept["first"], p),
                     "parent": np.repeat(np.arange(n_rows, n_rows + count), p),
                     "child": np.tile(np.arange(p), count)}
         n_rows += count
@@ -356,10 +343,6 @@ class SpectralDimension:
     hi: float
     ord_estimate: OrdEstimate
     length_scaling: float | None
-
-    @property
-    def interval(self):
-        return (self.lo, self.hi)
 
 
 def _length_scaling_estimate(lengths: np.ndarray) -> float | None:
@@ -453,10 +436,10 @@ class ZetaPartial:
     closed_form: float | None
 
 
-def zeta_partial(model, s: float, cap: int | None = None) -> ZetaPartial:
+def zeta_partial(model, s: float) -> ZetaPartial:
     """Trace of |D|^{-s} for s above the dimension estimate.
 
-    The sum over materialized entries is closed with the sequence's tail
+    The sum over all materialized entries is closed with the sequence's tail
     model: exact for complete models, fitted for truncated ones.  Stationary
     systems also get the geometric closed form (first-level power sum over
     1 minus the ratio power sum), which the truncated route must agree with
@@ -468,7 +451,7 @@ def zeta_partial(model, s: float, cap: int | None = None) -> ZetaPartial:
         raise SBelowDimension(
             f"s = {s:.6g} is not above the dimension estimate {floor:.6g}")
     seq = model.eigen
-    n = seq.cap if cap is None else min(int(cap), seq.cap)
+    n = seq.cap
     head = float(np.sum(seq.prefix(n) ** s))
     tail, err, route = seq.tail_sum(n, s)
     ratios = _generator_ratios(model)
@@ -490,12 +473,11 @@ class ZetaResidue:
     d: float
     analytic: float
     numeric: float
-    grid_s: np.ndarray
-    grid_values: np.ndarray
 
 
-def zeta_residue(model, d: float | None = None) -> ZetaResidue:
-    """Residue of the zeta function at the dimension, computed twice.
+def zeta_residue(model) -> ZetaResidue:
+    """Residue of the zeta function at the similarity dimension d, computed
+    twice.
 
     Analytic route: numerator at d over sum_j r_j^d log(1/r_j), the limit of
     (s - d) zeta(s) after one derivative of the vanishing denominator.
@@ -506,17 +488,9 @@ def zeta_residue(model, d: float | None = None) -> ZetaResidue:
     ratios = _generator_ratios(model)
     if not ratios:
         raise ValueError("residue needs a stationary generating system")
-    if d is None:
-        d = similarity_dimension(ratios)
-    d = float(d)
-    lam_d = sum(r**d for r in ratios)
-    if abs(lam_d - 1.0) > 1e-8:
-        raise ValueError(
-            f"ratio power sum at d = {d:.6g} is {lam_d:.9f}; "
-            "the residue lives at the similarity dimension")
+    d = similarity_dimension(ratios)
     denom = sum(r**d * math.log(1.0 / r) for r in ratios)
     analytic = _zeta_numerator(model, d, ratios) / denom
-    grid_s = d + _RESIDUE_DELTAS
     grid_values = np.array(
         [delta * _zeta_closed(model, d + delta, ratios) for delta in _RESIDUE_DELTAS])
     coef = np.polyfit(_RESIDUE_DELTAS, grid_values, 3)
@@ -524,8 +498,6 @@ def zeta_residue(model, d: float | None = None) -> ZetaResidue:
         d=d,
         analytic=float(analytic),
         numeric=float(coef[-1]),
-        grid_s=grid_s,
-        grid_values=grid_values,
     )
 
 
@@ -546,62 +518,30 @@ class FunctionalSample:
     values_x: np.ndarray
     values_y: np.ndarray
     lipschitz: float
-    name: str = ""
 
     def __len__(self) -> int:
         return len(self.values_x)
 
 
-def sample_functional(model, f, tolerance: float | None = None,
-                      name: str = "") -> FunctionalSample:
-    """Evaluate ``f`` at every tag point of ``model``.
-
-    ``f`` is either a vectorized callable (fed a flat (n,) array for
-    one-dimensional models, an (n, dim) array otherwise) or a tabulated
-    (points, values) pair matched by nearest tag; a nearest distance above
-    ``tolerance`` raises UndefinedTag.  The default tolerance is 1e-8 times
-    the larger of 1 and the table's coordinate scale.
+def sample_functional(model, f) -> FunctionalSample:
+    """Evaluate the vectorized callable ``f`` at every tag point of
+    ``model``: it is fed a flat (n,) array for one-dimensional models, an
+    (n, dim) array otherwise.
     """
     if len(model) == 0:
         raise ValueError("model has no entries to sample at")
     tx, ty = model.tag_matrix()
-    if callable(f):
-        vx = _eval_callable(f, tx)
-        vy = _eval_callable(f, ty)
-    else:
-        points, table = f
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 1 and pts.shape[1] > 1 and tx.shape[1] == 1:
-            pts = pts.T
-        table = np.asarray(table, dtype=float).reshape(-1)
-        if len(table) != pts.shape[0]:
-            raise ValueError("tabulated points and values disagree in length")
-        if tolerance is None:
-            tolerance = 1e-8 * max(1.0, float(np.abs(pts).max()))
-        from scipy.spatial import cKDTree
-        tree = cKDTree(pts)
-        vx = _lookup_table(tree, table, tx, tolerance)
-        vy = _lookup_table(tree, table, ty, tolerance)
+    vx = _eval_callable(f, tx)
+    vy = _eval_callable(f, ty)
     if not (np.all(np.isfinite(vx)) and np.all(np.isfinite(vy))):
         raise ValueError("functional produced non-finite values at tag points")
     lip = float(np.max(np.abs(vx - vy) / model.values)) if len(model) else 0.0
-    return FunctionalSample(values_x=vx, values_y=vy, lipschitz=lip, name=name)
+    return FunctionalSample(values_x=vx, values_y=vy, lipschitz=lip)
 
 
 def _eval_callable(f, tags):
     arg = tags[:, 0] if tags.shape[1] == 1 else tags
     return np.asarray(f(arg), dtype=float).reshape(-1)
-
-
-def _lookup_table(tree, table, tags, tolerance):
-    dist, idx = tree.query(tags)
-    worst = float(np.max(dist)) if len(dist) else 0.0
-    if worst > tolerance:
-        k = int(np.argmax(dist))
-        raise UndefinedTag(
-            f"tag point {tags[k].tolist()} is {worst:.3e} from the nearest "
-            f"table point, above tolerance {tolerance:.3e}")
-    return table[idx]
 
 
 def affine_functional(slope, intercept: float = 0.0):
@@ -657,16 +597,16 @@ class HausdorffFunctional:
         return (self.lo, self.hi)
 
 
-def hausdorff_functional(model, f, d: float | None = None, subseq=None,
+def hausdorff_functional(model, f, d: float | None = None,
                          tolerance: float | None = None) -> HausdorffFunctional:
     """State value of f: the ratio limit S_n(f mu^d) / S_n(mu^d).
 
     Each eigen-entry contributes the average of f at its two tags times
-    mu_k^d; the limit is taken along an eccentric subsequence with
-    singular_trace_estimate.  When no subsequence is given one is found by
-    the eccentricity scan at the same exponent, with the threshold adapting
-    to the cap unless ``tolerance`` pins it.  The constant function 1
-    returns exactly 1 whatever the subsequence: the functional is a state.
+    mu_k^d; the limit is taken with singular_trace_estimate along the
+    eccentric subsequence that the eccentricity scan at the same exponent
+    finds, with the threshold adapting to the cap unless ``tolerance`` pins
+    it.  The constant function 1 returns exactly 1 whatever the
+    subsequence: the functional is a state.
     """
     sample = f if isinstance(f, FunctionalSample) else sample_functional(model, f)
     if len(sample) != len(model):
@@ -676,9 +616,7 @@ def hausdorff_functional(model, f, d: float | None = None, subseq=None,
     d = float(d)
     seq_d = model.eigen.power(d)
     kind = resolve_kind(seq_d)
-    if subseq is None:
-        subseq = _eccentric_indices(seq_d, kind, tolerance)
-    subseq = np.atleast_1d(np.asarray(subseq, dtype=np.int64))
+    subseq = _eccentric_indices(seq_d, kind, tolerance)
     weights = 0.5 * (sample.values_x + sample.values_y)
     tv = singular_trace_estimate(weights, seq_d, subseq, kind)
     return HausdorffFunctional(
@@ -751,10 +689,6 @@ class MinkowskiLink:
     asserted: bool
     overlap: bool
 
-    @property
-    def scaled_band(self):
-        return (self.scaled_lo, self.scaled_hi)
-
 
 def _lattice_ratios(ratios) -> bool | None:
     """True when all log-ratios are rational multiples of the first.
@@ -772,8 +706,7 @@ def _lattice_ratios(ratios) -> bool | None:
     return True
 
 
-def minkowski_link_check(model: GapTripleModel, d: float | None = None,
-                         eps=None) -> MinkowskiLink:
+def minkowski_link_check(model: GapTripleModel, d: float | None = None) -> MinkowskiLink:
     """Compare the Dixmier trace of mu^d against 2^d (1-d) times the content.
 
     The two sides estimate the same number exactly when the complement is
@@ -790,7 +723,7 @@ def minkowski_link_check(model: GapTripleModel, d: float | None = None,
     if not 0.0 < d <= 1.0:
         raise ValueError(f"d must lie in (0, 1], got {d:.6g}")
     trace = dixmier_trace_estimate(model.eigen.power(d))
-    content = minkowski_content_estimate(model.gaps, d, eps=eps)
+    content = minkowski_content_estimate(model.gaps, d)
     scale = 2.0**d * (1.0 - d)
     lattice = _lattice_ratios(model.gaps.stationary_ratios)
     s_lo, s_hi = scale * content.band[0], scale * content.band[1]

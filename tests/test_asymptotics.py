@@ -89,7 +89,7 @@ def test_c_bounds_harmonic_close_to_one():
 @settings(max_examples=40, deadline=None)
 def test_reciprocal_ord_sits_between_c_bounds(a, b):
     rep = analyze_sequence(log_factor_seq(a, b))
-    assert rep.sandwich_holds(0.05)
+    assert rep.sandwich_holds()
 
 
 def test_dimension_is_reciprocal_ord():
@@ -149,8 +149,8 @@ def test_classify_slow_decay_is_none():
 
 def test_classify_respects_alpha():
     seq = power_seq(0.75)
-    assert classify_ideal(seq, alpha=2.0).label == L1
-    assert classify_ideal(seq, alpha=1.0).label == NONE
+    assert classify_ideal(seq.power(2.0)).label == L1
+    assert classify_ideal(seq).label == NONE
 
 
 def test_resolve_kind_split():
@@ -185,11 +185,6 @@ def test_scan_accepted_indices_within_cap():
     finite = scan.accepted_n[np.isfinite(scan.accepted_n)]
     assert np.all(finite >= 1)
     assert np.all(finite <= 20_000)
-
-
-def test_scan_rejects_lam_at_most_one():
-    with pytest.raises(ValueError):
-        eccentricity_scan(power_seq(1.0), NON_TRACE_CLASS, lam=1.0)
 
 
 def test_untraceable_note_set_when_scan_empty_and_not_weak():
@@ -229,15 +224,6 @@ def test_trace_is_homogeneous_in_the_weights():
     sub = subseq_for(seq, NON_TRACE_CLASS)
     tv = singular_trace_estimate(np.full(seq.cap, 2.0), seq, sub)
     assert tv.value == pytest.approx(2.0, rel=1e-12)
-
-
-def test_trace_callable_weights_match_array_weights():
-    seq = power_seq(1.0, cap=50_000)
-    sub = subseq_for(seq, NON_TRACE_CLASS)
-    w = lambda k: 1.0 + 1.0 / np.sqrt(k)
-    a = singular_trace_estimate(w, seq, sub)
-    b = singular_trace_estimate(w(np.arange(1, seq.cap + 1)), seq, sub)
-    assert a.value == pytest.approx(b.value, rel=1e-12)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -342,11 +328,4 @@ def test_report_fields_cohere():
     assert rep.classification.label == L1_WEAK
     assert rep.scan.nonempty
     assert rep.trace_value.value == pytest.approx(1.0, abs=0.05)
-    assert len(rep.eccentric_subsequence) == len(rep.scan.accepted_n)
     assert rep.sandwich_holds()
-
-
-def test_report_kind_override():
-    seq = power_seq(2.0)
-    rep = analyze_sequence(seq, kind=TRACE_CLASS)
-    assert rep.scan.kind == TRACE_CLASS

@@ -40,21 +40,21 @@ def same(a, b) -> bool:
 
 def heap_words(ifs, cap, ceiling):
     """Pop the largest ratio product, push its children; ties go to the
-    earlier push.  Returns (lam, lin, off, depth, first) per popped word and
+    earlier push.  Returns (lam, lin, off, depth) per popped word and
     whether unpopped words remain."""
     heap = [] if ceiling == 0 else [
-        (-w.ratio, j, w.ratio, w.linear, w.translation, 1, j + 1)
+        (-w.ratio, j, w.ratio, w.linear, w.translation, 1)
         for j, w in enumerate(ifs.level(1))]
     heapq.heapify(heap)
     serial, popped = len(heap), []
     while heap and len(popped) < cap // 2:
-        _, _, lam, lin, off, depth, first = heapq.heappop(heap)
-        popped.append((lam, lin, off, depth, first))
+        _, _, lam, lin, off, depth = heapq.heappop(heap)
+        popped.append((lam, lin, off, depth))
         if ceiling is None or depth < ceiling:
             for w in ifs.level(depth + 1):
                 heapq.heappush(heap, (-(lam * w.ratio), serial, lam * w.ratio,
                                       lin @ w.linear, lin @ w.translation + off,
-                                      depth + 1, first))
+                                      depth + 1))
                 serial += 1
     return popped, bool(heap)
 
@@ -65,15 +65,14 @@ def assert_matches_heap(ifs, cap, max_depth=None):
     if max_depth is not None:
         ceiling = max_depth if ceiling is None else min(ceiling, max_depth)
     popped, left = heap_words(ifs, cap, ceiling)
-    lam, lin, off, depth, first = (np.array(col) for col in zip(*popped)) if popped \
+    lam, lin, off, depth = (np.array(col) for col in zip(*popped)) if popped \
         else (np.zeros(0), np.zeros((0, ifs.dim, ifs.dim)), np.zeros((0, ifs.dim)),
-              np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+              np.zeros(0, dtype=np.int64))
     x, y = model.seed_x, model.seed_y
     assert same(model.values, np.repeat(lam * model.seed_distance, 2))
     assert same(model.tags_x, np.repeat(lin @ x + off, 2, axis=0))
     assert same(model.tags_y, np.repeat(lin @ y + off, 2, axis=0))
     assert same(model.depths, np.repeat(depth, 2))
-    assert same(model.first_digits, np.repeat(first, 2))
     below_ceiling = ceiling is not None and (
         ifs.max_depth is None or ceiling < ifs.max_depth)
     assert model.truncated == (left or below_ceiling)

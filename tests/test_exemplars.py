@@ -15,7 +15,6 @@ from fractrace.asymptotics import (
 from fractrace.errors import CapExceeded, SpecNotDiverging
 from fractrace.exemplars import (
     CONSTANT,
-    CUSTOM,
     LINEAR,
     StepSpec,
     TwoSlopeSpec,
@@ -40,27 +39,16 @@ def test_two_slope_spec_rejects_bad_slopes():
     with pytest.raises(ValueError):
         TwoSlopeSpec(2.0, 1.0, (CONSTANT, -1.0))
     with pytest.raises(ValueError):
-        TwoSlopeSpec(2.0, 1.0, (CUSTOM, [2.0, 1.0]))  # decreasing gaps
-    with pytest.raises(ValueError):
         TwoSlopeSpec(2.0, 1.0, ("other",))
 
 
 def test_step_spec_rejects_bad_parameters():
     with pytest.raises(SpecNotDiverging):
         StepSpec(q=1.0)
-    with pytest.raises(ValueError):
-        StepSpec()
-    with pytest.raises(ValueError):
-        StepSpec(q=2.0, b_values=[1.0, 2.0])
     with pytest.raises(SpecNotDiverging):
-        # constant spacings: collapse ratios stop vanishing
-        step_profile(StepSpec(b_values=[1.0, 2.0, 3.0, 4.0]), t_horizon=5.0)
-
-
-def test_custom_gap_list_must_reach_the_cap():
-    spec = TwoSlopeSpec(2.0, 1.0, (CUSTOM, [1.0, 1.0, 1.0]))
-    with pytest.raises(CapExceeded):
-        two_slope_sequence(spec, cap=10_000)
+        # q near 1: snapping the first block ends to integers leaves
+        # spacings that no longer grow, so collapse ratios stop vanishing
+        step_profile(StepSpec(q=1.01))
 
 
 # --- two-slope family ---------------------------------------------------------
@@ -171,12 +159,6 @@ def test_step_powers_stay_eccentric():
         powered = seq.power(alpha)
         scan = eccentricity_scan(powered, resolve_kind(powered), 0.02)
         assert scan.nonempty, f"alpha={alpha} found no eccentric indices"
-
-
-def test_step_custom_b_values():
-    seq = step_sequence(StepSpec(b_values=[1.0, 3.0, 7.0, 15.0, 31.0]),
-                        cap=1000)
-    assert seq.mu(1) == pytest.approx(1.0 / round(math.e), rel=1e-9)
 
 
 # --- integral diagnostics --------------------------------------------------------

@@ -14,7 +14,6 @@ from fractrace.errors import (
     DivergentSpec,
     EpsilonBelowResolution,
     OverlappingImages,
-    TruncationTooCoarse,
 )
 from fractrace.fractal_geometry import (
     GapList,
@@ -379,7 +378,6 @@ def test_uneven_depth2_hand_enumeration():
                                [1 / 6, 1 / 12, 1 / 18], rtol=1e-12)
     assert gaps.exact
     assert gaps.conservation_defect == 0.0
-    assert gaps.hull_tight
 
 
 def test_truncated_list_is_a_complete_prefix():
@@ -481,11 +479,6 @@ def test_content_exponent_domain():
     with pytest.raises(ValueError):
         minkowski_content_estimate(gaps, 1.5)
 
-
-def test_content_grid_below_truncation_rejected():
-    gaps = gaps_from_interval_ifs(make_cantor(), depth=6)
-    with pytest.raises(TruncationTooCoarse):
-        minkowski_content_estimate(gaps, LOG23, eps=np.geomspace(1e-2, 1e-9, 20))
 
 
 # --- common-ratio dimension formula --------------------------------------------------------------

@@ -215,14 +215,3 @@ def test_profile_convergence_threshold():
     assert not prof.converges(1.0)
     assert not prof.converges(0.7)
 
-
-def test_to_csv_round_trip(tmp_path):
-    seq = harmonic(64)
-    path = tmp_path / "seq.csv"
-    seq.to_csv(path, 64)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0].split(",")[0] == "n"
-    assert len(rows) == 65
-    last = rows[-1].split(",")
-    assert int(last[0]) == 64
-    assert float(last[1]) == pytest.approx(1.0 / 64.0, rel=1e-12)
