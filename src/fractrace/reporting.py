@@ -1349,6 +1349,16 @@ def _num_or_none(x):
         and not isinstance(x, bool) else None
 
 
+_INFINITE_ENDS = {"inf": math.inf, "-inf": -math.inf}
+
+
+def _end_or_none(x):
+    """An interval end as a float, reading the "inf"/"-inf" that the report
+    writes for infinite ends; None for anything else that is not a number
+    ("nan" included)."""
+    return _INFINITE_ENDS.get(x) if isinstance(x, str) else _num_or_none(x)
+
+
 def _diff_measurement(a, b, path, rows):
     av, bv = _num_or_none(a["value"]), _num_or_none(b["value"])
     ai, bi = a["interval"], b["interval"]
@@ -1357,8 +1367,8 @@ def _diff_measurement(a, b, path, rows):
         rows.append({"path": path, "a": a["value"], "b": b["value"],
                      "significant": a["value"] != b["value"]})
         return
-    lo_a, hi_a = (_num_or_none(v) for v in ai)
-    lo_b, hi_b = (_num_or_none(v) for v in bi)
+    lo_a, hi_a = (_end_or_none(v) for v in ai)
+    lo_b, hi_b = (_end_or_none(v) for v in bi)
     if None in (lo_a, hi_a, lo_b, hi_b):
         disjoint = av != bv
     else:
