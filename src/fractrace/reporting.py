@@ -244,8 +244,9 @@ class _F(NamedTuple):
     also for a missing required field; ``missing`` is the text for a missing
     field, put at the object's path.  ``stop`` ends the walk of the object
     at a problem with the field.  ``flag`` lets an object be given as true
-    (all defaults) or false (off); ``null`` reads null as absent;
-    ``excludes`` names a field that may not be given together with this one.
+    (all defaults), or as false or null (off); ``null`` reads null as absent,
+    which every flag does too; ``excludes`` names a field that may not be
+    given together with this one.
     """
 
     type: str
@@ -452,7 +453,7 @@ def _walk(ctx, obj, path, name, budget):
     for key, f in in_use.items():
         if key == spec.tag:
             v[key] = variant
-        elif key not in obj or (obj[key] is None and f.null):
+        elif key not in obj or (obj[key] is None and (f.null or f.flag)):
             if f.req and f.missing:
                 ctx.fail(path, f.missing)
             elif f.req:
@@ -718,7 +719,7 @@ _OBJECTS = {
         "gaps": _F("boolean", "run the gap analysis; null: on for a 1d "
                    "system"),
         "box_dimension": _F("box_dimension", flag=True),
-        "minkowski": _F("minkowski", flag=True, null=True),
+        "minkowski": _F("minkowski", flag=True),
         "cylinder": _F("cylinder"),
         "translation": _F("boolean", "the translation dimension formula",
                           default=False),
@@ -1492,7 +1493,7 @@ def config_schema() -> dict:
             doc["exclusiveMaximum" if f.hi_open else "maximum"] = f.hi
         if not f.req:
             doc["default"] = f.default
-        for key, value in (("for", f.when), ("nullable", f.null),
+        for key, value in (("for", f.when), ("nullable", f.null or f.flag),
                            ("excludes", f.excludes), ("doc", f.doc)):
             if value:
                 doc[key] = list(value) if key == "for" else value

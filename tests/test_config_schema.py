@@ -212,3 +212,52 @@ def test_every_schema_field_is_accepted_somewhere():
     listed = {(name, key.rstrip("?")) for name, fields in OBJECTS.items()
               for key in fields}
     assert listed - used == set()
+
+
+EXPERIMENT_FIELDS = [(key.rstrip("?"), doc)
+                     for key, doc in SCHEMA["experiment"].items()]
+
+
+def _accepted(config) -> bool:
+    try:
+        parse_config(config)
+    except ValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind, variant, params, keys, name, field, req, doc",
+                         FIELD_CASES, ids=[_id(c) for c in FIELD_CASES])
+def test_a_field_takes_null_exactly_when_the_schema_says_nullable(
+        kind, variant, params, keys, name, field, req, doc):
+    config = {"kind": kind, "parameters": copy.deepcopy(params)}
+    _get(config["parameters"], keys)[field] = None
+    assert _accepted(config) is bool(doc.get("nullable"))
+
+
+@pytest.mark.parametrize("field, doc", EXPERIMENT_FIELDS,
+                         ids=[f for f, _ in EXPERIMENT_FIELDS])
+def test_an_experiment_field_takes_null_exactly_when_nullable(field, doc):
+    kind, _, params = MINIMAL[0]
+    config = {"kind": kind, "parameters": copy.deepcopy(params), field: None}
+    assert _accepted(config) is bool(doc.get("nullable"))
+
+
+def test_every_flag_object_is_nullable():
+    params = OBJECTS[IFS_CLASSICAL]
+    flags = {k.rstrip("?") for k, doc in params.items()
+             if doc["type"].startswith("boolean or ")}
+    assert flags == {"box_dimension", "minkowski", "contraction"}
+    assert all(params[k + "?"].get("nullable") for k in flags)
+
+
+@pytest.mark.parametrize("field", ["box_dimension", "minkowski",
+                                   "contraction"])
+def test_a_null_flag_object_is_off(field):
+    on = {"ifs": LINE, "depth": 6, field: True}
+    (exp,) = parse_config({"kind": IFS_CLASSICAL, "parameters": on})
+    assert exp.params[field] is not None
+    for off in (False, None):
+        (exp,) = parse_config({"kind": IFS_CLASSICAL,
+                               "parameters": dict(on, **{field: off})})
+        assert exp.params[field] is None
