@@ -1008,9 +1008,13 @@ def _run_ifs_classical(exp, budget, out_dir):
     series = {}
     if ifs.generation == fg.STATIONARY:
         sdim = fg.similarity_dimension(ifs)
+        # the bisection's last bracket, of width at most _BISECTION_TOL,
+        # holds both the root and its midpoint sdim
+        tol = fg._BISECTION_TOL
         results.append({"module": "fractal_geometry",
                         "op": "similarity_dimension", "parameters": {},
-                        "values": {"dimension": _val(sdim)}})
+                        "values": {"dimension": _val(sdim, sdim - tol,
+                                                     sdim + tol)}})
     gaps = None
     if _gaps_on(p):
         gaps = fg.gaps_from_interval_ifs(ifs, p["depth"],

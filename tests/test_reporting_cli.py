@@ -6,13 +6,16 @@ import re
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 import fractrace
 from fractrace import cli, reporting
 from fractrace.fractal_geometry import Similarity
-from fractrace.reporting import PAIR_TRIPLE, parse_config
+from fractrace.reporting import (IFS_CLASSICAL, PAIR_TRIPLE, Budget,
+                                 parse_config, run_experiment)
+from systems import make_cantor, make_planar, make_segment, make_uneven
 
 
 def line_ifs(r1, r2):
@@ -127,6 +130,32 @@ def test_constant_functional_on_a_line_is_the_flat_affine_one(tmp_path):
         assert results({"type": "constant", "value": value},
                        tmp_path / f"constant{i}") == \
             results(flat, tmp_path / f"affine{i}")
+
+
+@pytest.mark.parametrize("build", [make_cantor, make_uneven, make_segment,
+                                   make_planar])
+def test_similarity_dimension_interval_holds_the_root(build, tmp_path):
+    """The reported interval contains the root of sum r_j^s = 1, found by
+    mpmath at 50 digits from the same float ratios."""
+    maps = build().level(1)
+    doc = {"kind": IFS_CLASSICAL,
+           "parameters": {"ifs": {"generation": "stationary",
+                                  "maps": [{"ratio": w.ratio,
+                                            "translation":
+                                                w.translation.tolist()}
+                                           for w in maps]},
+                          "depth": 2, "gaps": False}}
+    (exp,) = parse_config(doc)
+    report = run_experiment(exp, Budget(), str(tmp_path))
+    (entry,) = [r for r in report["results"]
+                if r["op"] == "similarity_dimension"]
+    lo, hi = entry["values"]["dimension"]["interval"]
+    with mpmath.workdps(50):
+        root = mpmath.findroot(
+            lambda s: sum(mpmath.mpf(w.ratio) ** s for w in maps) - 1,
+            entry["values"]["dimension"]["value"])
+        assert lo <= root <= hi
+    assert hi - lo <= 2.5e-12
 
 
 LAZY_SCIPY = """
