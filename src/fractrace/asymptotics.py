@@ -4,9 +4,9 @@ Estimates the order of infinitesimal, the reciprocal slow-variation bounds of
 the log-profile, ideal membership, eccentric subsequences (where doubling the
 index barely moves the partial sum), and singular/Dixmier trace values.
 
-Finite data cannot see a liminf; every estimator here reports the window
-statistics it was computed from and an interval, and the conventions are
-shared: tail windows live on [sqrt(N), N] split into 8 log-spaced pieces.
+Finite data cannot see a liminf; every estimator here reports an interval,
+and the conventions are shared: tail windows live on [sqrt(N), N] split into
+8 log-spaced pieces.
 """
 
 from __future__ import annotations
