@@ -37,7 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "compare their reports.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute a config file")
+    run_p = sub.add_parser(
+        "run", help="execute a config file",
+        description="Execute a config file; experiments run round-robin on "
+                    "one process per CPU in the affinity mask "
+                    "(taskset -c 0 gives a one-CPU run).")
     run_p.add_argument("--config", required=True, metavar="FILE",
                        help="JSON experiment config")
     run_p.add_argument("--out-dir", default=".", metavar="DIR",

@@ -26,10 +26,19 @@ everything here:
   digits and quotes nan and infinities; CSV writes them bare).  A model's
   entries CSV has one row per entry, so each repeated eigenvalue repeats
   its row.
+* A batch runs on every CPU the process may use.  The process count P is
+  the size of the CPU affinity mask (``os.sched_getaffinity``), at most the
+  number of experiments.  Experiments are dealt round-robin by config
+  index: the calling process runs 0, P, 2P, …, and P - 1 forked helpers run
+  the rest.  Lines are printed in config order, so streams and exit code
+  are those of a one-by-one run.  Each report's meta.wall_time_s is measured
+  in the process that ran it, and memory can hold up to P experiments at
+  once.  ``taskset -c 0 fractrace run …`` gives a one-CPU run.
 
 Exit codes, used by the CLI and mirrored in ``run``'s return value: 0 on
 success, 2 for config or schema violations, 3 for numeric precondition
-failures raised by the underlying operations.
+failures raised by the underlying operations, 1 when a helper process died
+and took experiments with it (each is named on stderr as LOST).
 """
 
 from __future__ import annotations
@@ -37,8 +46,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import selectors
+import signal
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -1296,6 +1308,7 @@ def run(config_path: str, out_dir: str = ".", budget: Budget = Budget(),
     """Validate and run a config file; returns the process exit code.
 
     out_dir is created, parents included, before the first experiment runs.
+    Experiments run round-robin on one process per CPU in the affinity mask.
     """
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
@@ -1320,26 +1333,127 @@ def run(config_path: str, out_dir: str = ".", budget: Budget = Budget(),
     except OSError as e:
         print(f"$: cannot write {out_dir}: {e}", file=stderr)
         return 2
-    failures = 0
-    for exp in exps:
-        try:
-            report = run_experiment(exp, budget, out_dir)
-        except FractraceError as e:
-            print(f"{exp.name}: {e.code}: {e}", file=stderr)
-            failures += 1
-            continue
-        except (ValueError, ArithmeticError) as e:
-            print(f"{exp.name}: PRECONDITION: {e}", file=stderr)
-            failures += 1
-            continue
-        path = f"{out_dir}/{exp.report_name}"
-        with open(path, "w") as fh:
-            fh.write(dumps_canonical(report))
-        if not quiet:
-            wall = report["meta"]["wall_time_s"]
-            print(f"{exp.name}: {exp.kind} ok ({wall:.2f} s) -> {path}",
-                  file=stdout)
-    return 3 if failures else 0
+    return _run_batch(exps, budget, out_dir, quiet, stdout, stderr)
+
+
+def _run_batch(exps, budget, out_dir, quiet, stdout, stderr) -> int:
+    """Run validated experiments on ``_process_count`` processes, dealt
+    round-robin: this process runs 0, P, 2P, …, forked helper r runs r,
+    r + P, ….  Lines are printed in config order as soon as they and every
+    earlier one are known; every helper is reaped before this returns or
+    raises."""
+    n = len(exps)
+    procs = _process_count(n)
+    outcomes = [None] * n   # (failed, line) of each experiment once known
+    helpers = {}            # pipe read end -> [pid, rank, unread bytes]
+    printed = lost = 0
+
+    def poll(selector, timeout):
+        """Take what the helpers sent; reap each one whose pipe ended and
+        mark the experiments it never reported as lost; print what is
+        ready."""
+        nonlocal printed, lost
+        for key, _ in selector.select(timeout) if helpers else ():
+            fd = key.fd
+            chunk = os.read(fd, 1 << 16)
+            pid, rank, buf = helpers[fd]
+            *messages, helpers[fd][2] = (buf + chunk).split(b"\n")
+            for message in messages:
+                i, failed, line = json.loads(message)
+                outcomes[i] = (failed, line)
+            if chunk:
+                continue
+            selector.unregister(fd)
+            os.close(fd)
+            del helpers[fd]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            how = (f"exited with status {code}" if code >= 0 else
+                   f"was killed by signal {signal.Signals(-code).name}")
+            for i in range(rank, n, procs):
+                if outcomes[i] is None:
+                    outcomes[i] = (True, f"{exps[i].name}: LOST: helper "
+                                         f"process {pid} {how}")
+                    lost += 1
+        while printed < n and outcomes[printed] is not None:
+            failed, line = outcomes[printed]
+            if failed or not quiet:
+                print(line, file=stderr if failed else stdout)
+            printed += 1
+
+    stdout.flush()
+    stderr.flush()
+    try:
+        for rank in range(1, procs):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:   # a helper: never returns
+                status = 1
+                try:
+                    for fd in [read_end, *helpers]:
+                        os.close(fd)
+                    status = _helper(exps, rank, procs, budget, out_dir,
+                                     write_end)
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            helpers[read_end] = [pid, rank, b""]
+        with selectors.DefaultSelector() as selector:
+            for fd in helpers:
+                selector.register(fd, selectors.EVENT_READ)
+            for i in range(0, n, procs):
+                outcomes[i] = _outcome(exps[i], budget, out_dir)
+                poll(selector, 0)
+            while helpers:
+                poll(selector, None)
+    finally:
+        for fd, (pid, _, _) in helpers.items():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if lost:
+        return 1
+    return 3 if any(failed for failed, _ in outcomes) else 0
+
+
+def _process_count(n: int) -> int:
+    """Processes a batch of n experiments runs on: the CPUs this process
+    may use, at most n; 1 where fork or the affinity mask is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n))
+
+
+def _outcome(exp, budget, out_dir) -> tuple:
+    """Run one experiment and write its report; return (failed, line), the
+    line ``run`` prints for it, on stderr when failed."""
+    try:
+        report = run_experiment(exp, budget, out_dir)
+    except FractraceError as e:
+        return True, f"{exp.name}: {e.code}: {e}"
+    except (ValueError, ArithmeticError) as e:
+        return True, f"{exp.name}: PRECONDITION: {e}"
+    path = f"{out_dir}/{exp.report_name}"
+    with open(path, "w") as fh:
+        fh.write(dumps_canonical(report))
+    wall = report["meta"]["wall_time_s"]
+    return False, f"{exp.name}: {exp.kind} ok ({wall:.2f} s) -> {path}"
+
+
+def _helper(exps, rank, procs, budget, out_dir, fd) -> int:
+    """Body of a forked helper: run experiments rank, rank + procs, …, send
+    one JSON line [index, failed, line] per experiment down ``fd``, and
+    return the helper's exit status."""
+    try:
+        with open(fd, "w") as pipe:
+            for i in range(rank, len(exps), procs):
+                pipe.write(json.dumps([i, *_outcome(exps[i], budget,
+                                                    out_dir)]) + "\n")
+                pipe.flush()
+    except Exception:
+        traceback.print_exc()
+        sys.stderr.flush()
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

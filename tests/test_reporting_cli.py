@@ -247,6 +247,155 @@ def test_batch_reports_replay_byte_for_byte(tmp_path):
             assert a.read_bytes() == b.read_bytes(), name
 
 
+# Runs a batch once per CPU set of CPU_SETS, pinning the process with
+# sched_setaffinity, into out_dir/<number of CPUs>; prints per run the exit
+# code, both streams and whether a child process outlived the run.
+ON_CPUS = """
+import contextlib, io, json, os, sys
+from fractrace import cli, reporting
+config, out_dir = sys.argv[1:]
+every = sorted(os.sched_getaffinity(0))
+PATCH
+runs = []
+for cpus in CPU_SETS:
+    os.sched_setaffinity(0, cpus)
+    where = os.path.join(out_dir, str(len(cpus)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--config", config, "--out-dir", where])
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = True
+    except ChildProcessError:
+        left = False
+    runs.append({"cpus": len(cpus), "code": code, "children_left": left,
+                 "stdout": out.getvalue().replace(where, "OUT"),
+                 "stderr": err.getvalue().replace(where, "OUT")})
+print(json.dumps(runs))
+"""
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else 1
+needs_two_cpus = pytest.mark.skipif(
+    CPUS < 2, reason="one CPU: a batch has no helper process to check")
+
+
+def on_cpus(tmp_path, doc, cpu_sets, patch=""):
+    script = ON_CPUS.replace("CPU_SETS", cpu_sets).replace("PATCH", patch)
+    runs = json.loads(run_script(tmp_path, script, doc))
+    for r in runs:
+        assert not r["children_left"], r
+        # the wall time is the one run-dependent part of a line
+        r["stdout"] = re.sub(r"\(\d+\.\d\d s\)", "(T s)", r["stdout"])
+    return runs
+
+
+def masked(path):
+    # meta holds the wall time and nothing nested
+    text = re.sub(r'"meta": \{[^{}]*\}', "", path.read_text())
+    assert '"meta"' not in text and '"results"' in text
+    return text
+
+
+def assert_same_files(dir_a, dir_b):
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names == sorted(p.name for p in dir_b.iterdir())
+    for name in names:
+        a, b = dir_a / name, dir_b / name
+        if name.endswith(".report.json"):
+            assert masked(a) == masked(b), name
+        else:
+            assert a.read_bytes() == b.read_bytes(), name
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SIX_KINDS = {"experiments": [
+    {"kind": "SEQUENCE_ANALYSIS", "name": "power",
+     "parameters": {"mu": {"form": "power", "coefficient": 1.1,
+                           "exponent": 1.6}, "cap": 20000}},
+    {"kind": "EXEMPLAR", "name": "two-slope",
+     "parameters": {"family": "two_slope", "alpha": 1.7, "beta": 1.3,
+                    "cap": 20000, "gammas": [0.75, 1.5]}},
+    *BATCH["experiments"]]}
+
+
+def golden_config(where):
+    with open(os.path.join(GOLDEN, where, "config.json")) as fh:
+        return json.load(fh)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("doc", [
+    golden_config(""), golden_config("series"), golden_config("models"),
+    SIX_KINDS], ids=["golden", "golden-series", "golden-models", "six-kinds"])
+def test_a_batch_gives_the_same_bytes_on_one_cpu_and_on_all(tmp_path, doc):
+    one, every = on_cpus(tmp_path, doc, "(every[:1], every)")
+    assert one["code"] == every["code"] == 0
+    assert one["stdout"] == every["stdout"]
+    assert one["stdout"].count("\n") == len(doc["experiments"])
+    assert one["stderr"] == every["stderr"] == ""
+    assert_same_files(tmp_path / "out" / "1", tmp_path / "out" / str(CPUS))
+
+
+# hausdorff_functional meets an empty subsequence on this model, and the
+# failure takes the whole experiment with it
+FAILING = {"kind": "GAP_TRIPLE", "name": "failing",
+           "parameters": {"ifs": line_ifs(0.25, 0.35), "depth": 11,
+                          "functional": {"type": "affine", "slope": 0.5,
+                                         "intercept": 2.0}}}
+
+
+@needs_two_cpus
+def test_a_failure_on_a_helper_reads_as_on_one_cpu(tmp_path):
+    """The failing experiment sits at index 1, the first one a helper
+    runs."""
+    doc = {"experiments": [BATCH["experiments"][3], FAILING,
+                           *BATCH["experiments"][:3]]}
+    one, two = on_cpus(tmp_path, doc, "(every[:1], every[:2])")
+    assert one["code"] == two["code"] == 3
+    assert one["stderr"] == two["stderr"]
+    assert one["stderr"].startswith("failing: EMPTY_SUBSEQUENCE: ")
+    assert one["stderr"].count("\n") == 1
+    assert one["stdout"] == two["stdout"]
+    assert_same_files(tmp_path / "out" / "1", tmp_path / "out" / "2")
+    assert sorted(p.name for p in (tmp_path / "out" / "2").iterdir()
+                  if p.name.endswith(".report.json")) == \
+        ["classical.report.json", "gap-model.report.json",
+         "link.report.json", "pair-model.report.json"]
+
+
+DOOMED = """
+run_experiment = reporting.run_experiment
+
+def doomed(exp, *args):
+    if exp.name == "doomed":
+        os._exit(9)
+    return run_experiment(exp, *args)
+
+reporting.run_experiment = doomed
+"""
+
+
+@needs_two_cpus
+def test_a_dead_helper_fails_the_run_and_names_what_it_lost(tmp_path):
+    """On two CPUs the helper runs indices 1, 3 and 5; it dies at 1, so 3
+    and 5 are lost with it, while the parent's 0, 2 and 4 are written."""
+    link = BATCH["experiments"][3]
+    names = ["a", "doomed", "b", "c", "d", "e"]
+    doc = {"experiments": [{**link, "name": name, "series": False}
+                           for name in names]}
+    (two,) = on_cpus(tmp_path, doc, "(every[:2],)", patch=DOOMED)
+    assert two["code"] == 1
+    lost = two["stderr"].splitlines()
+    assert [line.split(": ")[:2] for line in lost] == \
+        [["doomed", "LOST"], ["c", "LOST"], ["e", "LOST"]]
+    assert all(line.endswith(" exited with status 9") for line in lost)
+    assert [line.split(":")[0] for line in two["stdout"].splitlines()] == \
+        ["a", "b", "d"]
+    assert sorted(p.name for p in (tmp_path / "out" / "2").iterdir()) == \
+        ["a.report.json", "b.report.json", "d.report.json"]
+
+
 def test_compare_a_report_with_itself(tmp_path):
     code, out_dir = run_cli(tmp_path, {"experiments": BATCH["experiments"][2:3]})
     assert code == 0
