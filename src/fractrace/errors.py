@@ -67,10 +67,6 @@ class OverlappingImages(FractraceError):
     code = "OVERLAPPING_IMAGES"
 
 
-class TruncationTooCoarse(FractraceError):
-    code = "TRUNCATION_TOO_COARSE"
-
-
 class SBelowDimension(FractraceError):
     code = "S_BELOW_DIMENSION"
 

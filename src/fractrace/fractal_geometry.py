@@ -25,7 +25,6 @@ from .errors import (
     DivergentSpec,
     EpsilonBelowResolution,
     OverlappingImages,
-    TruncationTooCoarse,
 )
 
 STATIONARY = "STATIONARY"
@@ -1025,10 +1024,9 @@ def minkowski_content_estimate(gaps: GapList, d: float) -> MinkowskiContent:
     vol_hi = 2.0 * eps + gap_part + res_hi
     straddle = (vol_hi - vol_lo) / vol_lo
 
+    # the first eps, diam / 2, covers every residual whole: its straddle is
+    # zero, so it always survives
     ok = straddle <= _RESIDUAL_STRADDLE
-    if not np.any(ok):
-        raise TruncationTooCoarse(
-            "no epsilon in the window survives the 1% residual straddle; deepen the gap list")
     eps, vol_lo, vol_hi = eps[ok], vol_lo[ok], vol_hi[ok]
 
     scale = eps ** (1.0 - d)

@@ -472,6 +472,19 @@ def test_uneven_content_settles():
     assert mc.band[0] <= mc.value <= mc.band[1]
 
 
+@given(r1=st.floats(0.05, 0.45), r2=st.floats(0.05, 0.45),
+       depth=st.integers(1, 8), d=st.floats(0.05, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_content_keeps_the_first_epsilon(r1, r2, depth, d):
+    """The grid starts at half the diameter, where 2 eps covers every
+    residual interval whole, so that eps has no straddle and is kept."""
+    ifs = LimitIfs.stationary([interval_map(r1, 0.0),
+                               interval_map(r2, 1.0 - r2)])
+    gaps = gaps_from_interval_ifs(ifs, depth)
+    mc = minkowski_content_estimate(gaps, d)
+    assert mc.eps[0] == gaps.diameter / 2
+
+
 def test_content_exponent_domain():
     gaps = gaps_from_interval_ifs(make_cantor(), depth=6)
     with pytest.raises(ValueError):
