@@ -1013,20 +1013,24 @@ def _gap_list_entry(gaps, depth, interval) -> dict:
                    "completeness_cutoff": _val(gaps.completeness_cutoff)}}
 
 
+def _similarity_val(d) -> dict:
+    """A similarity dimension d as a measurement: the bisection's last
+    bracket, of width at most _BISECTION_TOL, holds both the root and its
+    midpoint d."""
+    tol = fg._BISECTION_TOL
+    return _val(d, d - tol, d + tol)
+
+
 def _run_ifs_classical(exp, budget, out_dir):
     p = exp.params
     ifs = p["ifs"]
     results = []
     series = {}
     if ifs.generation == fg.STATIONARY:
-        sdim = fg.similarity_dimension(ifs)
-        # the bisection's last bracket, of width at most _BISECTION_TOL,
-        # holds both the root and its midpoint sdim
-        tol = fg._BISECTION_TOL
         results.append({"module": "fractal_geometry",
                         "op": "similarity_dimension", "parameters": {},
-                        "values": {"dimension": _val(sdim, sdim - tol,
-                                                     sdim + tol)}})
+                        "values": {"dimension": _similarity_val(
+                            fg.similarity_dimension(ifs))}})
     gaps = None
     if _gaps_on(p):
         gaps = fg.gaps_from_interval_ifs(ifs, p["depth"],
@@ -1144,7 +1148,7 @@ def _residue_entry(model) -> dict:
     r = st.zeta_residue(model)
     return {"module": "spectral_triples", "op": "zeta_residue",
             "parameters": {}, "values": {
-                "exponent": _val(r.d),
+                "exponent": _similarity_val(r.d),
                 "analytic": _val(r.analytic),
                 "numeric": _val(r.numeric),
                 "agreement": _val(abs(r.analytic - r.numeric))}}
@@ -1243,11 +1247,15 @@ def _run_link_check(exp, budget, out_dir):
     p = exp.params
     gaps, model = _gap_model(p, budget)
     link = st.minkowski_link_check(model, d=p["exponent"])
+    # unset, the exponent is the similarity dimension of a stationary system
+    # and 1 / (order of infinitesimal) otherwise
+    similarity = p["exponent"] is None and bool(gaps.stationary_ratios)
     results = [
         _gap_list_entry(gaps, p["depth"], p["interval"]),
         {"module": "spectral_triples", "op": "minkowski_link_check",
          "parameters": {"exponent": p["exponent"]},
-         "values": {"exponent": _val(link.d),
+         "values": {"exponent": _similarity_val(link.d) if similarity
+                    else _val(link.d),
                     "trace": _val(link.trace.value, *link.trace.band),
                     "trace_measurable": bool(link.trace.measurable),
                     "content": _val(link.content.value, *link.content.band),

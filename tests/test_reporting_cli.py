@@ -132,30 +132,70 @@ def test_constant_functional_on_a_line_is_the_flat_affine_one(tmp_path):
             results(flat, tmp_path / f"affine{i}")
 
 
+def assert_holds_the_root(maps, measurement):
+    """The interval contains the root of sum r_j^s = 1, found by mpmath at
+    50 digits from the same float ratios, and is at most 2.5e-12 wide."""
+    lo, hi = measurement["interval"]
+    with mpmath.workdps(50):
+        root = mpmath.findroot(
+            lambda s: sum(mpmath.mpf(w.ratio) ** s for w in maps) - 1,
+            measurement["value"])
+        assert lo <= root <= hi
+    assert hi - lo <= 2.5e-12
+
+
+def stationary_ifs(maps):
+    return {"generation": "stationary",
+            "maps": [{"ratio": w.ratio, "translation": w.translation.tolist()}
+                     for w in maps]}
+
+
 @pytest.mark.parametrize("build", [make_cantor, make_uneven, make_segment,
                                    make_planar])
 def test_similarity_dimension_interval_holds_the_root(build, tmp_path):
-    """The reported interval contains the root of sum r_j^s = 1, found by
-    mpmath at 50 digits from the same float ratios."""
     maps = build().level(1)
     doc = {"kind": IFS_CLASSICAL,
-           "parameters": {"ifs": {"generation": "stationary",
-                                  "maps": [{"ratio": w.ratio,
-                                            "translation":
-                                                w.translation.tolist()}
-                                           for w in maps]},
-                          "depth": 2, "gaps": False}}
+           "parameters": {"ifs": stationary_ifs(maps), "depth": 2,
+                          "gaps": False}}
     (exp,) = parse_config(doc)
     report = run_experiment(exp, Budget(), str(tmp_path))
     (entry,) = [r for r in report["results"]
                 if r["op"] == "similarity_dimension"]
-    lo, hi = entry["values"]["dimension"]["interval"]
-    with mpmath.workdps(50):
-        root = mpmath.findroot(
-            lambda s: sum(mpmath.mpf(w.ratio) ** s for w in maps) - 1,
-            entry["values"]["dimension"]["value"])
-        assert lo <= root <= hi
-    assert hi - lo <= 2.5e-12
+    assert_holds_the_root(maps, entry["values"]["dimension"])
+
+
+@pytest.mark.parametrize("build, kind, parameters, op", [
+    (make_cantor, "GAP_TRIPLE", {"depth": 8}, "zeta_residue"),
+    (make_uneven, "GAP_TRIPLE", {"depth": 8}, "zeta_residue"),
+    (make_cantor, "PAIR_TRIPLE", {"cap": 2000}, "zeta_residue"),
+    (make_uneven, "PAIR_TRIPLE", {"cap": 2000}, "zeta_residue"),
+    (make_segment, "PAIR_TRIPLE", {"cap": 2000}, "zeta_residue"),
+    (make_planar, "PAIR_TRIPLE", {"cap": 2000}, "zeta_residue"),
+    (make_uneven, "LINK_CHECK", {"depth": 8}, "minkowski_link_check"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_similarity_exponents_hold_the_root(build, kind, parameters, op,
+                                            tmp_path):
+    """The zeta residue and, with no exponent given, the Minkowski link
+    report the similarity dimension with the bisection's bracket."""
+    maps = build().level(1)
+    doc = {"kind": kind, "series": False,
+           "parameters": {"ifs": stationary_ifs(maps), **parameters}}
+    (exp,) = parse_config(doc)
+    report = run_experiment(exp, Budget(), str(tmp_path))
+    (entry,) = [r for r in report["results"] if r["op"] == op]
+    assert_holds_the_root(maps, entry["values"]["exponent"])
+
+
+def test_a_given_link_exponent_stays_a_point(tmp_path):
+    doc = {"kind": "LINK_CHECK", "series": False,
+           "parameters": {"ifs": stationary_ifs(make_uneven().level(1)),
+                          "depth": 8, "exponent": 0.788}}
+    (exp,) = parse_config(doc)
+    report = run_experiment(exp, Budget(), str(tmp_path))
+    (entry,) = [r for r in report["results"]
+                if r["op"] == "minkowski_link_check"]
+    assert entry["values"]["exponent"] == {"value": 0.788,
+                                           "interval": [0.788, 0.788]}
 
 
 LAZY_SCIPY = """
