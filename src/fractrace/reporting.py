@@ -1345,13 +1345,13 @@ def run(config_path: str, out_dir: str = ".", budget: Budget = Budget(),
 
 
 def _run_batch(exps, budget, out_dir, quiet, stdout, stderr) -> int:
-    """Run validated experiments on ``_process_count`` processes, dealt
-    round-robin: this process runs 0, P, 2P, …, forked helper r runs r,
-    r + P, ….  Lines are printed in config order as soon as they and every
-    earlier one are known; every helper is reaped before this returns or
-    raises."""
+    """Run validated experiments round-robin on one process per CPU in the
+    affinity mask, this one and forked helpers, and return the exit code.
+    Every helper is reaped before this returns or raises."""
     n = len(exps)
-    procs = _process_count(n)
+    procs = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        procs = max(1, min(len(os.sched_getaffinity(0)), n))
     outcomes = [None] * n   # (failed, line) of each experiment once known
     helpers = {}            # pipe read end -> [pid, rank, unread bytes]
     printed = lost = 0
@@ -1421,14 +1421,6 @@ def _run_batch(exps, budget, out_dir, quiet, stdout, stderr) -> int:
     if lost:
         return 1
     return 3 if any(failed for failed, _ in outcomes) else 0
-
-
-def _process_count(n: int) -> int:
-    """Processes a batch of n experiments runs on: the CPUs this process
-    may use, at most n; 1 where fork or the affinity mask is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n))
 
 
 def _outcome(exp, budget, out_dir) -> tuple:
