@@ -266,25 +266,32 @@ def test_line_clouds_leave_scipy_spatial_out(tmp_path):
             ["box_dimension_estimate", "contraction_limit"]
 
 
+def masked(path):
+    # meta holds the wall time and nothing nested
+    text = re.sub(r'"meta": \{[^{}]*\}', "", path.read_text())
+    assert '"meta"' not in text and '"results"' in text
+    return text
+
+
+def assert_same_files(dir_a, dir_b):
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names == sorted(p.name for p in dir_b.iterdir())
+    for name in names:
+        a, b = dir_a / name, dir_b / name
+        if name.endswith(".report.json"):
+            assert masked(a) == masked(b), name
+        else:
+            assert a.read_bytes() == b.read_bytes(), name
+
+
 def test_batch_reports_replay_byte_for_byte(tmp_path):
     runs = [run_cli(tmp_path, BATCH, out) for out in ("a", "b")]
     assert [code for code, _ in runs] == [0, 0]
     (_, dir_a), (_, dir_b) = runs
-    names = sorted(p.name for p in dir_a.iterdir())
-    assert names == sorted(p.name for p in dir_b.iterdir())
-    reports = [n for n in names if n.endswith(".report.json")]
-    assert len(reports) == 4
+    names = [p.name for p in dir_a.iterdir()]
+    assert sum(n.endswith(".report.json") for n in names) == 4
     assert any(n.endswith(".csv") for n in names)
-    for name in names:
-        a, b = (d / name for d in (dir_a, dir_b))
-        if name in reports:
-            # meta holds the wall time and nothing nested
-            text_a, text_b = (re.sub(r'"meta": \{[^{}]*\}', "", p.read_text())
-                              for p in (a, b))
-            assert '"meta"' not in text_a and '"results"' in text_a
-            assert text_a == text_b, name
-        else:
-            assert a.read_bytes() == b.read_bytes(), name
+    assert_same_files(dir_a, dir_b)
 
 
 # Runs a batch once per CPU set of CPU_SETS, pinning the process with
@@ -328,24 +335,6 @@ def on_cpus(tmp_path, doc, cpu_sets, patch=""):
         # the wall time is the one run-dependent part of a line
         r["stdout"] = re.sub(r"\(\d+\.\d\d s\)", "(T s)", r["stdout"])
     return runs
-
-
-def masked(path):
-    # meta holds the wall time and nothing nested
-    text = re.sub(r'"meta": \{[^{}]*\}', "", path.read_text())
-    assert '"meta"' not in text and '"results"' in text
-    return text
-
-
-def assert_same_files(dir_a, dir_b):
-    names = sorted(p.name for p in dir_a.iterdir())
-    assert names == sorted(p.name for p in dir_b.iterdir())
-    for name in names:
-        a, b = dir_a / name, dir_b / name
-        if name.endswith(".report.json"):
-            assert masked(a) == masked(b), name
-        else:
-            assert a.read_bytes() == b.read_bytes(), name
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
