@@ -275,41 +275,75 @@ def _nearest_distances(points: np.ndarray, ref: np.ndarray | None = None) -> np.
     with ``ref`` None, to its nearest other row of ``points`` (a duplicate
     counts, at distance 0; a lone point gets inf).
 
-    On the line the reference is sorted once and each point looked up with
-    np.searchsorted, its distance min(|q - left|, |right - q|) over the two
-    sorted neighbours; see hausdorff_distance for how that compares with the
-    cKDTree used in two or more dimensions.
+    One sorted sweep in every dimension.  The reference is sorted on its
+    axis of widest spread; each query starts at its np.searchsorted position
+    (a self-query at its own sorted position, which it skips) and steps
+    outward on both sides, vectorized over the queries still stepping.  A
+    side stops once the gap on the sort axis alone reaches the best distance
+    found, since every row beyond is at least that far.  On the line a
+    distance is the exact |d|; in two or more dimensions it is
+    sqrt(d0*d0 + d1*d1 + ...), summed one axis at a time in axis order, and
+    the sweep compares squares, gap*gap against the best sum.  See
+    hausdorff_distance for how that compares with a kd-tree.
     """
-    if points.shape[1] > 1:
-        # imported where used: scipy.spatial is a large share of package import
-        from scipy.spatial import cKDTree
-        if ref is None:
-            return cKDTree(points).query(points, k=2)[0][:, 1]
-        return cKDTree(ref).query(points)[0]
-    q = points[:, 0]
-    if ref is None:
-        order = np.argsort(q)
-        gaps = np.diff(q[order])
-        out = np.empty(q.size)
-        out[order] = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
-        return out
-    r = np.sort(ref[:, 0])
-    i = np.searchsorted(r, q)
-    left = r[np.maximum(i - 1, 0)]
-    right = r[np.minimum(i, r.size - 1)]
-    return np.minimum(np.abs(q - left), np.abs(right - q))
+    line = points.shape[1] == 1
+    self_query = ref is None
+    if self_query:
+        ref = points
+    axis = int(np.argmax(np.ptp(ref, axis=0)))
+    order = np.argsort(ref[:, axis])
+    # the sorted reference, one row per axis, between sentinel columns at
+    # -inf and +inf on the sort axis: their gap is inf, so a side stops there
+    cols = np.full((ref.shape[1], order.size + 2), np.inf)
+    cols[axis, 0] = -np.inf
+    cols[:, 1:-1] = ref[order].T
+    # the queries in the same order, so that each step reads the reference
+    # nearly in sequence; per side, the queries still stepping, the column
+    # each reads next and the step
+    every = np.arange(points.shape[0])
+    if self_query:
+        # query k is column k + 1 itself, which it skips
+        qorder, qcols = order, cols[:, 1:-1]
+        sides = [(every, every, -1), (every, every + 2, 1)]
+    else:
+        qorder = np.argsort(points[:, axis])
+        qcols = points[qorder].T.copy()
+        start = np.searchsorted(cols[axis], qcols[axis])
+        sides = [(every, start - 1, -1), (every, start, 1)]
+    best = np.full(points.shape[0], np.inf)
+    while any(q.size for q, _, _ in sides):
+        for s, (q, j, step) in enumerate(sides):
+            gap = qcols[axis][q] - cols[axis][j]
+            reach = np.abs(gap) if line else gap * gap
+            held = best[q]
+            near = np.flatnonzero(reach < held)
+            q, j, held = q[near], j[near], held[near]
+            if line:
+                dist = reach[near]
+            else:
+                dist = 0.0
+                for k in range(points.shape[1]):
+                    d = qcols[k][q] - cols[k][j]
+                    dist = dist + d * d
+            best[q] = np.minimum(held, dist)
+            sides[s] = (q, j + step, step)
+    out = np.empty_like(best)
+    out[qorder] = best if line else np.sqrt(best)
+    return out
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Hausdorff distance between two finite clouds of the same dimension.
 
     The larger of the two directed distances, each the largest nearest
-    distance from one cloud to the other.  On the line the nearest distances
-    come from one sort of each cloud and np.searchsorted, and they equal
-    the kd-tree's sqrt(fl(d**2)) exactly while d**2 neither underflows nor
-    overflows (|d| in about [1.5e-154, 1.3e154]); outside that window they
-    are the exact |d|, which the kd-tree loses.  In two or more dimensions
-    both directions query a cKDTree.
+    distance from one cloud to the other, from the sorted sweep of
+    _nearest_distances.  Against a kd-tree (cKDTree), which adds the same
+    per-axis squares: in two to seven dimensions the distances are equal bit
+    for bit; from eight on the kd-tree adds them in four interleaved partial
+    sums, so the last bit can differ.  On the line they equal the kd-tree's
+    sqrt(fl(d**2)) while d**2 neither underflows nor overflows (|d| in about
+    [1.5e-154, 1.3e154]); outside that window they are the exact |d|, which
+    the kd-tree loses.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -330,6 +364,26 @@ def _as_cloud(points, dim=None):
     if dim is not None and pts.shape[1] != dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, maps expect {dim}")
     return pts
+
+
+def _word_maps(ifs: LimitIfs, depth: int, refuse):
+    """Yield (maps, lin, off) for n = 1..depth: the level-n maps, and the
+    linear parts (words, dim, dim) and offsets (words, dim) of the composed
+    maps W_1 o ... o W_n, one per word of length n in lexicographic order.
+    ``refuse(n, count)`` runs before level n composes its ``count`` words,
+    and raises to stop there."""
+    dim = ifs.dim
+    lin = np.eye(dim)[None, :, :]
+    off = np.zeros((1, dim))
+    for n in range(1, depth + 1):
+        maps = ifs.level(n)
+        count = lin.shape[0] * len(maps)
+        refuse(n, count)
+        lmat = np.stack([w.linear for w in maps])
+        loff = np.stack([w.translation for w in maps])
+        off = (np.einsum("wij,mj->wmi", lin, loff) + off[:, None, :]).reshape(count, dim)
+        lin = np.einsum("wij,mjk->wmik", lin, lmat).reshape(count, dim, dim)
+        yield maps, lin, off
 
 
 @dataclass
@@ -384,23 +438,16 @@ def contraction_limit(ifs: LimitIfs, seed, depth: int,
         image = np.vstack([w.apply(seed_pts) for w in ifs.level(n)])
         displacements[n - 1] = hausdorff_distance(image, seed_pts)
 
-    dim = ifs.dim
-    lin = np.eye(dim)[None, :, :]
-    off = np.zeros((1, dim))
-    prev = None
-    rho = []
-    for n in range(1, depth + 1):
-        maps = ifs.level(n)
-        count = lin.shape[0] * len(maps)
+    def refuse(n, count):
         if count * seed_pts.shape[0] > budget:
             raise BudgetExceeded(
                 f"level {n} needs {count * seed_pts.shape[0]} points, budget {budget}")
-        lmat = np.stack([w.linear for w in maps])
-        loff = np.stack([w.translation for w in maps])
-        new_off = (np.einsum("wij,mj->wmi", lin, loff) + off[:, None, :]).reshape(count, dim)
-        lin = np.einsum("wij,mjk->wmik", lin, lmat).reshape(count, dim, dim)
-        off = new_off
-        cloud = (np.einsum("wij,sj->wsi", lin, seed_pts) + off[:, None, :]).reshape(-1, dim)
+
+    prev = None
+    rho = []
+    for _, lin, off in _word_maps(ifs, depth, refuse):
+        cloud = (np.einsum("wij,sj->wsi", lin, seed_pts)
+                 + off[:, None, :]).reshape(-1, ifs.dim)
         if prev is not None:
             rho.append(hausdorff_distance(cloud, prev))
         prev = cloud
@@ -444,19 +491,13 @@ def attractor_cloud(ifs: LimitIfs, depth: int, seed=None,
     dim = ifs.dim
     seed_pt = np.zeros(dim) if seed is None else _as_cloud(seed, dim)[0]
 
-    lin = np.eye(dim)[None, :, :]
-    off = np.zeros((1, dim))
-    ratios = np.ones(1)
-    for n in range(1, depth + 1):
-        maps = ifs.level(n)
-        count = lin.shape[0] * len(maps)
+    def refuse(n, count):
         if count > budget:
             raise BudgetExceeded(f"depth {n} needs {count} words, budget {budget}")
-        lmat = np.stack([w.linear for w in maps])
-        loff = np.stack([w.translation for w in maps])
-        new_off = (np.einsum("wij,mj->wmi", lin, loff) + off[:, None, :]).reshape(count, dim)
-        lin = np.einsum("wij,mjk->wmik", lin, lmat).reshape(count, dim, dim)
-        off = new_off
+
+    lin, off = np.eye(dim)[None, :, :], np.zeros((1, dim))
+    ratios = np.ones(1)
+    for maps, lin, off in _word_maps(ifs, depth, refuse):
         ratios = (ratios[:, None] * np.array([w.ratio for w in maps])[None, :]).ravel()
     points = lin @ seed_pt + off
     return AttractorCloud(points=points, word_ratios=ratios, depth=depth)

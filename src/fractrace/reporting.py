@@ -1564,10 +1564,14 @@ def compare(path_a: str, path_b: str, out_path: str | None = None,
     for path in (path_a, path_b):
         try:
             with open(path) as fh:
-                docs.append(json.load(fh))
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("expected a JSON object, got a "
+                                 f"{type(doc).__name__}")
         except (OSError, ValueError) as e:
             print(f"$: cannot read report {path}: {e}", file=stderr)
             return 2
+        docs.append(doc)
     try:
         diff = compare_reports(docs[0], docs[1])
     except KindMismatch as e:
@@ -1575,8 +1579,12 @@ def compare(path_a: str, path_b: str, out_path: str | None = None,
         return 2
     text = dumps_canonical(diff)
     if out_path is not None:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"$: cannot write {out_path}: {e}", file=stderr)
+            return 2
         if not quiet:
             print(f"{diff['n_significant']} significant of "
                   f"{diff['n_compared']} compared -> {out_path}", file=stdout)

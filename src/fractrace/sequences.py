@@ -47,9 +47,11 @@ def _log_abs_expm1(z):
 def _log_exp_integral(g, r, dt):
     """log of integral_0^dt exp(g + r u) du, elementwise.
 
-    Rates below _TINY_RATE in size integrate as constants, g + log dt.
+    Rates below _TINY_RATE in size integrate as constants, g + log dt, and so
+    do pieces whose r * dt is subnormal, where it has lost bits and e^(r u)
+    is 1 to the last bit anyway.
     """
-    flat = np.abs(r) < _TINY_RATE
+    flat = (np.abs(r) < _TINY_RATE) | (np.abs(r * dt) < np.finfo(float).tiny)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = g + _log_abs_expm1(r * dt) - np.log(np.abs(np.where(flat, 1.0, r)))
         if flat.any():
@@ -157,7 +159,11 @@ class LogLinearProfile:
 
         if len(lm) >= 3 and lm[-1] < lm[-2]:
             rho = float(np.exp(lm[-1] - lm[-2]))
-            rem = lm[-1] + np.log(rho / (1.0 - rho)) if rho < 1.0 else np.inf
+            if rho == 0.0:
+                # the ratio underflowed; rho / (1 - rho) is rho to the last bit
+                rem = 2 * lm[-1] - lm[-2]
+            else:
+                rem = lm[-1] + np.log(rho / (1.0 - rho)) if rho < 1.0 else np.inf
         else:
             rem = np.inf
         return value, float(rem)

@@ -205,3 +205,27 @@ def test_compare_refuses_an_unreadable_report_with_exit_2(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"$: cannot read report {bad}")
+
+
+@pytest.mark.parametrize("content", ["[]", "3", '"report"', "null"])
+def test_compare_refuses_a_report_that_is_not_an_object(tmp_path, capsys,
+                                                         content):
+    good = write(tmp_path, "good.json", report({}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    assert cli.main(["compare", str(bad), good]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"$: cannot read report {bad}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_compare_refuses_an_out_path_it_cannot_write(tmp_path, capsys):
+    a = write(tmp_path, "a.json", report({"x": m(1.0, 0.9, 1.1)}))
+    out = tmp_path / "missing" / "diff.json"
+    assert cli.main(["compare", a, a, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"$: cannot write {out}: ")
+    assert "Traceback" not in captured.err
+    assert not out.parent.exists()

@@ -1,12 +1,14 @@
-"""Nearest distances on the line and sort-based box counting, against the
-code they replaced.
+"""The sorted nearest-distance sweep and sort-based box counting, against
+the code they replaced.
 
 ``cKDTree`` was the nearest-distance route for clouds of every dimension,
 and ``np.unique(boxes, axis=0)`` counted the boxes.  Both stay the oracles
-here: the sorted route must give the kd-tree's distances bit for bit inside
-its exactness window, and the lexsort count must give the same counts in one
-to three dimensions.  Outside the window the kd-tree's sqrt(fl(d**2)) loses
-d, and the sorted route keeps the exact |d|; one test states that change.
+here.  In two or more dimensions the sweep must give the kd-tree's
+distances bit for bit, on random clouds and on degenerate ones: many points
+sharing a coordinate, and grids.  On the line it must give them inside its
+exactness window, where sqrt(fl(d**2)) equals |d|; outside the window the
+kd-tree loses d, and the sweep keeps the exact |d|, which one test states.
+The lexsort count must give np.unique's counts in one to three dimensions.
 """
 
 import numpy as np
@@ -31,19 +33,30 @@ MAGNITUDES = st.one_of(
 
 
 @st.composite
-def line_clouds(draw):
-    """Unsorted (n, 1) clouds with duplicates and one-ulp neighbours."""
-    base = draw(st.lists(MAGNITUDES, min_size=1, max_size=40))
+def clouds(draw, dim):
+    """Unsorted (n, dim) clouds with duplicates, ties and, on each axis,
+    one-ulp neighbours."""
+    base = draw(st.lists(st.lists(MAGNITUDES, min_size=dim, max_size=dim),
+                         min_size=1, max_size=40))
     moves = st.sampled_from(["same", "up", "down"])
-    extra = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), moves),
+    extra = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                    st.integers(0, dim - 1), moves),
                           max_size=20))
     # a step from 0 would leave the window, so 0 only repeats
     step = {"same": lambda x: x,
             "up": lambda x: np.nextafter(x, np.inf) if x else x,
             "down": lambda x: np.nextafter(x, -np.inf) if x else x}
-    pts = base + [float(step[m](base[i])) for i, m in extra]
+    pts = [list(p) for p in base]
+    for i, axis, move in extra:
+        p = list(base[i])
+        p[axis] = float(step[move](p[axis]))
+        pts.append(p)
     order = draw(st.permutations(range(len(pts))))
-    return np.array(pts)[list(order)].reshape(-1, 1)
+    return np.array(pts)[list(order)].reshape(-1, dim)
+
+
+cloud_pairs = st.integers(1, 3).flatmap(
+    lambda dim: st.tuples(clouds(dim), clouds(dim)))
 
 
 def kd_hausdorff(a, b):
@@ -51,15 +64,19 @@ def kd_hausdorff(a, b):
                      cKDTree(a).query(b)[0].max()))
 
 
-@given(line_clouds(), line_clouds())
-@settings(max_examples=200, deadline=None)
-def test_line_nearest_distances_match_the_kd_tree(a, b):
+def assert_matches_the_kd_tree(a, b):
     np.testing.assert_array_equal(_nearest_distances(a, b),
                                   cKDTree(b).query(a)[0])
     np.testing.assert_array_equal(_nearest_distances(a),
                                   cKDTree(a).query(a, k=2)[0][:, 1])
     assert hausdorff_distance(a, b) == kd_hausdorff(a, b)
     assert hausdorff_distance(b, a) == kd_hausdorff(a, b)
+
+
+@given(cloud_pairs)
+@settings(max_examples=300, deadline=None)
+def test_nearest_distances_match_the_kd_tree(pair):
+    assert_matches_the_kd_tree(*pair)
 
 
 def test_hausdorff_distance_takes_both_directions():
@@ -70,12 +87,42 @@ def test_hausdorff_distance_takes_both_directions():
     assert hausdorff_distance(far, near) == 4.0
 
 
-def test_planar_clouds_keep_the_kd_tree():
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_random_clouds_match_the_kd_tree(dim):
+    """Sums of three or more squares in another order, or through
+    np.einsum, differ from the kd-tree's in the last bit here."""
     rng = np.random.default_rng(11)
-    a, b = rng.normal(size=(30, 2)), rng.normal(size=(17, 2))
-    assert hausdorff_distance(a, b) == kd_hausdorff(a, b)
-    np.testing.assert_array_equal(_nearest_distances(a),
-                                  cKDTree(a).query(a, k=2)[0][:, 1])
+    a, b = rng.normal(size=(300, dim)), rng.normal(size=(170, dim))
+    assert_matches_the_kd_tree(a, b)
+
+
+def grid(*sides):
+    return np.stack(np.meshgrid(*[np.arange(n, dtype=float) for n in sides],
+                                indexing="ij"), axis=-1).reshape(-1, len(sides))
+
+
+def shared_coordinate(rng):
+    """Two lines of 150 points at x = 0 and x = 3, spread over y in [0, 1]:
+    x is the axis of widest spread, and every point ties on it with 149
+    others."""
+    y = rng.uniform(0.0, 1.0, size=(300, 1))
+    x = np.repeat([[0.0], [3.0]], 150, axis=0)
+    return np.hstack([x, y])
+
+
+@pytest.mark.parametrize("make", [
+    shared_coordinate,
+    lambda rng: grid(15, 15),
+    lambda rng: grid(6, 5, 4) * [1.0, 0.5, 2.0],
+    lambda rng: np.vstack([grid(12, 12), grid(12, 12)[::5]]),
+], ids=["shared-coordinate", "grid", "grid-3d", "grid-with-duplicates"])
+def test_degenerate_clouds_match_the_kd_tree(make):
+    rng = np.random.default_rng(5)
+    a = make(rng)
+    a = a[rng.permutation(len(a))]
+    b = a[rng.integers(0, len(a), size=len(a) // 3)] + rng.choice(
+        [0.0, 0.5, 1.0], size=(len(a) // 3, a.shape[1]))
+    assert_matches_the_kd_tree(a, b)
 
 
 def test_clouds_of_different_dimensions_are_refused():

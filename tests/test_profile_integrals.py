@@ -81,7 +81,15 @@ def assert_close(got, want):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (got, want)
 
 
+# a query 3e-308 past the first knot of a piece with rate r = -1e-11: r * dt
+# is subnormal, and kept only a few bits
+NEAR_KNOT = (0.5, LogLinearProfile([0.0, 1.0, 2.75], [0.0, 1.0],
+                                   [(1.0 + 1e-11) / 0.5, 0.5]),
+             np.array([0.0, 1.0, 2.75, 3.05947656e-308]))
+
+
 @given(profiles())
+@example(NEAR_KNOT)
 @settings(max_examples=40, deadline=None)
 def test_log_sigma_matches_quadrature(drawn):
     gamma, prof, queries = drawn
@@ -98,8 +106,16 @@ FAR_TAIL = (2.5, LogLinearProfile([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0],
                                   [0.4] * 5 + [2.0]), np.array([5.0]))
 
 
+# a last piece whose mass is about e^-749 of the one before: the remainder
+# ratio underflows to 0
+STEEP_LAST = (2.5, LogLinearProfile([0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                                    [0.0, 0.0, 0.0, 0.0, 300.0], [0.0] * 5),
+              np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]))
+
+
 @given(profiles())
 @example(FAR_TAIL)
+@example(STEEP_LAST)
 @settings(max_examples=40, deadline=None)
 def test_log_s_tail_matches_quadrature(drawn):
     gamma, prof, queries = drawn
@@ -108,6 +124,7 @@ def test_log_s_tail_matches_quadrature(drawn):
         for tq, value in zip(queries, got):
             assert_close(float(value), oracle(prof, gamma, tq, upper=True))
     assert not math.isnan(rem)
+    assert rem > -math.inf
 
 
 def test_a_query_on_a_negative_last_knot_is_inside_the_profile():

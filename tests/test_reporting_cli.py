@@ -234,21 +234,22 @@ def test_cli_import_leaves_scipy_spatial_out(tmp_path):
     assert (tmp_path / "out" / "planar.report.json").exists()
 
 
-LINE_THEN_PLANE = """
+ONE_BY_ONE = """
 import sys
 from fractrace import cli
 *configs, out_dir = sys.argv[1:]
+print("scipy" in sys.modules)
 for config in configs:
     assert cli.main(["run", "--config", config, "--out-dir", out_dir,
                      "--quiet"]) == 0
-    print("scipy.spatial" in sys.modules)
+    print("scipy" in sys.modules)
 """
 
 
-def test_line_clouds_leave_scipy_spatial_out(tmp_path):
-    """Box counting and the contraction iteration on a line system do not
-    load scipy.spatial; the same run on a planar system, which uses the
-    kd-tree, still works."""
+def test_no_kind_imports_scipy(tmp_path):
+    """No kind loads scipy: not box counting and the contraction iteration
+    on a line or a planar system, and not any experiment of the six kinds.
+    Each runs alone, so in this process rather than a forked helper."""
     line = {"kind": "IFS_CLASSICAL", "name": "line",
             "parameters": {"ifs": line_ifs(0.3, 0.4), "depth": 6,
                            "gaps": False, "box_dimension": {"cloud_depth": 10},
@@ -257,8 +258,10 @@ def test_line_clouds_leave_scipy_spatial_out(tmp_path):
              "parameters": {"ifs": PLANAR_IFS, "depth": 4,
                             "box_dimension": {"cloud_depth": 6},
                             "contraction": {"depth": 6}}}
-    assert run_script(tmp_path, LINE_THEN_PLANE, line, plane).split() == \
-        ["False", "True"]
+    docs = [line, plane, *SIX_KINDS["experiments"]]
+    assert run_script(tmp_path, ONE_BY_ONE, *docs).split() == \
+        ["False"] * (1 + len(docs))
+    assert {doc["kind"] for doc in docs} == set(reporting.KINDS)
     for name in ("line", "plane"):
         report = json.loads((tmp_path / "out" / f"{name}.report.json")
                             .read_text())
