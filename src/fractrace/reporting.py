@@ -16,10 +16,14 @@ everything here:
 * Report bytes are deterministic.  Keys are sorted, floats are written with
   17 significant digits (enough to round-trip exactly), and the only fields
   a replay can change are meta.wall_time_s and meta.package, which names
-  the installed fractrace distribution.  A list whose elements are all
-  finite Python floats is formatted in one pass with that same 17-digit
-  rule, so a long echoed ``values`` list costs one format call, not one
-  recursive call per element.
+  the installed fractrace distribution.
+* A report echoes its experiment's config, with one exception: a field of
+  type ``values`` is echoed as ``{"n": N, "sha256": HEX}``, its length and
+  the SHA-256 of the validated list as little-endian float64 bytes, so ``1``
+  and ``1.0`` give one digest.  From the config file's list ``xs``:
+  ``hashlib.sha256(struct.pack("<%dd" % len(xs), *xs)).hexdigest()``.  So a
+  report plus its config file, not the report alone, replays a ``values``
+  experiment.
 * CSV series are plain columns.  Integer cells are written with ``str`` and
   float cells with ``repr``, the shortest text that round-trips the float64
   (so ``0.1`` stays ``0.1``, where the report JSON writes 17 significant
@@ -43,6 +47,7 @@ and took experiments with it (each is named on stderr as LOST).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -76,7 +81,7 @@ KINDS = (SEQUENCE_ANALYSIS, EXEMPLAR, IFS_CLASSICAL, GAP_TRIPLE, PAIR_TRIPLE,
 DEFAULT_ENTRY_BUDGET = 2 * 10**6
 DEFAULT_WORD_BUDGET = 10**7
 DEFAULT_SERIES_ROWS = 10**5
-REPORT_FORMAT = "fractrace-report/1"
+REPORT_FORMAT = "fractrace-report/2"
 DIFF_FORMAT = "fractrace-diff/1"
 
 try:
@@ -97,9 +102,6 @@ class Budget:
 # ---------------------------------------------------------------------------
 # deterministic JSON
 
-_FLOAT_ONLY = frozenset({float})
-
-
 def _format_float(x: float) -> str:
     if math.isnan(x):
         return '"nan"'
@@ -109,26 +111,6 @@ def _format_float(x: float) -> str:
     if "." not in s and "e" not in s:
         s += ".0"
     return s
-
-
-def _emit_floats(xs, pad: str) -> str:
-    """``_emit`` of a nonempty list of finite Python floats, in one pass.
-
-    One %-format over the whole list writes every text with the 17-digit
-    rule of ``_format_float``.  Its '.0' suffix goes where that text has
-    neither '.' nor 'e', which for a finite float is exactly an integral
-    value below 1e17 in magnitude: larger integers take the exponent form,
-    and a non-integer lies at least one ulp (more than |x| 2**-53) from
-    every integer, farther than rounding to 17 significant digits can move
-    it.
-    """
-    fmt = "\n".join(["%.17g.0" if x.is_integer() and -1e17 < x < 1e17
-                      else "%.17g" for x in xs])
-    text = fmt % tuple(xs)
-    if len(text) - (len(xs) - 1) < 72:
-        return "[" + text.replace("\n", ", ") + "]"
-    inner = pad + "  "
-    return "[\n" + inner + text.replace("\n", ",\n" + inner) + "\n" + pad + "]"
 
 
 def _emit(obj, indent: int) -> str:
@@ -146,8 +128,6 @@ def _emit(obj, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == _FLOAT_ONLY and all(map(math.isfinite, obj)):
-            return _emit_floats(obj, pad)
         items = [_emit(v, indent + 1) for v in obj]
         if all(not isinstance(v, (list, tuple, dict)) for v in obj) \
                 and sum(len(s) for s in items) < 72:
@@ -689,7 +669,9 @@ _OBJECTS = {
     "output": _Obj({"report": _F("name", "report file name; null: "
                                  "<name>.report.json")}),
     SEQUENCE_ANALYSIS: _Obj({
-        "values": _F("values", "the eigenvalues, nonincreasing", req=True,
+        "values": _F("values", "the eigenvalues, nonincreasing; a report "
+                     "echoes them as {n, sha256}: their count and the SHA-256 "
+                     "of their little-endian float64 bytes", req=True,
                      when=("values",)),
         "mu": _F("mu", "the eigenvalues as a function of n", req=True,
                  when=("mu",)),
@@ -812,7 +794,8 @@ class Experiment:
     series: bool
     report_name: str
     params: dict   # validated and normalized; holds built objects
-    raw: dict      # the user's object, echoed into the report
+    raw: dict      # the user's object; the report echoes it, each values
+                   # field as its digest (see _config_echo)
 
 
 def _experiment(ctx, obj, path, budget, index):
@@ -1291,6 +1274,24 @@ _RUNNERS = {
 }
 
 
+def _digest(values) -> dict:
+    """A values field as a report echoes it: length and SHA-256 of the
+    little-endian float64 bytes."""
+    data = np.asarray(values, dtype="<f8").tobytes()
+    return {"n": len(values), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _config_echo(exp: Experiment) -> dict:
+    """``exp.raw`` with each field of type values among the kind's parameters
+    replaced by the digest of its validated array."""
+    p = exp.params
+    digests = {k: _digest(p[k]) for k, f in _OBJECTS[exp.kind].fields.items()
+               if f.type == "values" and k in p}
+    if not digests:
+        return exp.raw
+    return dict(exp.raw, parameters=dict(exp.raw["parameters"], **digests))
+
+
 def run_experiment(exp: Experiment, budget: Budget, out_dir: str) -> dict:
     """Execute one validated experiment and return its report document."""
     t0 = time.perf_counter()
@@ -1300,7 +1301,7 @@ def run_experiment(exp: Experiment, budget: Budget, out_dir: str) -> dict:
         "format": REPORT_FORMAT,
         "name": exp.name,
         "kind": exp.kind,
-        "config": exp.raw,
+        "config": _config_echo(exp),
         "budget": {"entries": budget.entries, "words": budget.words},
         "results": results,
         "series": series,
@@ -1533,15 +1534,20 @@ def compare_reports(doc_a: dict, doc_b: dict) -> dict:
     Measurements are compared through their intervals: the difference is
     flagged significant only when the intervals are disjoint.  Bare values
     (counts, labels, routes) must match exactly.  Wall time and the rest of
-    the meta block are not compared.  Raises KindMismatch when the reports
-    describe different experiment kinds.
+    the meta block are not compared.  ``config_identical`` holds when both
+    reports have one format and the same config echo; a values list is
+    echoed as its digest, so equal digests stand for equal lists.  A
+    fractrace-report/1 report, which echoed the list itself, and a /2
+    report never have identical configs.  Raises KindMismatch when the
+    reports describe different experiment kinds.
     """
     ka, kb = doc_a.get("kind"), doc_b.get("kind")
     if ka != kb:
         raise KindMismatch(f"cannot compare {ka} with {kb}")
     rows = []
     _diff_walk(doc_a.get("results"), doc_b.get("results"), "$.results", rows)
-    same_config = dumps_canonical(doc_a.get("config")) \
+    same_config = doc_a.get("format") == doc_b.get("format") \
+        and dumps_canonical(doc_a.get("config")) \
         == dumps_canonical(doc_b.get("config"))
     return {
         "format": DIFF_FORMAT,

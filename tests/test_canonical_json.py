@@ -1,5 +1,5 @@
-"""Canonical JSON against the recursive per-element emitter it replaces, and
-the one-pass validation of explicit ``values`` lists."""
+"""Canonical JSON against a recursive reference emitter, and the one-pass
+validation of explicit ``values`` lists."""
 
 import json
 import math

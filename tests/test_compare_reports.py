@@ -2,10 +2,12 @@
 
 Two measurements differ significantly only when their intervals are
 disjoint; bare numbers and labels must match exactly; ``meta`` is never
-compared.
+compared.  ``config_identical`` compares the config echoes of one report
+format, in which a ``values`` list is its digest.
 """
 
 import json
+import math
 
 import pytest
 
@@ -229,3 +231,40 @@ def test_compare_refuses_an_out_path_it_cannot_write(tmp_path, capsys):
     assert captured.err.startswith(f"$: cannot write {out}: ")
     assert "Traceback" not in captured.err
     assert not out.parent.exists()
+
+
+# --- configs: values lists by digest ----------------------------------------
+
+VALUES = [1.0 / k for k in range(1, 201)]
+
+
+def values_report(tmp_path, values, out) -> dict:
+    """The report of a SEQUENCE_ANALYSIS run on ``values``."""
+    config = {"kind": "SEQUENCE_ANALYSIS", "name": "v", "series": False,
+              "parameters": {"values": values}}
+    path = write(tmp_path, f"{out}.json", config)
+    assert cli.main(["run", "--config", path, "--out-dir",
+                     str(tmp_path / out), "--quiet"]) == 0
+    return json.loads((tmp_path / out / "v.report.json").read_text())
+
+
+def test_config_identical_compares_values_digests(tmp_path):
+    first, second = (values_report(tmp_path, VALUES, out) for out in "ab")
+    assert first["config"]["parameters"]["values"]["n"] == len(VALUES)
+    assert compare_reports(first, second)["config_identical"] is True
+    moved = list(VALUES)
+    moved[100] = math.nextafter(moved[100], 0.0)
+    diff = compare_reports(first, values_report(tmp_path, moved, "c"))
+    assert diff["config_identical"] is False
+
+
+def test_reports_of_two_formats_never_have_identical_configs(tmp_path):
+    new = values_report(tmp_path, VALUES, "a")
+    # a /1 report echoed the list itself
+    old = dict(new, format="fractrace-report/1",
+               config=dict(new["config"], parameters={"values": VALUES}))
+    assert compare_reports(old, new)["config_identical"] is False
+    # and the format decides where the two echoes agree
+    old = dict(new, format="fractrace-report/1")
+    assert compare_reports(old, new)["config_identical"] is False
+    assert compare_reports(new, dict(new))["config_identical"] is True

@@ -3,7 +3,9 @@ reports byte for byte, apart from the run-dependent meta fields.
 
 ``golden/config.json`` holds an explicit ``values`` list of 2,000 floats
 (integral ones among them), a ``mu`` power sequence and a two-slope
-exemplar.  ``golden/series/config.json`` runs with series on: a summable
+exemplar.  A report cites a ``values`` list by its length and SHA-256, so
+the goldens pin the list's digest, not its text; how integral floats are
+written is pinned in ``test_canonical_json.py``.  ``golden/series/config.json`` runs with series on: a summable
 and a slowly decaying ``mu`` power sequence (both discrete scan kinds), a
 staircase ``values`` list (the jump route), and a two-slope and a step
 exemplar (the analytic scans).  ``golden/models/config.json`` runs the
