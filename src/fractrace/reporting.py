@@ -47,7 +47,6 @@ and took experiments with it (each is named on stderr as LOST).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -1277,6 +1276,9 @@ _RUNNERS = {
 def _digest(values) -> dict:
     """A values field as a report echoes it: length and SHA-256 of the
     little-endian float64 bytes."""
+    # imported here: hashlib loads OpenSSL, about 3.5 MB of resident memory
+    # that every other run, and every import of the package, does without
+    import hashlib
     data = np.asarray(values, dtype="<f8").tobytes()
     return {"n": len(values), "sha256": hashlib.sha256(data).hexdigest()}
 

@@ -269,6 +269,17 @@ def test_no_kind_imports_scipy(tmp_path):
             ["box_dimension_estimate", "contraction_limit"]
 
 
+def test_only_a_values_experiment_loads_hashlib(tmp_path):
+    """The digest of a values list is the one use of hashlib, which loads
+    OpenSSL: the import and a mu run leave it out, a values run loads it."""
+    mu = {"kind": "SEQUENCE_ANALYSIS", "name": "mu", "series": False,
+          "parameters": {"mu": {"form": "power", "exponent": 2.0}}}
+    values = {"kind": "SEQUENCE_ANALYSIS", "name": "values", "series": False,
+              "parameters": {"values": [1.0 / k for k in range(1, 101)]}}
+    assert run_script(tmp_path, ONE_BY_ONE.replace("scipy", "hashlib"), mu,
+                      values).split() == ["False", "False", "True"]
+
+
 def masked(path):
     # meta holds the wall time and nothing nested
     text = re.sub(r'"meta": \{[^{}]*\}', "", path.read_text())
