@@ -5,8 +5,9 @@ reports byte for byte, apart from the run-dependent meta fields.
 (integral ones among them), a ``mu`` power sequence and a two-slope
 exemplar.  A report cites a ``values`` list by its length and SHA-256, so
 the goldens pin the list's digest, not its text; how integral floats are
-written is pinned in ``test_canonical_json.py``.  ``golden/series/config.json`` runs with series on: a summable
-and a slowly decaying ``mu`` power sequence (both discrete scan kinds), a
+written is pinned in ``test_canonical_json.py``.
+``golden/series/config.json`` runs with series on: a summable and a slowly
+decaying ``mu`` power sequence (both discrete scan kinds), a
 staircase ``values`` list (the jump route), and a two-slope and a step
 exemplar (the analytic scans).  ``golden/models/config.json`` runs the
 model kinds with series on: a stationary and a periodic IFS_CLASSICAL, a
