@@ -43,8 +43,7 @@ def run_values(tmp_path, values, name="values", out="out") -> tuple:
 def test_the_digest_is_the_one_recomputed_from_the_config_file(tmp_path):
     config, report, _ = run_values(tmp_path, DESCENDING)
     assert report["format"] == "fractrace-report/2"
-    assert report["config"]["parameters"]["values"] == oracle(config)
-    # every other field is echoed as given
+    # the digest, and every other field as given
     assert report["config"] == {
         "kind": SEQUENCE_ANALYSIS, "name": "values", "series": False,
         "parameters": {"values": oracle(config), "tolerance": 0.05}}
