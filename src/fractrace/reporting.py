@@ -24,12 +24,14 @@ everything here:
   ``hashlib.sha256(struct.pack("<%dd" % len(xs), *xs)).hexdigest()``.  So a
   report plus its config file, not the report alone, replays a ``values``
   experiment.
-* CSV series are plain columns.  Integer cells are written with ``str`` and
-  float cells with ``repr``, the shortest text that round-trips the float64
-  (so ``0.1`` stays ``0.1``, where the report JSON writes 17 significant
-  digits and quotes nan and infinities; CSV writes them bare).  A model's
-  entries CSV has one row per entry, so each repeated eigenvalue repeats
-  its row.
+* This module writes every file a run leaves; the numeric modules only
+  compute.  CSV series are plain columns, written by ``_write_csv`` here as
+  ``<name>.<key>.csv`` and listed under the report's ``series``.  Integer
+  cells are written with ``str`` and float cells with ``repr``, the
+  shortest text that round-trips the float64 (so ``0.1`` stays ``0.1``,
+  where the report JSON writes 17 significant digits and quotes nan and
+  infinities; CSV writes them bare).  A model's entries CSV has one row per
+  entry, so each repeated eigenvalue repeats its row.
 * A batch runs on every CPU the process may use.  The process count P is
   the size of the CPU affinity mask (``os.sched_getaffinity``), at most the
   number of experiments.  Experiments are dealt round-robin by config
@@ -66,7 +68,7 @@ from . import fractal_geometry as fg
 from . import spectral_triples as st
 from .errors import (BudgetExceeded, FractraceError, KindMismatch,
                      ValidationError)
-from .sequences import NON_TRACE_CLASS, EigenvalueSequence, _write_csv
+from .sequences import NON_TRACE_CLASS, EigenvalueSequence
 
 SEQUENCE_ANALYSIS = "SEQUENCE_ANALYSIS"
 EXEMPLAR = "EXEMPLAR"
@@ -846,27 +848,102 @@ def parse_config(doc, budget: Budget = Budget()) -> list:
 # ---------------------------------------------------------------------------
 # CSV series
 
+_CSV_BLOCK_ROWS = 4096
+
+
+def _csv_cells(col: np.ndarray) -> list:
+    """Cell text of one column: integers by str, anything else by the
+    shortest round-trip repr of its float64 value.
+
+    Eigenvalue lists repeat values (every model entry is listed twice, and
+    products of contraction ratios recur across words), so floats are
+    formatted once per distinct bit pattern and indexed back; bit patterns
+    keep -0.0 apart from 0.0, and every NaN prints as nan.
+    """
+    if col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    bits = np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())),
+                    dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_csv(path, header: str, columns):
+    """Write `header`, then row k of the CSV from element k of every column,
+    stopping at the shortest column.
+
+    Rows are formatted and written in blocks of _CSV_BLOCK_ROWS, so the cell
+    text held at once stays bounded whatever the column length; distinct
+    floats are found per block for the same reason.
+    """
+    cols = [np.asarray(c) for c in columns]
+    n_rows = min((len(c) for c in cols), default=0)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, n_rows)
+            cells = [_csv_cells(c[lo:hi]) for c in cols]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+class _Series:
+    """The CSV series of one experiment.  ``files`` maps each key written to
+    its file name, the report's ``series``; with the experiment's series
+    off, nothing is written."""
+
+    def __init__(self, exp, out_dir):
+        self.on = exp.series
+        self.name = exp.name
+        self.out_dir = out_dir
+        self.files = {}
+
+    def write(self, key, header, columns, max_rows=None, numbered=False):
+        """Write ``<name>.<key>.csv``: at most ``max_rows`` rows (all when
+        None), behind a first column numbering them from 1 when
+        ``numbered``."""
+        if not self.on:
+            return
+        cols = [np.asarray(c)[:max_rows] for c in columns]
+        if numbered:
+            cols.insert(0, np.arange(1, min(map(len, cols)) + 1))
+        fname = f"{self.name}.{key}.csv"
+        _write_csv(f"{self.out_dir}/{fname}", header, cols)
+        self.files[key] = fname
+
+
 def _sample_indices(cap: int, n: int = 256) -> np.ndarray:
     return np.unique(np.geomspace(1, cap, n).astype(np.int64))
 
 
-def _series_partial_sums(path, seq: EigenvalueSequence):
+def _sequence_series(out, seq, scan):
+    """A sequence's partial sums S_n at sampled n, and its eccentricity
+    scan's ratio gaps."""
+    if not out.on:   # the partial sums are computed for their CSV only
+        return
     n = _sample_indices(seq.cap)
-    s = asy.partial_sums(seq, NON_TRACE_CLASS, n).values
-    _write_csv(path, "n,S_n", [n, s])
+    out.write("partial_sums", "n,S_n",
+              [n, asy.partial_sums(seq, NON_TRACE_CLASS, n).values])
+    out.write("eccentricity", "log_n,ratio_gap", [scan.t_points, scan.gaps])
 
 
-def _series_scan(path, scan):
-    _write_csv(path, "log_n,ratio_gap", [scan.t_points, scan.gaps])
+def _entries_table(model):
+    """Header and columns of a model's entries CSV: mu_k and the coordinates
+    of both tags, one row per entry."""
+    tx, ty = model.tag_matrix()
+    dim = tx.shape[1]
+    axes = [""] if dim == 1 else [f"_{i}" for i in range(1, dim + 1)]
+    header = ",".join(["k", "mu_k"] + [f"tag_{t}{a}" for t in "xy"
+                                       for a in axes])
+    return header, [model.values, *tx.T, *ty.T]
 
 
-def _series_dimension_ratios(path, values):
+def _dimension_ratios(values):
     """Partial dimension ratios log n / log(1/mu_n) along the enumeration."""
     n = _sample_indices(len(values))
     mu = np.asarray(values, dtype=float)[n - 1]
     ok = (mu > 0) & (mu < 1) & (n > 1)
-    r = np.log(n[ok]) / np.log(1.0 / mu[ok])
-    _write_csv(path, "n,dimension_ratio", [n[ok], r])
+    return [n[ok], np.log(n[ok]) / np.log(1.0 / mu[ok])]
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +984,7 @@ def _analyze_entry(seq, tolerance) -> dict:
     return entry, rep
 
 
-def _run_sequence_analysis(exp, budget, out_dir):
+def _run_sequence_analysis(exp, budget, out):
     p = exp.params
     if "values" in p:
         seq = EigenvalueSequence.from_values(p["values"], name=exp.name)
@@ -923,21 +1000,11 @@ def _run_sequence_analysis(exp, budget, out_dir):
                  "parameters": dict(p["mu"]),
                  "values": {"cap": int(seq.cap)}}
     entry, rep = _analyze_entry(seq, p["tolerance"])
-    series = {}
-    if exp.series:
-        series = _sequence_series(exp, out_dir, seq, rep.scan)
-    return [build, entry], series, int(seq.cap)
+    _sequence_series(out, seq, rep.scan)
+    return [build, entry], int(seq.cap)
 
 
-def _sequence_series(exp, out_dir, seq, scan):
-    f1 = f"{exp.name}.partial_sums.csv"
-    _series_partial_sums(f"{out_dir}/{f1}", seq)
-    f2 = f"{exp.name}.eccentricity.csv"
-    _series_scan(f"{out_dir}/{f2}", scan)
-    return {"partial_sums": f1, "eccentricity": f2}
-
-
-def _run_exemplar(exp, budget, out_dir):
+def _run_exemplar(exp, budget, out):
     p = exp.params
     if p["family"] == "two_slope":
         g = p["gaps"]
@@ -968,10 +1035,8 @@ def _run_exemplar(exp, budget, out_dir):
                        "inf_gap": _val(scan.inf_gap),
                        "nonempty": bool(scan.nonempty),
                        "route": scan.route}})
-    series = {}
-    if exp.series:
-        series = _sequence_series(exp, out_dir, seq, rep.scan)
-    return results, series, int(seq.cap)
+    _sequence_series(out, seq, rep.scan)
+    return results, int(seq.cap)
 
 
 def _gap_list_entry(gaps, depth, interval) -> dict:
@@ -1003,11 +1068,10 @@ def _similarity_val(d) -> dict:
     return _val(d, d - tol, d + tol)
 
 
-def _run_ifs_classical(exp, budget, out_dir):
+def _run_ifs_classical(exp, budget, out):
     p = exp.params
     ifs = p["ifs"]
     results = []
-    series = {}
     if ifs.generation == fg.STATIONARY:
         results.append({"module": "fractal_geometry",
                         "op": "similarity_dimension", "parameters": {},
@@ -1019,14 +1083,9 @@ def _run_ifs_classical(exp, budget, out_dir):
                                          interval=p["interval"],
                                          budget=budget.words)
         results.append(_gap_list_entry(gaps, p["depth"], p["interval"]))
-        if exp.series:
-            rows = min(len(gaps.lengths), p["series_max_rows"])
-            fname = f"{exp.name}.gaps.csv"
-            _write_csv(f"{out_dir}/{fname}", "k,start,end,length,level",
-                       [np.arange(1, rows + 1), gaps.starts[:rows],
-                        gaps.ends[:rows], gaps.lengths[:rows],
-                        gaps.levels[:rows]])
-            series["gaps"] = fname
+        out.write("gaps", "k,start,end,length,level",
+                  [gaps.starts, gaps.ends, gaps.lengths, gaps.levels],
+                  p["series_max_rows"], numbered=True)
     if p["box_dimension"] is not None:
         cd = p["box_dimension"].get("cloud_depth") or p["depth"]
         cloud = fg.attractor_cloud(ifs, cd, budget=budget.words)
@@ -1038,11 +1097,7 @@ def _run_ifs_classical(exp, budget, out_dir):
                                                      est.upper),
                                    "n_eps": int(len(est.eps)),
                                    "cloud_points": int(len(cloud.points))}})
-        if exp.series:
-            fname = f"{exp.name}.box_counts.csv"
-            _write_csv(f"{out_dir}/{fname}", "eps,count",
-                       [est.eps, est.counts])
-            series["box_counts"] = fname
+        out.write("box_counts", "eps,count", [est.eps, est.counts])
     if p["minkowski"] is not None:
         d = p["minkowski"]["exponent"]
         if d is None:
@@ -1058,11 +1113,8 @@ def _run_ifs_classical(exp, budget, out_dir):
                                    "oscillation_coarse":
                                        _val(content.oscillation_coarse),
                                    "n_eps": int(len(content.eps))}})
-        if exp.series:
-            fname = f"{exp.name}.tube.csv"
-            _write_csv(f"{out_dir}/{fname}", "eps,ratio_lo,ratio_hi",
-                       [content.eps, content.ratio_lo, content.ratio_hi])
-            series["tube"] = fname
+        out.write("tube", "eps,ratio_lo,ratio_hi",
+                  [content.eps, content.ratio_lo, content.ratio_hi])
     if p["cylinder"] is not None:
         s = p["cylinder"]["exponent"]
         cd = p["cylinder"]["depth"] or p["depth"]
@@ -1091,7 +1143,7 @@ def _run_ifs_classical(exp, budget, out_dir):
                                    "final_step": _val(float(run.rho[-1])),
                                    "steps": int(len(run.rho))}})
     entries_used = 0 if gaps is None else 2 * int(len(gaps.lengths))
-    return results, series, entries_used
+    return results, entries_used
 
 
 def _spectral_dim_entry(model) -> dict:
@@ -1154,7 +1206,7 @@ def _residue_wanted(p, model) -> bool:
     return model.ifs.generation == fg.STATIONARY
 
 
-def _model_entries(exp, model, out_dir):
+def _model_entries(exp, model, out):
     """Operations shared by the two model kinds, in report order."""
     p = exp.params
     results = [_spectral_dim_entry(model)]
@@ -1166,15 +1218,12 @@ def _model_entries(exp, model, out_dir):
         func, echo = p["functional"]
         results.append(_functional_entry(model, func, echo, p["exponent"],
                                          p["tolerance"]))
-    series = {}
-    if exp.series:
-        fname = f"{exp.name}.entries.csv"
-        model.to_csv(f"{out_dir}/{fname}", max_rows=p["series_max_rows"])
-        series["entries"] = fname
-        fname = f"{exp.name}.dimension_ratios.csv"
-        _series_dimension_ratios(f"{out_dir}/{fname}", model.values)
-        series["dimension_ratios"] = fname
-    return results, series
+    out.write("entries", *_entries_table(model), p["series_max_rows"],
+              numbered=True)
+    if out.on:   # the ratios are computed for their CSV only
+        out.write("dimension_ratios", "n,dimension_ratio",
+                  _dimension_ratios(model.values))
+    return results
 
 
 def _gap_model(p, budget):
@@ -1191,7 +1240,7 @@ def _gap_model(p, budget):
     return gaps, model
 
 
-def _run_gap_triple(exp, budget, out_dir):
+def _run_gap_triple(exp, budget, out):
     p = exp.params
     gaps, model = _gap_model(p, budget)
     build = {"module": "spectral_triples", "op": "gap_triple",
@@ -1203,11 +1252,10 @@ def _run_gap_triple(exp, budget, out_dir):
                         "completeness_cutoff": _val(gaps.completeness_cutoff),
                         "max_value": _val(model.values[0]),
                         "min_value": _val(model.values[-1])}}
-    results, series = _model_entries(exp, model, out_dir)
-    return [build] + results, series, len(model)
+    return [build] + _model_entries(exp, model, out), len(model)
 
 
-def _run_pair_triple(exp, budget, out_dir):
+def _run_pair_triple(exp, budget, out):
     p = exp.params
     seed = p["seed_pair"]
     model = st.pair_triple(p["ifs"], seed=seed, cap=p["cap"],
@@ -1221,11 +1269,10 @@ def _run_pair_triple(exp, budget, out_dir):
                         "ambient_dim": int(model.dim),
                         "seed_distance": _val(model.seed_distance),
                         "max_depth_reached": int(model.depths.max())}}
-    results, series = _model_entries(exp, model, out_dir)
-    return [build] + results, series, len(model)
+    return [build] + _model_entries(exp, model, out), len(model)
 
 
-def _run_link_check(exp, budget, out_dir):
+def _run_link_check(exp, budget, out):
     p = exp.params
     gaps, model = _gap_model(p, budget)
     link = st.minkowski_link_check(model, d=p["exponent"])
@@ -1248,19 +1295,11 @@ def _run_link_check(exp, budget, out_dir):
                     "asserted": bool(link.asserted),
                     "overlap": bool(link.overlap),
                     "entries": len(model)}}]
-    series = {}
-    if exp.series:
-        fname = f"{exp.name}.tube.csv"
-        _write_csv(f"{out_dir}/{fname}", "eps,ratio_lo,ratio_hi",
-                   [link.content.eps, link.content.ratio_lo,
-                    link.content.ratio_hi])
-        series["tube"] = fname
-        fname = f"{exp.name}.trace_windows.csv"
-        _write_csv(f"{out_dir}/{fname}", "window,slope",
-                   [np.arange(1, len(link.trace.window_slopes) + 1),
-                    link.trace.window_slopes])
-        series["trace_windows"] = fname
-    return results, series, len(model)
+    out.write("tube", "eps,ratio_lo,ratio_hi",
+              [link.content.eps, link.content.ratio_lo, link.content.ratio_hi])
+    out.write("trace_windows", "window,slope", [link.trace.window_slopes],
+              numbered=True)
+    return results, len(model)
 
 
 _RUNNERS = {
@@ -1297,7 +1336,8 @@ def _config_echo(exp: Experiment) -> dict:
 def run_experiment(exp: Experiment, budget: Budget, out_dir: str) -> dict:
     """Execute one validated experiment and return its report document."""
     t0 = time.perf_counter()
-    results, series, entries_used = _RUNNERS[exp.kind](exp, budget, out_dir)
+    out = _Series(exp, out_dir)
+    results, entries_used = _RUNNERS[exp.kind](exp, budget, out)
     wall = time.perf_counter() - t0
     return {
         "format": REPORT_FORMAT,
@@ -1306,7 +1346,7 @@ def run_experiment(exp: Experiment, budget: Budget, out_dir: str) -> dict:
         "config": _config_echo(exp),
         "budget": {"entries": budget.entries, "words": budget.words},
         "results": results,
-        "series": series,
+        "series": out.files,
         "meta": {"package": f"fractrace {_VERSION}",
                  "entries_used": entries_used,
                  "rng_seed": exp.rng_seed,

@@ -469,44 +469,3 @@ def log_profile(seq: EigenvalueSequence) -> LogProfile:
     fs = -np.log(seq.mu(ns))
     return LogProfile(ts, fs)
 
-
-# ---------------------------------------------------------------------------
-# CSV
-
-_CSV_BLOCK_ROWS = 4096
-
-
-def _csv_cells(col: np.ndarray) -> list:
-    """Cell text of one column: integers by str, anything else by the
-    shortest round-trip repr of its float64 value.
-
-    Eigenvalue lists repeat values (every model entry is listed twice, and
-    products of contraction ratios recur across words), so floats are
-    formatted once per distinct bit pattern and indexed back; bit patterns
-    keep -0.0 apart from 0.0, and every NaN prints as nan.
-    """
-    if col.dtype.kind in "iu":
-        return list(map(str, col.tolist()))
-    bits = np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(np.float64).tolist())),
-                    dtype=object)
-    return text[inverse].tolist()
-
-
-def _write_csv(path, header: str, columns):
-    """Write `header`, then row k of the CSV from element k of every column,
-    stopping at the shortest column.
-
-    Rows are formatted and written in blocks of _CSV_BLOCK_ROWS, so the cell
-    text held at once stays bounded whatever the column length; distinct
-    floats are found per block for the same reason.
-    """
-    cols = [np.asarray(c) for c in columns]
-    n_rows = min((len(c) for c in cols), default=0)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
-            hi = min(lo + _CSV_BLOCK_ROWS, n_rows)
-            cells = [_csv_cells(c[lo:hi]) for c in cols]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptySubsequence, SBelowDimension, SeedCoincident
-from .sequences import EigenvalueSequence, _write_csv
+from .sequences import EigenvalueSequence
 from .asymptotics import (
     DixmierEstimate,
     OrdEstimate,
@@ -106,9 +106,6 @@ class GapTripleModel:
         """Tags as two (n, 1) arrays, the shape functional sampling expects."""
         return self.tags_x.reshape(-1, 1), self.tags_y.reshape(-1, 1)
 
-    def to_csv(self, path, max_rows=None):
-        _entries_to_csv(path, self.values, *self.tag_matrix(), max_rows=max_rows)
-
 
 def gap_triple(gaps: GapList) -> GapTripleModel:
     """Model whose eigenvalue list is the gap lengths, each entered twice.
@@ -171,23 +168,6 @@ class PairTripleModel:
 
     def tag_matrix(self):
         return self.tags_x, self.tags_y
-
-    def to_csv(self, path, max_rows=None):
-        _entries_to_csv(path, self.values, self.tags_x, self.tags_y,
-                        max_rows=max_rows)
-
-
-def _entries_to_csv(path, values, tx, ty, max_rows=None):
-    n_rows = len(values) if max_rows is None else min(len(values), int(max_rows))
-    dim = tx.shape[1]
-    if dim == 1:
-        head = "k,mu_k,tag_x,tag_y"
-    else:
-        head = ("k,mu_k,"
-                + ",".join(f"tag_x_{i}" for i in range(1, dim + 1)) + ","
-                + ",".join(f"tag_y_{i}" for i in range(1, dim + 1)))
-    _write_csv(path, head, [np.arange(1, n_rows + 1), values[:n_rows],
-                            *tx[:n_rows].T, *ty[:n_rows].T])
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,6 @@ spectral_triples.GapTripleModel.values
 spectral_triples.GapTripleModel.tags_x
 spectral_triples.GapTripleModel.tags_y
 spectral_triples.GapTripleModel.truncated
-spectral_triples.GapTripleModel.to_csv(max_rows=None)
 spectral_triples.HausdorffFunctional.value
 spectral_triples.HausdorffFunctional.lo
 spectral_triples.HausdorffFunctional.hi
@@ -171,7 +170,6 @@ spectral_triples.PairTripleModel.tags_x
 spectral_triples.PairTripleModel.tags_y
 spectral_triples.PairTripleModel.depths
 spectral_triples.PairTripleModel.truncated
-spectral_triples.PairTripleModel.to_csv(max_rows=None)
 spectral_triples.SpectralDimension.value
 spectral_triples.SpectralDimension.lo
 spectral_triples.SpectralDimension.hi

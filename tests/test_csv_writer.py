@@ -2,13 +2,16 @@
 
 Each reference below is the per-cell loop the package used before the
 writer formatted columns: ``repr`` per float cell, ``str`` per integer cell.
-The writer must give the same bytes through every entry point.
+The writer must give the same bytes through every entry point: the writer
+itself, and the series of one experiment, whose entries table numbers its
+rows and stops at ``series_max_rows``.
 """
 
 import dataclasses
 import math
 import os
 import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,14 +19,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fractrace import reporting, sequences
+from fractrace import reporting
 from fractrace.sequences import EigenvalueSequence
 from fractrace.spectral_triples import gap_triple, pair_triple
 from fractrace.fractal_geometry import (LimitIfs, Similarity,
                                         gaps_from_interval_ifs)
 from systems import make_cantor, make_planar
 
-BLOCK = sequences._CSV_BLOCK_ROWS
+BLOCK = reporting._CSV_BLOCK_ROWS
 
 # signed zeros, infinities, NaNs with other payloads, the smallest
 # subnormal, the normal/subnormal edge and the places where repr switches
@@ -105,6 +108,29 @@ def written(write, *args, **kwargs) -> bytes:
             return fh.read()
 
 
+def series_files(write, *args) -> dict:
+    """Run a series writer on an experiment with series on; the bytes of
+    each file it recorded, by key."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = reporting._Series(SimpleNamespace(series=True, name="x"), tmp)
+        write(out, *args)
+        assert sorted(os.listdir(tmp)) == sorted(out.files.values())
+        files = {}
+        for key, fname in out.files.items():
+            assert fname == f"x.{key}.csv"
+            with open(os.path.join(tmp, fname), "rb") as fh:
+                files[key] = fh.read()
+        return files
+
+
+def entries_csv(model, max_rows=None) -> bytes:
+    """A model's entries CSV, written the way the model runners write it."""
+    def write(out):
+        out.write("entries", *reporting._entries_table(model), max_rows,
+                  numbered=True)
+    return series_files(write)["entries"]
+
+
 def block_rows(data):
     """A block size that splits small tables, or the real one."""
     return data.draw(st.sampled_from([1, 2, 3, 5, BLOCK]), label="block")
@@ -125,7 +151,7 @@ def test_write_csv_matches_row_loop(data):
                                 min_size=1, max_size=5), label="dtypes")
     cols = [data.draw(column(dt, n), label=dt) for dt in dtypes]
     header = ",".join(f"c{i}" for i in range(len(cols)))
-    with mock.patch.object(sequences, "_CSV_BLOCK_ROWS", block_rows(data)):
+    with mock.patch.object(reporting, "_CSV_BLOCK_ROWS", block_rows(data)):
         got = written(reporting._write_csv, header, cols)
     assert got == written(reference_write_csv, header, cols)
 
@@ -140,8 +166,8 @@ def test_gap_model_csv_matches_row_loop(data):
     model = dataclasses.replace(GAP_MODEL, values=values, tags_x=starts,
                                 tags_y=ends)
     max_rows = max_rows_for(data, 2 * n)
-    with mock.patch.object(sequences, "_CSV_BLOCK_ROWS", block_rows(data)):
-        got = written(model.to_csv, max_rows=max_rows)
+    with mock.patch.object(reporting, "_CSV_BLOCK_ROWS", block_rows(data)):
+        got = entries_csv(model, max_rows)
     assert got == written(reference_entries_csv, values, *model.tag_matrix(),
                           max_rows=max_rows)
 
@@ -157,8 +183,8 @@ def test_pair_model_csv_matches_row_loop(data):
     model = dataclasses.replace(PAIR_MODELS[dim], values=values, tags_x=tx,
                                 tags_y=ty)
     max_rows = max_rows_for(data, 2 * n)
-    with mock.patch.object(sequences, "_CSV_BLOCK_ROWS", block_rows(data)):
-        got = written(model.to_csv, max_rows=max_rows)
+    with mock.patch.object(reporting, "_CSV_BLOCK_ROWS", block_rows(data)):
+        got = entries_csv(model, max_rows)
     assert got == written(reference_entries_csv, values, tx, ty,
                           max_rows=max_rows)
 
@@ -166,16 +192,23 @@ def test_pair_model_csv_matches_row_loop(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_sequence_csv_matches_row_loop(data):
-    """The partial-sums series, the CSV written for a sequence."""
+    """The partial-sums and eccentricity series, the CSVs written for a
+    sequence."""
     vals = sorted(data.draw(st.lists(positive, min_size=2, max_size=24)),
                   reverse=True)
     assume(vals[0] != vals[-1])
     seq = EigenvalueSequence.from_values(vals)
-    with mock.patch.object(sequences, "_CSV_BLOCK_ROWS", block_rows(data)):
-        got = written(reporting._series_partial_sums, seq)
+    n_scan = data.draw(st.integers(0, 24), label="n_scan")
+    scan = SimpleNamespace(t_points=data.draw(column("f8", n_scan)),
+                           gaps=data.draw(column("f8", n_scan)))
+    with mock.patch.object(reporting, "_CSV_BLOCK_ROWS", block_rows(data)):
+        got = series_files(reporting._sequence_series, seq, scan)
     n = reporting._sample_indices(seq.cap)
-    assert got == written(reference_write_csv, "n,S_n",
-                          [n, np.cumsum(vals)[n - 1]])
+    assert got == {
+        "partial_sums": written(reference_write_csv, "n,S_n",
+                                [n, np.cumsum(vals)[n - 1]]),
+        "eccentricity": written(reference_write_csv, "log_n,ratio_gap",
+                                [scan.t_points, scan.gaps])}
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +228,18 @@ def test_tables_past_one_block_match_row_loops():
 
     model = pair_triple(make_planar(), cap=n)
     for max_rows in (None, BLOCK, BLOCK + 1):
-        assert (written(model.to_csv, max_rows=max_rows)
+        assert (entries_csv(model, max_rows)
                 == written(reference_entries_csv, model.values, model.tags_x,
                            model.tags_y, max_rows=max_rows))
     gaps = gap_triple(gaps_from_interval_ifs(make_cantor(), depth=13))
     assert len(gaps) > BLOCK
-    assert (written(gaps.to_csv)
+    assert (entries_csv(gaps)
             == written(reference_entries_csv, gaps.values, *gaps.tag_matrix()))
 
+
+
+def test_series_off_writes_and_records_nothing(tmp_path):
+    out = reporting._Series(SimpleNamespace(series=False, name="x"), tmp_path)
+    out.write("entries", *reporting._entries_table(GAP_MODEL), numbered=True)
+    reporting._sequence_series(out, None, None)
+    assert out.files == {} and list(tmp_path.iterdir()) == []

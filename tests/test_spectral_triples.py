@@ -3,12 +3,14 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractrace import reporting
 from fractrace.asymptotics import eccentricity_scan, resolve_kind
 from fractrace.errors import EmptySubsequence, SBelowDimension, SeedCoincident
 from fractrace.fractal_geometry import (
@@ -171,16 +173,23 @@ def test_pair_model_scaling_covariance():
     assert abs(d_base.value - d_wide.value) < 0.01
 
 
+def write_entries(tmp_path, name, model, max_rows):
+    """A model's entries CSV as the reporting runners write it."""
+    out = reporting._Series(SimpleNamespace(series=True, name=name), tmp_path)
+    out.write("entries", *reporting._entries_table(model), max_rows,
+              numbered=True)
+    return tmp_path / out.files["entries"]
+
+
 def test_model_csv_round_trip(tmp_path):
-    gap_path = tmp_path / "gaps.csv"
-    cantor_gap_model(3).to_csv(gap_path, max_rows=5)
+    gap_path = write_entries(tmp_path, "gaps", cantor_gap_model(3), 5)
     lines = gap_path.read_text().splitlines()
     assert lines[0] == "k,mu_k,tag_x,tag_y"
     assert len(lines) == 6
     assert [float(c) for c in lines[1].split(",")] == [1.0, 1 / 3, 1 / 3, 2 / 3]
 
-    pair_path = tmp_path / "pairs.csv"
-    pair_triple(make_planar(), cap=100).to_csv(pair_path, max_rows=3)
+    pair_path = write_entries(tmp_path, "pairs",
+                              pair_triple(make_planar(), cap=100), 3)
     lines = pair_path.read_text().splitlines()
     assert lines[0] == "k,mu_k,tag_x_1,tag_x_2,tag_y_1,tag_y_2"
     assert len(lines) == 4
