@@ -15,8 +15,8 @@ everything here:
   differ significantly iff their intervals are disjoint.
 * Report bytes are deterministic.  Keys are sorted, floats are written with
   17 significant digits (enough to round-trip exactly), and the only fields
-  a replay can change are meta.wall_time_s and meta.package, which names
-  the installed fractrace distribution.
+  a replay can change are meta.wall_time_s and meta.package, which is
+  ``fractrace.__version__`` of the source that ran.
 * A report echoes its experiment's config, with one exception: a field of
   type ``values`` is echoed as ``{"n": N, "sha256": HEX}``, its length and
   the SHA-256 of the validated list as little-endian float64 bytes, so ``1``
@@ -62,6 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from . import asymptotics as asy
 from . import exemplars as ex
 from . import fractal_geometry as fg
@@ -84,12 +85,6 @@ DEFAULT_WORD_BUDGET = 10**7
 DEFAULT_SERIES_ROWS = 10**5
 REPORT_FORMAT = "fractrace-report/2"
 DIFF_FORMAT = "fractrace-diff/1"
-
-try:
-    from importlib.metadata import version as _dist_version
-    _VERSION = _dist_version("fractrace")
-except Exception:  # running from a source tree without the dist installed
-    _VERSION = "unknown"
 
 
 @dataclass(frozen=True)
@@ -1347,7 +1342,7 @@ def run_experiment(exp: Experiment, budget: Budget, out_dir: str) -> dict:
         "budget": {"entries": budget.entries, "words": budget.words},
         "results": results,
         "series": out.files,
-        "meta": {"package": f"fractrace {_VERSION}",
+        "meta": {"package": f"fractrace {__version__}",
                  "entries_used": entries_used,
                  "rng_seed": exp.rng_seed,
                  "wall_time_s": float(wall)},

@@ -1,13 +1,17 @@
-"""``scipy`` is a test dependency only.
+"""``scipy`` is a test dependency only, and ``__version__`` is the project's.
 
 The package's runtime needs numpy alone; ``scipy`` stays in the ``test``
-extra, where ``cKDTree`` and ``brentq`` are oracles.
+extra, where ``cKDTree`` and ``brentq`` are oracles.  Reports name the
+package by ``fractrace.__version__``, which must be the version that
+``pyproject.toml`` gives the distribution.
 """
 
 import ast
 import pathlib
 
 import pytest
+
+import fractrace
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -38,3 +42,8 @@ def test_scipy_is_listed_in_the_test_extra_only():
     listing = sorted(group for group, requirements in groups.items()
                      for r in requirements if r.startswith("scipy"))
     assert listing == ["test"]
+
+
+def test_version_is_the_project_version():
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert fractrace.__version__ == project["version"]

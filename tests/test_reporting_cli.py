@@ -280,6 +280,17 @@ def test_only_a_values_experiment_loads_hashlib(tmp_path):
                       values).split() == ["False", "False", "True"]
 
 
+def test_cli_import_leaves_importlib_metadata_out(tmp_path):
+    """meta.package is ``fractrace.__version__``: neither the import nor a
+    run looks the installed distribution up."""
+    doc = {"kind": "SEQUENCE_ANALYSIS", "name": "mu", "series": False,
+           "parameters": {"mu": {"form": "power", "exponent": 2.0}}}
+    script = ONE_BY_ONE.replace("scipy", "importlib.metadata")
+    assert run_script(tmp_path, script, doc).split() == ["False", "False"]
+    report = json.loads((tmp_path / "out" / "mu.report.json").read_text())
+    assert report["meta"]["package"] == f"fractrace {fractrace.__version__}"
+
+
 def masked(path):
     # meta holds the wall time and nothing nested
     text = re.sub(r'"meta": \{[^{}]*\}', "", path.read_text())
