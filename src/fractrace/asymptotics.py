@@ -32,6 +32,9 @@ from .sequences import (
     log_profile,
 )
 
+# fewest entries the tail windows of order_of_infinitesimal read, and so the
+# shortest explicit values list a config may give
+MIN_CAP = 16
 _N_WINDOWS = 8
 _SCAN_GRID_RATIO = 1.1   # ratio of neighbouring indices on the scan grid
 _SANDWICH_TOL = 0.05
@@ -114,7 +117,7 @@ def order_of_infinitesimal(seq: EigenvalueSequence) -> OrdEstimate:
     against 1/log n, which removes the O(1/log n) transient that a plain
     window minimum would report.
     """
-    if seq.cap < 16:
+    if seq.cap < MIN_CAP:
         raise CapExceeded("cap too small for tail windows")
     jumps = seq._jump_positions()
     if len(jumps) >= 2 and math.log(float(jumps[-1])) >= 0.5 * math.log(seq.cap):

@@ -355,9 +355,9 @@ def _positives(ctx, x, path, f, budget):
 
 def _values(ctx, x, path, f, budget):
     values = _positive_values(x) \
-        if isinstance(x, list) and len(x) >= 4 else None
-    return ctx.fail(path, "must be a list of at least 4 positive numbers") \
-        if values is None else values
+        if isinstance(x, list) and len(x) >= asy.MIN_CAP else None
+    return ctx.fail(path, f"must be a list of at least {asy.MIN_CAP} "
+                    "positive numbers") if values is None else values
 
 
 _VALUE_TYPES = {
@@ -371,7 +371,7 @@ _VALUE_TYPES = {
     "pair": (_pair, "[point, point]; a point is a number or list of numbers"),
     "interval": (_interval, "[number, number]"),
     "positives": (_positives, "nonempty list of positive numbers"),
-    "values": (_values, "list of >= 4 positive numbers"),
+    "values": (_values, f"list of >= {asy.MIN_CAP} positive numbers"),
     # the shape depends on the translation: the map's check tests it
     "matrix": (lambda ctx, x, path, f, budget: x, "list of rows of numbers"),
 }

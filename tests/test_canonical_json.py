@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractrace import reporting
+from fractrace.asymptotics import MIN_CAP
 from fractrace.errors import ValidationError
 from fractrace.reporting import dumps_canonical, parse_config
 
@@ -175,21 +176,25 @@ def _problems(values):
 
 BAD = "$.parameters.values: must be a list of at least 4 positive numbers"
 
+# MORE brings each case of four elements up to MIN_CAP with valid numbers,
+# so the case fails for its first four alone; the case of three is one short
+MORE = [1.0] * (MIN_CAP - 4)
+
 CASES = [
-    ([4.0, 3, 2.5, 1], None),
-    ([4.0, 3.0, True, 1.0], BAD),
-    ([4.0, 3.0, None, 1.0], BAD),
-    ([4.0, 3.0, "2", 1.0], BAD),
-    ([4.0, 3.0, math.nan, 1.0], BAD),
-    ([math.inf, 3.0, 2.0, 1.0], BAD),
-    ([4.0, 3.0, 2.0, 0], BAD),
-    ([4.0, 3.0, 2.0, 0.0], BAD),
-    ([4.0, 3.0, -2.0, 1.0], BAD),
-    ([3.0, 2.0, 1.0], BAD),
-    ([10**400, 3, 2, 1], BAD),
-    ([4, 3, 2, 10**400], BAD),
-    ([np.float64(4.0), np.float64(3.0), 2.0, 1], None),
-    ([np.float64(4.0), np.float64(math.nan), 2.0, 1], BAD),
+    ([4.0, 3, 2.5, 1] + MORE, None),
+    ([4.0, 3.0, True, 1.0] + MORE, BAD),
+    ([4.0, 3.0, None, 1.0] + MORE, BAD),
+    ([4.0, 3.0, "2", 1.0] + MORE, BAD),
+    ([4.0, 3.0, math.nan, 1.0] + MORE, BAD),
+    ([math.inf, 3.0, 2.0, 1.0] + MORE, BAD),
+    ([4.0, 3.0, 2.0, 0] + MORE, BAD),
+    ([4.0, 3.0, 2.0, 0.0] + MORE, BAD),
+    ([4.0, 3.0, -2.0, 1.0] + MORE, BAD),
+    ([3.0, 2.0, 1.0] + MORE, BAD),
+    ([10**400, 3, 2, 1] + MORE, BAD),
+    ([4, 3, 2, 10**400] + MORE, BAD),
+    ([np.float64(4.0), np.float64(3.0), 2.0, 1] + MORE, None),
+    ([np.float64(4.0), np.float64(math.nan), 2.0, 1] + MORE, BAD),
 ]
 
 
@@ -202,7 +207,8 @@ def _per_element_ok(values):
 def test_values_check_agrees_with_the_per_element_check(values, problem):
     problems, params = _problems(values)
     assert problems == ([problem] if problem else [])
-    assert _per_element_ok(values) == (problem is None or len(values) < 4)
+    assert _per_element_ok(values) == (problem is None
+                                       or len(values) < MIN_CAP)
     if problem is None:
         assert params.dtype == np.float64
         assert params.tolist() == [float(v) for v in values]

@@ -27,10 +27,11 @@ def _map(r, t, **kw):
 
 
 LINE = {"generation": "stationary", "maps": [_map(0.3, 0.0), _map(0.4, 0.6)]}
+VALUES = [1.0 / k for k in range(1, 17)]   # the shortest list accepted
 
 # (kind, variant, parameters); the variant is the discriminator's value
 MINIMAL = [
-    (SEQUENCE_ANALYSIS, "values", {"values": [4.0, 3.0, 2.0, 1.0]}),
+    (SEQUENCE_ANALYSIS, "values", {"values": VALUES}),
     (SEQUENCE_ANALYSIS, "mu", {"mu": {"form": "power", "exponent": 1.5}}),
     (EXEMPLAR, "two_slope", {"family": "two_slope", "alpha": 1.6,
                              "beta": 0.8}),
@@ -137,7 +138,7 @@ FULL = [
      "parameters": {"mu": {"form": "power", "coefficient": 2.0,
                            "exponent": 1.5}, "cap": 2000, "tolerance": 0.05}},
     {"kind": SEQUENCE_ANALYSIS,
-     "parameters": {"values": [4.0, 3.0, 2.0, 1.0]}},
+     "parameters": {"values": VALUES}},
     {"kind": EXEMPLAR,
      "parameters": {"family": "two_slope", "alpha": 1.6, "beta": 0.8,
                     "gaps": {"form": "constant", "value": 2.0}, "cap": 2000,

@@ -487,12 +487,31 @@ def test_a_zero_width_indicator_box_is_a_config_problem(tmp_path, capsys):
                                        "satisfy lo < hi componentwise\n")
 
 
+def test_a_values_list_is_a_config_problem_below_the_tail_windows(tmp_path,
+                                                                  capsys):
+    """Fifteen values, too few for the tail windows of the order estimate,
+    fail validation at their path with exit 2; sixteen run to a report."""
+    def values(n):
+        return {"kind": "SEQUENCE_ANALYSIS", "name": "v",
+                "parameters": {"values": [1.0 / k for k in range(1, n + 1)]}}
+
+    code, out_dir = run_cli(tmp_path, values(15), "short")
+    assert code == 2 and list(out_dir.iterdir()) == []
+    assert capsys.readouterr().err == ("$.parameters.values: must be a list "
+                                       "of at least 16 positive numbers\n")
+    code, out_dir = run_cli(tmp_path, values(16), "enough")
+    assert code == 0 and capsys.readouterr().err == ""
+    report = json.loads((out_dir / "v.report.json").read_text())
+    assert report["results"][1]["parameters"]["cap"] == 16
+
+
 BIG = "1" + "0" * 400  # beyond float64 range
+ONES = ", ".join(["1"] * 15)
 
 
 @pytest.mark.parametrize("parameters, path", [
-    ('{"values": [%s, 3, 2, 1]}' % BIG, "$.parameters.values"),
-    ('{"values": [4, 3, 2, 1], "tolerance": %s}' % BIG,
+    ('{"values": [%s, %s]}' % (BIG, ONES), "$.parameters.values"),
+    ('{"values": [1, %s], "tolerance": %s}' % (ONES, BIG),
      "$.parameters.tolerance"),
 ], ids=["values", "tolerance"])
 def test_oversized_integers_fail_validation(tmp_path, capsys, parameters,
