@@ -174,7 +174,7 @@ def _problems(values):
     return [], exp.params["values"]
 
 
-BAD = "$.parameters.values: must be a list of at least 4 positive numbers"
+BAD = "$.parameters.values: must be a list of at least 16 positive numbers"
 
 # MORE brings each case of four elements up to MIN_CAP with valid numbers,
 # so the case fails for its first four alone; the case of three is one short
