@@ -1202,7 +1202,8 @@ def _residue_wanted(p, model) -> bool:
 
 
 def _model_entries(exp, model, out):
-    """Operations shared by the two model kinds, in report order."""
+    """Operations shared by the two model kinds, in report order, and the
+    model's CSV series."""
     p = exp.params
     results = [_spectral_dim_entry(model)]
     if p["zeta"]:
