@@ -6,10 +6,12 @@ diagnostics, attractor point clouds, cylinder measures, box-counting
 dimension estimates, exact gap structure for subsets of the line, and the
 one-dimensional Minkowski content with truncation-aware error bands.
 
-Sets are represented as finite point clouds; interval endpoints switch to
-rational arithmetic whenever the generating maps were specified with exact
-(int or Fraction) coefficients, so gap bookkeeping can be checked without
-rounding.
+Sets are represented as finite point clouds.  On the line, the gap code
+reads each map as x -> alpha x + beta in one place, ``_affine``, and takes
+images of an interval in one routine, ``_images``: in Fractions when every
+map it uses and the bounding interval were given exactly (int or Fraction
+coefficients), in floats otherwise.  Exact and float runs share that routine
+and one enumeration, so gap bookkeeping can be checked without rounding.
 """
 
 from __future__ import annotations
@@ -724,81 +726,69 @@ class GapList:
         )
 
 
+def _affine(w, exact):
+    """(alpha, beta) with w(x) = alpha x + beta for a map of the line: the
+    Fraction mirror when exact (None if the map has none), floats otherwise."""
+    if exact:
+        return w.exact_affine()
+    return float(w.orthogonal[0, 0]) * w.ratio, float(w.translation[0])
+
+
+def _images(maps, a, b, exact):
+    """Images (lo, hi, alpha, beta) of [a, b] under each map, sorted by lo;
+    in Fractions when exact, floats otherwise."""
+    ivs = []
+    for w in maps:
+        aa, bb = _affine(w, exact)
+        lo, hi = aa * a + bb, aa * b + bb
+        ivs.append((lo, hi, aa, bb) if aa > 0 else (hi, lo, aa, bb))
+    ivs.sort(key=lambda iv: iv[0])
+    return ivs
+
+
 def _stationary_hull(maps):
     """Smallest [a, b] with every map image inside and touching the ends.
 
-    Float iteration finds which maps realize the extremes, then the two
-    defining linear equations are solved exactly when the maps allow it.
+    Float iteration finds the hull.  When every map is exact, the maps whose
+    images realize its ends give the two defining equations a = w(a or b)
+    and b = w'(a or b), solved in Fractions; the solve is kept only if it
+    reproduces a touching invariant hull exactly.
     """
-    affs = []
-    for w in maps:
-        if w.dim != 1:
-            raise ValueError("interval gap analysis needs one-dimensional maps")
-        sign = float(w.orthogonal[0, 0])
-        affs.append((sign * w.ratio, float(w.translation[0])))
-    lo = min(t / (1 - a) for a, t in affs)
-    hi = max(t / (1 - a) for a, t in affs)
+    fixed = [t / (1 - a) for a, t in (_affine(w, False) for w in maps)]
+    lo, hi = min(fixed), max(fixed)
     if hi <= lo:
         hi = lo + 1.0
     for _ in range(200):
-        ends = [(a * lo + t, a * hi + t) for a, t in affs]
-        new_lo = min(min(e) for e in ends)
-        new_hi = max(max(e) for e in ends)
-        if abs(new_lo - lo) < 1e-14 * (1 + abs(lo)) and abs(new_hi - hi) < 1e-14 * (1 + abs(hi)):
-            lo, hi = new_lo, new_hi
-            break
+        ivs = _images(maps, lo, hi, False)
+        new_lo, new_hi = ivs[0][0], max(iv[1] for iv in ivs)
+        settled = (abs(new_lo - lo) < 1e-14 * (1 + abs(lo))
+                   and abs(new_hi - hi) < 1e-14 * (1 + abs(hi)))
         lo, hi = new_lo, new_hi
-    i_lo = min(range(len(affs)), key=lambda i: min(affs[i][0] * lo + affs[i][1],
-                                                   affs[i][0] * hi + affs[i][1]))
-    i_hi = max(range(len(affs)), key=lambda i: max(affs[i][0] * lo + affs[i][1],
-                                                   affs[i][0] * hi + affs[i][1]))
-    exacts = [w.exact_affine() for w in maps]
-    if exacts[i_lo] is None or exacts[i_hi] is None:
-        return float(lo), float(hi)
-    # a = w_lo(a or b), b = w_hi(a or b): a 2x2 rational linear system
-    a1, b1 = exacts[i_lo]
-    a2, b2 = exacts[i_hi]
-    if a1 > 0 and a2 > 0:
-        ea, eb = b1 / (1 - a1), b2 / (1 - a2)
-    elif a1 > 0 and a2 < 0:
-        ea = b1 / (1 - a1)
-        eb = (a2 * ea + b2)
-    elif a1 < 0 and a2 > 0:
-        eb = b2 / (1 - a2)
-        ea = a1 * eb + b1
-    else:
-        # a = a1*b + b1, b = a2*a + b2
-        ea = (a1 * b2 + b1) / (1 - a1 * a2)
-        eb = a2 * ea + b2
-    # the extreme-map indices came from float iteration; accept the exact
-    # solve only if it reproduces a touching invariant hull exactly
-    ends = []
-    for aa, bb in exacts:
-        x, y = aa * ea + bb, aa * eb + bb
-        ends.extend([x, y])
-    if min(ends) == ea and max(ends) == eb and ea < eb:
+        if settled:
+            break
+    if any(_affine(w, True) is None for w in maps):
+        return lo, hi
+    ivs = _images(maps, Fraction(lo), Fraction(hi), True)
+    a1, b1 = ivs[0][2:]
+    a2, b2 = max(ivs, key=lambda iv: iv[1])[2:]
+    # [[1 - p1, -n1], [-n2, 1 - p2]] (a, b) = (b1, b2), where p and n are the
+    # positive and negative parts of each slope
+    p1, n1, p2, n2 = max(a1, 0), min(a1, 0), max(a2, 0), min(a2, 0)
+    det = (1 - p1) * (1 - p2) - n1 * n2
+    ea = (b1 * (1 - p2) + n1 * b2) / det
+    eb = (b2 * (1 - p1) + n2 * b1) / det
+    ivs = _images(maps, ea, eb, True)
+    if ivs[0][0] == ea and max(iv[1] for iv in ivs) == eb and ea < eb:
         return ea, eb
-    return float(lo), float(hi)
+    return lo, hi
 
 
 def _level_interval_data(maps, a, b, exact):
     """Sorted images of [a, b] and their gaps.
 
-    Works in Fractions when exact, floats otherwise.  Raises
-    OverlappingImages unless the closed images are pairwise disjoint.
+    Raises OverlappingImages unless the closed images are pairwise disjoint.
     """
-    ivs = []
-    for w in maps:
-        if exact:
-            aa, bb = w.exact_affine()
-        else:
-            aa = float(w.orthogonal[0, 0]) * w.ratio
-            bb = float(w.translation[0])
-        lo, hi = aa * a + bb, aa * b + bb
-        if aa < 0:
-            lo, hi = hi, lo
-        ivs.append((lo, hi, aa, bb))
-    ivs.sort(key=lambda iv: float(iv[0]))
+    ivs = _images(maps, a, b, exact)
     for (_, h1, _, _), (l2, _, _, _) in zip(ivs, ivs[1:]):
         if not h1 < l2:
             raise OverlappingImages(
@@ -806,13 +796,10 @@ def _level_interval_data(maps, a, b, exact):
     if ivs[0][0] < a or ivs[-1][1] > b:
         raise OverlappingImages(
             f"level images leave [{float(a):.6g}, {float(b):.6g}]")
-    gaps = []
-    if ivs[0][0] > a:
-        gaps.append((a, ivs[0][0]))
-    for (_, h1, _, _), (l2, _, _, _) in zip(ivs, ivs[1:]):
-        gaps.append((h1, l2))
-    if ivs[-1][1] < b:
-        gaps.append((ivs[-1][1], b))
+    # a, lo_1, hi_1, ..., lo_p, hi_p, b: every (hi, next lo) pair is a gap,
+    # and so are the two edge pairs when they are not empty
+    ends = [a] + [x for iv in ivs for x in iv[:2]] + [b]
+    gaps = [(h1, l2) for h1, l2 in zip(ends[::2], ends[1::2]) if h1 < l2]
     return ivs, gaps
 
 
@@ -823,20 +810,10 @@ def _level_max_gap(maps, a: float, b: float) -> float:
     cover more, so the result stays a valid upper bound for the gaps any
     deeper enumeration of that level can open.
     """
-    ivs = []
-    for w in maps:
-        aa = float(w.orthogonal[0, 0]) * w.ratio
-        bb = float(w.translation[0])
-        lo, hi = aa * a + bb, aa * b + bb
-        if aa < 0:
-            lo, hi = hi, lo
-        ivs.append((lo, hi))
-    ivs.sort()
-    best = max(ivs[0][0] - a, 0.0)
-    cover = ivs[0][1]
-    for lo, hi in ivs[1:]:
-        best = max(best, lo - cover)
-        cover = max(cover, hi)
+    ivs = _images(maps, a, b, False)
+    best, cover = max(ivs[0][0] - a, 0.0), ivs[0][1]
+    for lo, hi, _, _ in ivs[1:]:
+        best, cover = max(best, lo - cover), max(cover, hi)
     return max(best, b - cover)
 
 
@@ -900,7 +877,7 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
         raise ValueError("non-stationary systems need an explicit bounding interval or osc_box")
 
     block_ids = [ifs.block_index(n) for n in range(1, depth + 1)]
-    maps_exact = all(w.exact_affine() is not None
+    maps_exact = all(_affine(w, True) is not None
                      for i in set(block_ids) for w in ifs.blocks[i])
     a_e, b_e = _exact_number(a_raw), _exact_number(b_raw)
     use_exact = maps_exact and a_e is not None and b_e is not None

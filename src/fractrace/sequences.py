@@ -207,7 +207,11 @@ class EigenvalueSequence:
     """Nonincreasing positive sequence with lazy evaluation up to a cap.
 
     Construct via from_values, from_function, or from_profile.  Values are
-    1-indexed.
+    1-indexed.  A sequence is backed either by values, an array that is the
+    whole prefix up to the cap, or by a function mu_fn (and, for closed-form
+    families, a profile).  Values are ``complete`` when they are the whole
+    sequence, so every tail past them is exactly zero; a truncated model's
+    values are not, and its tails are fitted.  Powers keep the backing.
 
     Materialization: prefix() is the only method that evaluates mu_fn over
     1..n and replaces the cached prefix array.  Each materialized prefix
@@ -220,13 +224,13 @@ class EigenvalueSequence:
     diagnostic reads one array.
     """
 
-    def __init__(self, mu_fn, *, cap=DEFAULT_CAP, length=None,
+    def __init__(self, mu_fn, *, cap=DEFAULT_CAP,
                  profile: LogLinearProfile | None = None, name: str = ""):
         self._mu_fn = mu_fn
-        self.cap = int(min(cap, length) if length is not None else cap)
-        self.length = length
+        self.cap = int(cap)
         self.profile = profile
         self.name = name
+        self.complete = False
         self._prefix = None
         self._jumps = None   # jump positions within _prefix
         self._sums = None    # [0, S_1, ..., S_len(_prefix)]
@@ -234,15 +238,16 @@ class EigenvalueSequence:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_values(values, name: str = "") -> "EigenvalueSequence":
+    def from_values(values, name: str = "",
+                    complete: bool = True) -> "EigenvalueSequence":
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or len(values) == 0:
             raise ValueError("values must be a nonempty 1d array")
         jumps = _scan_values(values, rtol=0.0)
         if values[0] == values[-1] and len(values) > 1:
             raise NotVanishing("sequence is constant over its whole range")
-        seq = EigenvalueSequence(None, cap=len(values), length=len(values),
-                                 name=name)
+        seq = EigenvalueSequence(None, cap=len(values), name=name)
+        seq.complete = complete
         seq._prefix = values
         seq._jumps = jumps
         return seq
@@ -317,9 +322,10 @@ class EigenvalueSequence:
         """Sequence of mu_n^alpha; profiles and explicit values transform."""
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self._mu_fn is None and self._prefix is not None:
-            out = EigenvalueSequence(None, cap=self.cap, length=self.length,
-                                     name=f"{self.name}^({alpha:g})" if self.name else "")
+        name = f"{self.name}^({alpha:g})" if self.name else ""
+        if self._mu_fn is None:
+            out = EigenvalueSequence(None, cap=self.cap, name=name)
+            out.complete = self.complete
             out._prefix = self._prefix ** alpha
             return out
         base_fn = self._mu_fn
@@ -328,9 +334,8 @@ class EigenvalueSequence:
             return np.asarray(base_fn(n), dtype=float) ** alpha
 
         return EigenvalueSequence(
-            mu_fn, cap=self.cap, length=self.length,
+            mu_fn, cap=self.cap, name=name,
             profile=self.profile.scaled(alpha) if self.profile is not None else None,
-            name=f"{self.name}^({alpha:g})" if self.name else "",
         )
 
     # -- tail models ----------------------------------------------------------
@@ -338,17 +343,15 @@ class EigenvalueSequence:
     def tail_sum(self, n: int, gamma: float = 1.0):
         """(sum_{k>n} mu_k^gamma, error bound, route name).
 
-        Routes, in preference order: exhausted finite sequence (exact),
+        Routes, in preference order: exhausted complete values (exact),
         analytic profile integral (error <= mu_n^gamma per the
         integral-vs-sum comparison, exact for staircase profiles), power-law
         tail fitted on the last decade of the cap.
         """
         n = int(n)
-        if self.length is not None and self.length <= self.cap:
-            vals = self._powered_prefix(self.length, gamma)
-            if n >= self.length:
-                return 0.0, 0.0, "exhausted"
-            return float(vals[n:].sum()), 0.0, "exhausted"
+        if self.complete:
+            vals = self._powered_prefix(self.cap, gamma)
+            return float(vals[n:].sum()) if n < self.cap else 0.0, 0.0, "exhausted"
 
         if self.profile is not None:
             # log 0 lies outside the profile: the whole sum (n = 0) is mu_1

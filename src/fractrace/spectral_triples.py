@@ -58,20 +58,6 @@ _RESIDUE_DELTAS = np.geomspace(1e-3, 1e-1, 16)
 # models
 
 
-def _eigen_sequence(values: np.ndarray, truncated: bool, name: str) -> EigenvalueSequence:
-    # a truncated model must not present itself as a finite sequence: the
-    # operator has more eigenvalues below the materialized ones, so the tail
-    # is left to the fitted route instead of the exact "exhausted" one
-    if len(values) == 0:
-        raise ValueError("model has no entries")
-    if truncated:
-        def lookup(n):
-            return values[np.asarray(n, dtype=np.int64) - 1]
-
-        return EigenvalueSequence.from_function(lookup, cap=len(values), name=name)
-    return EigenvalueSequence.from_values(values, name=name)
-
-
 @dataclass
 class GapTripleModel:
     """Inverse-Dirac eigenvalue data read off a one-dimensional gap list.
@@ -99,7 +85,8 @@ class GapTripleModel:
     @property
     def eigen(self) -> EigenvalueSequence:
         if self._eigen is None:
-            self._eigen = _eigen_sequence(self.values, self.truncated, "gap-triple")
+            self._eigen = EigenvalueSequence.from_values(
+                self.values, "gap-triple", complete=not self.truncated)
         return self._eigen
 
     def tag_matrix(self):
@@ -163,7 +150,8 @@ class PairTripleModel:
     @property
     def eigen(self) -> EigenvalueSequence:
         if self._eigen is None:
-            self._eigen = _eigen_sequence(self.values, self.truncated, "pair-triple")
+            self._eigen = EigenvalueSequence.from_values(
+                self.values, "pair-triple", complete=not self.truncated)
         return self._eigen
 
     def tag_matrix(self):

@@ -16,10 +16,10 @@ MODULES = ("sequences", "asymptotics", "exemplars", "fractal_geometry",
            "spectral_triples", "reporting", "errors")
 
 SURFACE = """
-sequences.EigenvalueSequence.__init__(cap=1000000, length=None, profile=None, name='')
+sequences.EigenvalueSequence.__init__(cap=1000000, profile=None, name='')
 sequences.EigenvalueSequence.from_function(cap=1000000, name='')
 sequences.EigenvalueSequence.from_profile(cap=1000000, name='')
-sequences.EigenvalueSequence.from_values(name='')
+sequences.EigenvalueSequence.from_values(name='', complete=True)
 sequences.EigenvalueSequence.tail_sum(gamma=1.0)
 sequences.LogProfile.ts
 sequences.LogProfile.fs

@@ -408,6 +408,41 @@ def test_exact_arithmetic_requires_rational_maps():
     assert abs(auto.conservation_defect) < 1e-12
 
 
+def test_an_exact_hull_needs_every_map_exact():
+    """Two exact maps realize both ends of the hull and a third is given in
+    floats: the hull, and with it the whole gap list, is the float one, bit
+    for bit the list of the same system given all in floats."""
+    third = interval_map(0.1, 0.45)
+    mixed = LimitIfs.stationary([interval_map(Fraction(1, 3), Fraction(0)),
+                                 interval_map(Fraction(1, 3), Fraction(2, 3)),
+                                 third])
+    floats = LimitIfs.stationary([interval_map(1 / 3, 0.0),
+                                  interval_map(1 / 3, 2 / 3), third])
+    got = gaps_from_interval_ifs(mixed, depth=5)
+    want = gaps_from_interval_ifs(floats, depth=5)
+    assert not got.exact
+    for name in ("starts", "ends", "levels", "residual_starts",
+                 "residual_ends"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for name in ("a", "b", "conservation_defect", "completeness_cutoff"):
+        assert getattr(got, name) == getattr(want, name)
+
+
+@pytest.mark.parametrize("flip_left", [False, True])
+@pytest.mark.parametrize("flip_right", [False, True])
+def test_exact_hull_for_every_orientation(flip_left, flip_right):
+    """The exact hull of two maps onto [0, 1/3] and [3/4, 1], each in either
+    orientation, is [0, 1] in Fractions."""
+    left = interval_map(Fraction(1, 3), Fraction(1, 3) if flip_left else 0,
+                        flip=flip_left)
+    right = interval_map(Fraction(1, 4), 1 if flip_right else Fraction(3, 4),
+                         flip=flip_right)
+    gaps = gaps_from_interval_ifs(LimitIfs.stationary([left, right]), 2)
+    assert gaps.exact
+    assert (gaps.a, gaps.b) == (0.0, 1.0)
+    assert (gaps.starts[0], gaps.ends[0]) == (1 / 3, 3 / 4)
+
+
 def test_overlapping_images_rejected():
     bad = LimitIfs.stationary([interval_map(0.6, 0.0),
                                interval_map(0.6, 0.4)])

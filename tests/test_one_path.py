@@ -1,0 +1,57 @@
+"""One path per model: no Fraction/float twin loops come back.
+
+The gap code reads a map of the line as x -> alpha x + beta in one place,
+``fractal_geometry._affine``, which gives Fractions or floats; every image
+of an interval goes through ``_images``.  A second reader of the exact
+mirror or of the orientation sign is how a float twin of an exact loop
+starts, so outside the ``Similarity`` class only ``_affine`` may read
+``exact_affine()`` or ``orthogonal[0, 0]``.  Likewise the models reach
+``EigenvalueSequence`` through their values, never through a function that
+looks entries up in an array.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fractrace"
+
+
+def definitions(path, skip_class=None):
+    """(name, node) of each module-level function and of each method of the
+    module's classes other than ``skip_class``."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and node.name != skip_class:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def reads_the_affine_form(node):
+    """True if the subtree calls ``.exact_affine()`` or reads
+    ``.orthogonal[0, 0]``."""
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr == "exact_affine"):
+            return True
+        if (isinstance(sub, ast.Subscript)
+                and isinstance(sub.value, ast.Attribute)
+                and sub.value.attr == "orthogonal"
+                and ast.unparse(sub.slice) in ("0, 0", "(0, 0)")):
+            return True
+    return False
+
+
+def test_only_affine_reads_a_map_of_the_line():
+    readers = [name for name, node in definitions(
+        PACKAGE / "fractal_geometry.py", skip_class="Similarity")
+        if reads_the_affine_form(node)]
+    assert readers == ["_affine"]
+
+
+def test_models_reach_sequences_through_their_values():
+    calls = [name for name, node in definitions(PACKAGE / "spectral_triples.py")
+             for sub in ast.walk(node)
+             if isinstance(sub, ast.Attribute) and sub.attr == "from_function"]
+    assert calls == []

@@ -89,6 +89,25 @@ def test_power_sequences_are_valid_and_monotone(a, c):
 
 # --- partial sums ------------------------------------------------------------
 
+def test_values_that_are_not_complete_read_as_a_lookup_would():
+    """Values with complete=False are a truncation: their tails take the
+    fitted route, exactly as a function looking the entries up does, and
+    their powers stay backed by values."""
+    vals = np.arange(1, 4001) ** -1.5
+    part = EigenvalueSequence.from_values(vals, complete=False)
+    lookup = EigenvalueSequence.from_function(lambda n: vals[n - 1],
+                                              cap=len(vals))
+    for gamma in (1.0, 0.9):
+        assert part.tail_sum(10, gamma) == lookup.tail_sum(10, gamma)
+        assert part.tail_sum(10, gamma)[2] == "power_fit"
+    assert np.array_equal(part._jump_positions(), lookup._jump_positions())
+    powered = part.power(0.8)
+    assert not powered.complete and powered._mu_fn is None
+    assert powered.tail_sum(10) == lookup.power(0.8).tail_sum(10)
+    whole = EigenvalueSequence.from_values(vals).power(0.8)
+    assert whole.complete and whole.tail_sum(10)[2] == "exhausted"
+
+
 def test_prefix_sum_harmonic_value():
     # S_4 of 1/n is 25/12
     ps = partial_sums(harmonic(10), NON_TRACE_CLASS, [4])

@@ -80,6 +80,14 @@ def test_gap_model_tags_subtract_to_values():
     assert tx.shape == (len(model), 1) and ty.shape == (len(model), 1)
 
 
+def test_a_model_is_complete_unless_truncated():
+    truncated = cantor_gap_model(5)
+    complete = gap_triple(GapList.from_intervals(middle_thirds_intervals(5)))
+    for model in (truncated, complete):
+        assert model.eigen.complete is not model.truncated
+        assert np.shares_memory(model.eigen.prefix(len(model)), model.values)
+
+
 def test_gap_model_needs_gaps():
     with pytest.raises(ValueError, match="no gaps"):
         gap_triple(GapList.from_intervals([(0.0, 1.0)]))
