@@ -220,7 +220,9 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
     while True:
         lam_star *= shrink
         words, pruned = _words_above(ifs, lam_star, ceiling)
-        if len(words["lam"]) >= n_words_max or not pruned:
+        # at a threshold of 0 only products that underflowed are pruned, and
+        # lowering it further changes nothing: the model stays truncated
+        if len(words["lam"]) >= n_words_max or not pruned or lam_star == 0.0:
             break
 
     # sort by (-lam, rank of parent, map index).  Within a depth the rows

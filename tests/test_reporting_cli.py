@@ -209,18 +209,23 @@ print("scipy.spatial" in sys.modules)
 """
 
 
+def package_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(fractrace.__file__))
+    path = [src] + [os.environ.get("PYTHONPATH")] * ("PYTHONPATH" in os.environ)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def run_script(tmp_path, script, *docs):
     """Run ``script`` in a fresh interpreter with the paths of the configs
     and an output directory as arguments; return its standard output."""
-    src = os.path.dirname(os.path.dirname(fractrace.__file__))
-    path = [src] + [os.environ.get("PYTHONPATH")] * ("PYTHONPATH" in os.environ)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = tmp_path / "out"
     out.mkdir()
     configs = [write_config(tmp_path, doc, f"config{i}.json")
                for i, doc in enumerate(docs)]
     proc = subprocess.run([sys.executable, "-c", script, *configs, str(out)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=package_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -563,3 +568,16 @@ def test_run_refuses_an_out_dir_it_cannot_create(tmp_path, capsys,
     assert captured.err.startswith(f"$: cannot write {out_dir}: ")
     assert "Traceback" not in captured.err
     assert ran == [] and not out_dir.exists()
+
+
+def test_a_pair_run_past_float_underflow_ends(tmp_path):
+    """Two maps of ratio 1e-103 have 28 entries above float underflow; a cap
+    of 64 asks for more, and the run still ends, without a traceback."""
+    doc = {"kind": "PAIR_TRIPLE", "name": "tiny",
+           "parameters": {"ifs": line_ifs(1e-103, 1e-103), "cap": 64}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractrace.cli", "run", "--config",
+         write_config(tmp_path, doc), "--out-dir", str(tmp_path / "out")],
+        env=package_env(), capture_output=True, text=True, timeout=10)
+    assert proc.returncode in (0, 3)
+    assert "Traceback" not in proc.stderr

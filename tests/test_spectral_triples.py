@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import signal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -101,6 +102,28 @@ def test_pair_model_enumerates_level_two():
     np.testing.assert_allclose(model.values, expected, rtol=1e-12)
     assert set(model.depths.tolist()) == {1, 2}
     assert model.truncated
+
+
+def test_pair_enumeration_stops_at_float_underflow():
+    """Two maps of ratio 1e-103 have 14 words whose ratio products stay
+    above float underflow.  A cap that asks for more gets those, marked
+    truncated, within a second: the threshold stops at 0, where only
+    products that underflowed are pruned."""
+    ifs = LimitIfs.stationary([Similarity(1e-103, 0.0),
+                               Similarity(1e-103, 1.0 - 1e-103)])
+
+    def too_slow(signum, frame):
+        raise TimeoutError("pair_triple ran past 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        model = pair_triple(ifs, cap=30)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(model) == 28 and model.truncated
+    assert np.all(model.values > 0)
 
 
 def test_pair_model_tags_lie_at_value_distance():
