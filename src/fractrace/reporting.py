@@ -938,7 +938,11 @@ def _dimension_ratios(values):
     n = _sample_indices(len(values))
     mu = np.asarray(values, dtype=float)[n - 1]
     ok = (mu > 0) & (mu < 1) & (n > 1)
-    return [n[ok], np.log(n[ok]) / np.log(1.0 / mu[ok])]
+    n, mu = n[ok], mu[ok]
+    with np.errstate(over="ignore"):
+        inv = 1.0 / mu
+    # 1 / mu overflows on subnormal mu, where -log(mu) is still finite
+    return [n, np.log(n) / np.where(np.isinf(inv), -np.log(mu), np.log(inv))]
 
 
 # ---------------------------------------------------------------------------

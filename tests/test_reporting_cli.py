@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -581,3 +582,18 @@ def test_a_pair_run_past_float_underflow_ends(tmp_path):
         env=package_env(), capture_output=True, text=True, timeout=10)
     assert proc.returncode in (0, 3)
     assert "Traceback" not in proc.stderr
+
+
+def test_dimension_ratios_of_subnormal_eigenvalues(tmp_path):
+    """Two maps of ratio 1e-20 reach eigenvalues near 1e-320, whose
+    reciprocal overflows; their dimension ratios are still positive and
+    come without a RuntimeWarning."""
+    doc = {"kind": "PAIR_TRIPLE", "name": "tiny",
+           "parameters": {"ifs": line_ifs(1e-20, 1e-20)}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out_dir = run_cli(tmp_path, doc)
+    assert code == 0
+    ratios = np.loadtxt(out_dir / "tiny.dimension_ratios.csv", delimiter=",",
+                        skiprows=1)
+    assert ratios[:, 0].max() > 1e5 and np.all(ratios[:, 1] > 0)
