@@ -732,8 +732,8 @@ _OBJECTS = {
     PAIR_TRIPLE: _Obj(dict({
         "ifs": _IFS,
         "cap": _F("integer", "eigen-entries enumerated; the default is "
-                  "capped at the entry budget", default=2 * 10**5, lo=2,
-                  hi=_ENTRIES),
+                  "capped at the entry budget", default=2 * 10**5,
+                  lo=asy.MIN_CAP, hi=_ENTRIES),
         "max_depth": _F("integer", "longest word; null: no limit", lo=0),
         "seed_pair": _F("pair", "null: the fixed points of the first two "
                         "maps", msg="must be [x, y]"),

@@ -511,6 +511,23 @@ def test_a_values_list_is_a_config_problem_below_the_tail_windows(tmp_path,
     assert report["results"][1]["parameters"]["cap"] == 16
 
 
+def test_a_pair_cap_is_a_config_problem_below_the_tail_windows(tmp_path,
+                                                              capsys):
+    """A pair cap of 15 entries, too few for the tail windows of the order
+    estimate, fails validation at its path with exit 2; 16 runs."""
+    def pair(cap):
+        return {"kind": "PAIR_TRIPLE", "name": "p",
+                "parameters": {"ifs": line_ifs(0.3, 0.4), "cap": cap}}
+
+    code, out_dir = run_cli(tmp_path, pair(15), "short")
+    assert code == 2 and list(out_dir.iterdir()) == []
+    assert capsys.readouterr().err == "$.parameters.cap: must be >= 16\n"
+    code, out_dir = run_cli(tmp_path, pair(16), "enough")
+    assert code == 0 and capsys.readouterr().err == ""
+    report = json.loads((out_dir / "p.report.json").read_text())
+    assert report["results"][0]["values"]["entries"] == 16
+
+
 BIG = "1" + "0" * 400  # beyond float64 range
 ONES = ", ".join(["1"] * 15)
 
