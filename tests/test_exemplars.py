@@ -191,6 +191,24 @@ def test_s_ratio_power_tail_closed_form():
     assert s_ratio(seq, 2.0, 100.0) == pytest.approx(2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1.5])
+@pytest.mark.parametrize("x", [37.5, 40.0])
+def test_s_ratio_of_values_matches_a_direct_sum(gamma, x):
+    """Without a profile, s(x) = integral_x^inf mu(y)^gamma dy over the
+    staircase mu(y) = mu_floor(y) of a complete list: the part of step
+    floor(x) right of x plus every later term."""
+    from fractrace.sequences import EigenvalueSequence
+    vals = np.arange(1, 2001) ** -1.2
+    seq = EigenvalueSequence.from_values(vals)
+
+    def s(y):
+        n = math.floor(y)
+        return math.fsum([(n + 1 - y) * vals[n - 1] ** gamma,
+                          *(vals[n:] ** gamma)])
+
+    assert s_ratio(seq, gamma, x) == pytest.approx(s(x / 2) / s(x), rel=1e-12)
+
+
 def test_ratio_rejects_bad_lam():
     seq = two_slope_sequence(TwoSlopeSpec(1.0, 1.0, (CONSTANT, 1.0)), cap=1000)
     with pytest.raises(ValueError):

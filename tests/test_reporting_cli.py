@@ -1,6 +1,7 @@
 """Config validation, report determinism and exit codes through the CLI."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 import fractrace
 from fractrace import cli, reporting
+from fractrace import spectral_triples as st
 from fractrace.fractal_geometry import Similarity
 from fractrace.reporting import (IFS_CLASSICAL, PAIR_TRIPLE, Budget,
                                  parse_config, run_experiment)
@@ -614,3 +616,77 @@ def test_dimension_ratios_of_subnormal_eigenvalues(tmp_path):
     ratios = np.loadtxt(out_dir / "tiny.dimension_ratios.csv", delimiter=",",
                         skiprows=1)
     assert ratios[:, 0].max() > 1e5 and np.all(ratios[:, 1] > 0)
+
+
+def test_schema_through_the_cli(capsys):
+    assert cli.main(["schema"]) == 0
+    text = capsys.readouterr().out
+    assert text == reporting.dumps_canonical(reporting.config_schema())
+    cap = json.loads(text)["kinds"]["PAIR_TRIPLE"]["cap?"]
+    assert cap["minimum"] == 16 and cap["default"] == 200000
+
+
+def test_a_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli.main(["run", "--config", str(missing), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("$: cannot read config: ") and str(missing) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_translation_dimension_of_a_classical_system(tmp_path):
+    """Equal ratios 1/3 on two maps: the closed form log 2 / log 3."""
+    doc = {"kind": "IFS_CLASSICAL", "name": "cantor",
+           "parameters": {"ifs": line_ifs(1 / 3, 1 / 3), "depth": 6,
+                          "translation": True}}
+    code, out_dir = run_cli(tmp_path, doc)
+    assert code == 0
+    report = json.loads((out_dir / "cantor.report.json").read_text())
+    (entry,) = [r for r in report["results"]
+                if r["op"] == "translation_dimension_formula"]
+    assert entry["parameters"] == {"depth": 6}
+    assert entry["values"]["closed_form"] is True
+    value = entry["values"]["dimension"]
+    assert value["interval"] == [value["value"]] * 2
+    assert value["value"] == pytest.approx(math.log(2) / math.log(3),
+                                           rel=1e-15)
+
+
+def test_an_explicit_residue_flag_overrides_the_default(tmp_path):
+    """A stationary model reports its zeta residue by default; an explicit
+    false drops that entry and leaves every other one as it was."""
+    def ops(residue, where):
+        params = {"ifs": line_ifs(0.3, 0.35), "cap": 2000}
+        if residue is not None:
+            params["residue"] = residue
+        code, out_dir = run_cli(tmp_path, {"kind": "PAIR_TRIPLE", "name": "p",
+                                           "parameters": params}, where)
+        assert code == 0
+        return json.loads((out_dir / "p.report.json").read_text())["results"]
+
+    default, on, off = ops(None, "default"), ops(True, "on"), ops(False, "off")
+    assert "zeta_residue" in [r["op"] for r in default]
+    assert on == default
+    assert off == [r for r in default if r["op"] != "zeta_residue"]
+
+
+def test_a_planar_affine_functional_takes_a_vector_slope(tmp_path):
+    """The report echoes the vector slope and gives the value the library
+    gives for x -> <slope, x> + intercept on the same model."""
+    functional = {"type": "affine", "slope": [1.0, 0.5], "intercept": 0.25}
+    doc = {"kind": "PAIR_TRIPLE", "name": "planar",
+           "parameters": {"ifs": PLANAR_IFS, "cap": 4000,
+                          "functional": functional}}
+    code, out_dir = run_cli(tmp_path, doc)
+    assert code == 0
+    report = json.loads((out_dir / "planar.report.json").read_text())
+    (entry,) = [r for r in report["results"]
+                if r["op"] == "hausdorff_functional"]
+    assert entry["parameters"]["functional"] == functional
+    (exp,) = parse_config(doc)
+    model = st.pair_triple(exp.params["ifs"], cap=4000)
+    want = st.hausdorff_functional(
+        model, st.affine_functional(np.array([1.0, 0.5]), 0.25))
+    assert entry["values"]["value"]["value"] == want.value
+    assert entry["values"]["value"]["interval"] == [want.lo, want.hi]
