@@ -6,12 +6,10 @@ diagnostics, attractor point clouds, cylinder measures, box-counting
 dimension estimates, exact gap structure for subsets of the line, and the
 one-dimensional Minkowski content with truncation-aware error bands.
 
-Sets are represented as finite point clouds.  On the line, the gap code
-reads each map as x -> alpha x + beta in one place, ``_affine``, and takes
-images of an interval in one routine, ``_images``: in Fractions when every
-map it uses and the bounding interval were given exactly (int or Fraction
-coefficients), in floats otherwise.  Exact and float runs share that routine
-and one enumeration, so gap bookkeeping can be checked without rounding.
+Sets are represented as finite point clouds.  The gap code takes images of
+an interval in one routine, ``_images``, shared by exact and float runs: in
+Fractions when every map it uses and the interval were given exactly (int
+or Fraction coefficients), so gap bookkeeping is checked without rounding.
 """
 
 from __future__ import annotations
@@ -886,10 +884,7 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
     if exact is False:
         use_exact = False
 
-    if use_exact:
-        a, b = a_e, b_e
-    else:
-        a, b = float(a_raw), float(b_raw)
+    a, b = (a_e, b_e) if use_exact else (float(a_raw), float(b_raw))
     if not a < b:
         raise ValueError("bounding interval is degenerate")
 

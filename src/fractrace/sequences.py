@@ -207,11 +207,10 @@ class EigenvalueSequence:
     """Nonincreasing positive sequence with lazy evaluation up to a cap.
 
     Construct via from_values, from_function, or from_profile.  Values are
-    1-indexed.  A sequence is backed either by values, an array that is the
-    whole prefix up to the cap, or by a function mu_fn (and, for closed-form
-    families, a profile).  Values are ``complete`` when they are the whole
-    sequence, so every tail past them is exactly zero; a truncated model's
-    values are not, and its tails are fitted.  Powers keep the backing.
+    1-indexed.  A sequence is backed by values up to its cap, ``complete``
+    when they are the whole sequence (tails past them are exactly zero) or
+    not (tails are fitted), or by a function mu_fn, and keeps its backing
+    under power().
 
     Materialization: prefix() is the only method that evaluates mu_fn over
     1..n and replaces the cached prefix array.  Each materialized prefix
