@@ -350,7 +350,7 @@ class EigenvalueSequence:
         n = int(n)
         if self.complete:
             vals = self._powered_prefix(self.cap, gamma)
-            return float(vals[n:].sum()) if n < self.cap else 0.0, 0.0, "exhausted"
+            return float(vals[n:].sum()), 0.0, "exhausted"
 
         if self.profile is not None:
             # log 0 lies outside the profile: the whole sum (n = 0) is mu_1
