@@ -1,8 +1,8 @@
 """Eigenvalue sequences, their log-profiles, and partial-sum series.
 
 The central object is a nonincreasing positive sequence mu_1 >= mu_2 >= ...
-that vanishes at infinity, evaluated lazily up to a cap.  Sequences built from
-closed-form families additionally carry a piecewise-linear profile of
+that vanishes at infinity, held as its values up to a cap.  Sequences built
+from closed-form families additionally carry a piecewise-linear profile of
 
     f(t) = -log mu(e^t),    mu(x) piecewise constant between integer indices,
 
@@ -204,35 +204,32 @@ def _scan_values(vals, rtol=None, atol=0.0):
 
 
 class EigenvalueSequence:
-    """Nonincreasing positive sequence with lazy evaluation up to a cap.
+    """Nonincreasing positive sequence mu_1 >= ... >= mu_cap, held as one
+    validated float64 array, ``values``; ``cap`` is its length.
 
     Construct via from_values, from_function, or from_profile.  Values are
-    1-indexed.  A sequence is backed by values up to its cap, ``complete``
-    when they are the whole sequence (tails past them are exactly zero) or
-    not (tails are fitted), or by a function mu_fn, and keeps its backing
-    under power().
+    1-indexed.  A function or profile is evaluated once, on 1..cap, when the
+    sequence is made.  The sequence is ``complete`` when its values are the
+    whole sequence (tails past them are exactly zero) or not (tails are
+    fitted); power() keeps the flag and scales the profile.
 
-    Materialization: prefix() is the only method that evaluates mu_fn over
-    1..n and replaces the cached prefix array.  Each materialized prefix
-    (and each from_values list) is validated in one blocked pass over
-    cache-sized slices, which checks positivity and monotonicity and also
-    finds the jump positions (successive ratios below _JUMP_RATIO); a prefix
-    that never decreases at all trips the vanishing check.  The jump
-    positions and the prefix sums [0, S_1, ..., S_n] are cached with the
-    prefix they describe and dropped when it is replaced, so every
+    Each array is validated in one blocked pass over cache-sized slices,
+    which checks positivity and monotonicity and also finds the jump
+    positions (successive ratios below _JUMP_RATIO); a sequence that never
+    decreases at all trips the vanishing check.  The jump positions and the
+    prefix sums [0, S_1, ..., S_cap] are cached with the values, so every
     diagnostic reads one array.
     """
 
-    def __init__(self, mu_fn, *, cap=DEFAULT_CAP,
-                 profile: LogLinearProfile | None = None, name: str = ""):
-        self._mu_fn = mu_fn
-        self.cap = int(cap)
+    def __init__(self, values, jumps, *, complete: bool,
+                 profile: LogLinearProfile | None, name: str):
+        self.values = values
+        self.cap = len(values)
+        self.complete = complete
         self.profile = profile
         self.name = name
-        self.complete = False
-        self._prefix = None
-        self._jumps = None   # jump positions within _prefix
-        self._sums = None    # [0, S_1, ..., S_len(_prefix)]
+        self._jumps = jumps  # None until first use for powers
+        self._sums = None    # [0, S_1, ..., S_cap]
 
     # -- constructors -------------------------------------------------------
 
@@ -245,23 +242,18 @@ class EigenvalueSequence:
         jumps = _scan_values(values, rtol=0.0)
         if values[0] == values[-1] and len(values) > 1:
             raise NotVanishing("sequence is constant over its whole range")
-        seq = EigenvalueSequence(None, cap=len(values), name=name)
-        seq.complete = complete
-        seq._prefix = values
-        seq._jumps = jumps
-        return seq
+        return EigenvalueSequence(values, jumps, complete=complete,
+                                  profile=None, name=name)
 
     @staticmethod
     def from_function(mu_fn, cap=DEFAULT_CAP, name: str = "") -> "EigenvalueSequence":
-        return EigenvalueSequence(mu_fn, cap=cap, name=name)
+        return _evaluated(mu_fn, cap, None, name)
 
     @staticmethod
     def from_profile(profile: LogLinearProfile, cap=DEFAULT_CAP,
                      name: str = "") -> "EigenvalueSequence":
-        def mu_fn(n):
-            n = np.asarray(n, dtype=float)
-            return np.exp(-profile.f(np.log(n)))
-        return EigenvalueSequence(mu_fn, cap=cap, profile=profile, name=name)
+        return _evaluated(lambda n: np.exp(-profile.f(np.log(n))), cap,
+                          profile, name)
 
     # -- access --------------------------------------------------------------
 
@@ -270,71 +262,40 @@ class EigenvalueSequence:
         n = np.asarray(n)
         if np.any(n < 1) or np.any(n > self.cap):
             raise CapExceeded(f"indices must lie in [1, {self.cap}]")
-        n = n.astype(np.int64)
-        if self._prefix is None:
-            return np.asarray(self._mu_fn(n), dtype=float)
-        # indices inside the materialized prefix read it; mu_fn sees the rest
-        have = len(self._prefix)
-        out = np.asarray(self._prefix[np.minimum(n, have) - 1])
-        beyond = n > have
-        if beyond.any():
-            out[beyond] = self._mu_fn(n[beyond])
-        return out
+        return np.asarray(self.values[n.astype(np.int64) - 1])
 
     def prefix(self, n: int):
-        """First n values, cached; validates the sequence invariants."""
+        """First n values, a view of the array the sequence holds."""
         n = int(n)
         if n > self.cap:
             raise CapExceeded(f"prefix({n}) exceeds cap {self.cap}")
-        if self._prefix is None or len(self._prefix) < n:
-            idx = np.arange(1, n + 1, dtype=np.int64)
-            vals = np.asarray(self._mu_fn(idx), dtype=float)
-            jumps = _scan_values(vals, rtol=1e-15, atol=1e-300)
-            if n == self.cap and len(vals) > 1 and vals[0] == vals[-1]:
-                raise NotVanishing("sequence constant up to the cap")
-            self._prefix, self._jumps, self._sums = vals, jumps, None
-        return self._prefix[:n]
+        return self.values[:n]
 
     def _prefix_sums(self, n: int):
-        """[0, S_1, ..., S_n], a view of the sums cached with the prefix.
-
-        np.cumsum accumulates in index order, so S_k does not depend on how
-        far the cached sums reach.
-        """
-        self.prefix(n)
+        """[0, S_1, ..., S_n], a view of the sums cached with the values."""
         if self._sums is None:
-            sums = np.empty(len(self._prefix) + 1)
+            sums = np.empty(self.cap + 1)
             sums[0] = 0.0
-            np.cumsum(self._prefix, out=sums[1:])
+            np.cumsum(self.values, out=sums[1:])
             self._sums = sums
         return self._sums[:n + 1]
 
     def _jump_positions(self):
         """1-based indices n <= cap with mu_{n+1}/mu_n below _JUMP_RATIO."""
-        self.prefix(self.cap)
         if self._jumps is None:
-            # powers of explicit values take their prefix without a pass
-            self._jumps = _scan_values(self._prefix)
+            # powers take their values without a pass
+            self._jumps = _scan_values(self.values)
         return self._jumps
 
     def power(self, alpha: float) -> "EigenvalueSequence":
-        """Sequence of mu_n^alpha; profiles and explicit values transform."""
+        """Sequence of mu_n^alpha, with the same ``complete`` flag and the
+        profile scaled."""
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        name = f"{self.name}^({alpha:g})" if self.name else ""
-        if self._mu_fn is None:
-            out = EigenvalueSequence(None, cap=self.cap, name=name)
-            out.complete = self.complete
-            out._prefix = self._prefix ** alpha
-            return out
-        base_fn = self._mu_fn
-
-        def mu_fn(n):
-            return np.asarray(base_fn(n), dtype=float) ** alpha
-
         return EigenvalueSequence(
-            mu_fn, cap=self.cap, name=name,
+            self.values ** alpha, None, complete=self.complete,
             profile=self.profile.scaled(alpha) if self.profile is not None else None,
+            name=f"{self.name}^({alpha:g})" if self.name else "",
         )
 
     # -- tail models ----------------------------------------------------------
@@ -349,7 +310,7 @@ class EigenvalueSequence:
         """
         n = int(n)
         if self.complete:
-            vals = self._powered_prefix(self.cap, gamma)
+            vals = self.values if gamma == 1.0 else self.values ** gamma
             return float(vals[n:].sum()), 0.0, "exhausted"
 
         if self.profile is not None:
@@ -373,7 +334,7 @@ class EigenvalueSequence:
             raise TailUnfittable(
                 "tail exponent does not clear summability by 3 standard errors"
             )
-        vals = self._powered_prefix(self.cap, gamma)
+        vals = self.values if gamma == 1.0 else self.values ** gamma
         beyond = c * self.cap ** (1.0 - a) / (a - 1.0)
         lo_a, hi_a = a - 3.0 * se, a + 3.0 * se
         spread = abs(c * self.cap ** (1.0 - lo_a) / (lo_a - 1.0) - beyond) if lo_a > 1 else beyond
@@ -381,11 +342,6 @@ class EigenvalueSequence:
             raise CapExceeded("tail request beyond cap")
         within = float(vals[n:].sum())
         return within + beyond, spread + abs(beyond) * 1e-3, "power_fit"
-
-    def _powered_prefix(self, n: int, gamma: float):
-        """prefix(n) ** gamma, without the copy when gamma is 1."""
-        vals = self.prefix(n)
-        return vals if gamma == 1.0 else vals ** gamma
 
     def _fit_tail_power(self, gamma: float):
         """Least squares of log mu^gamma against log n over the last decade."""
@@ -402,6 +358,18 @@ class EigenvalueSequence:
         xvar = float(np.sum((x - x.mean()) ** 2))
         se = rms / np.sqrt(xvar) if xvar > 0 else np.inf
         return float(np.exp(logc)), float(a), float(se)
+
+
+def _evaluated(mu_fn, cap, profile, name) -> EigenvalueSequence:
+    """The sequence of mu_fn on 1..cap.  Its values pass the tolerant check,
+    which lets rises of rounding size (1e-15 relative) through."""
+    vals = np.asarray(mu_fn(np.arange(1, int(cap) + 1, dtype=np.int64)),
+                      dtype=float)
+    jumps = _scan_values(vals, rtol=1e-15, atol=1e-300)
+    if len(vals) > 1 and vals[0] == vals[-1]:
+        raise NotVanishing("sequence constant up to the cap")
+    return EigenvalueSequence(vals, jumps, complete=False, profile=profile,
+                              name=name)
 
 
 @dataclass

@@ -1,8 +1,9 @@
-"""The blocked validation pass and the caches kept with a prefix, against
+"""The blocked validation pass and the caches kept with the values, against
 the whole-array expressions they replaced.
 
 Each reference below is the code the package ran before the pass worked on
-slices: the checks in ``prefix`` and ``from_values``, the ratio test of
+slices: the checks that ``from_function`` and ``from_values`` make (those of
+``from_function`` once ran in ``prefix``), the ratio test of
 ``_jump_positions``, and the ``np.cumsum`` sums that ``_partial_sums`` and
 ``_log_window_slopes`` built on every call.  The new path must raise the
 same error or none, find the same jump positions and give bit-equal sums.
@@ -16,14 +17,13 @@ from hypothesis import strategies as st
 
 from fractrace import asymptotics, sequences
 from fractrace.errors import FractraceError
-from fractrace.exemplars import CONSTANT, TwoSlopeSpec, two_slope_sequence
 from fractrace.sequences import (NON_TRACE_CLASS, TRACE_CLASS,
                                  EigenvalueSequence)
 
 B = sequences._SLICE
 
 
-def reference_prefix_checks(vals, cap):
+def reference_from_function_checks(vals, cap):
     if np.any(vals <= 0):
         raise ValueError("eigenvalues must be positive")
     if np.any(np.diff(vals) > 1e-15 * vals[:-1] + 1e-300):
@@ -140,18 +140,17 @@ def assert_caches_match(seq, vals):
 
 @given(sequences_near_slices())
 @settings(max_examples=60, deadline=None)
-def test_prefix_pass_matches_whole_array_checks(drawn):
+def test_from_function_pass_matches_whole_array_checks(drawn):
     b, vals = drawn
     with mock.patch.object(sequences, "_SLICE", b), \
             np.errstate(divide="ignore", invalid="ignore"):
-        seq = from_function(vals)
-        got = outcome(seq.prefix, len(vals))
-        want = outcome(reference_prefix_checks, vals, len(vals))
+        got = outcome(from_function, vals)
+        want = outcome(reference_from_function_checks, vals, len(vals))
         if want[0] == "raise":
             assert got == want
             return
         assert got[0] == "ok"
-        assert_caches_match(seq, vals)
+        assert_caches_match(got[1], vals)
 
 
 @given(sequences_near_slices())
@@ -176,17 +175,17 @@ def test_from_values_pass_matches_whole_array_checks(drawn):
 
 @given(sequences_near_slices(), st.floats(0.05, 0.95))
 @settings(max_examples=40, deadline=None)
-def test_caches_follow_a_prefix_grown_in_two_steps(drawn, frac):
+def test_sums_read_short_of_the_cap_match_the_caches(drawn, frac):
     b, vals = drawn
     with mock.patch.object(sequences, "_SLICE", b), \
             np.errstate(divide="ignore", invalid="ignore"):
-        if outcome(reference_prefix_checks, vals, len(vals))[0] == "raise":
+        if outcome(reference_from_function_checks, vals,
+                   len(vals))[0] == "raise":
             return
         seq = from_function(vals)
         first = max(1, int(frac * len(vals)))
         assert same(outcome(seq._prefix_sums, first),
                     ("ok", np.concatenate([[0.0], np.cumsum(vals[:first])])))
-        seq.prefix(len(vals))
         assert_caches_match(seq, vals)
 
 
@@ -194,9 +193,8 @@ def test_slices_overlap_so_a_rise_across_a_boundary_is_seen():
     vals = 1.0 / np.arange(1, 3 * B + 8, dtype=float)
     vals[B] = vals[B - 1] * 1.5
     with np.errstate(divide="ignore"):
-        seq = from_function(vals)
         try:
-            seq.prefix(len(vals))
+            from_function(vals)
         except ValueError as e:
             assert str(e) == "eigenvalues must be nonincreasing"
         else:
@@ -233,25 +231,5 @@ def test_mu_reads_the_materialized_prefix():
     asymptotics.analyze_sequence(seq)
     # one materialization of the whole cap, and no mu_fn call after it
     assert sum(asked) == 10**5
+    assert len(asked) == 1
 
-
-def test_mu_inside_outside_and_across_the_prefix():
-    spec = TwoSlopeSpec(1.7, 1.3, (CONSTANT, 1.0))
-    for seq in (two_slope_sequence(spec, cap=5000),
-                EigenvalueSequence.from_function(
-                    lambda n: np.asarray(n, dtype=float) ** -0.8, cap=5000)):
-        fn, asked = counting(seq._mu_fn)
-        seq._mu_fn = fn
-        seq.prefix(1000)
-        queries = [np.array([1, 17, 999, 1000]), np.array([1001, 4999]),
-                   np.array([4999, 3, 1000, 1001, 3])]
-        # what mu gave before it read the prefix: mu_fn at the indices
-        expected = [fn(idx) for idx in queries]
-        asked.clear()
-        for idx, want in zip(queries, expected):
-            got = seq.mu(idx)
-            assert got.dtype == float and got.shape == idx.shape
-            np.testing.assert_array_equal(got, want)
-        # only the indices past the prefix reach mu_fn
-        assert asked == [2, 2]
-        assert seq.mu(5) == seq.prefix(5)[4]

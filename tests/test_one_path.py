@@ -7,11 +7,17 @@ mirror or of the orientation sign is how a float twin of an exact loop
 starts, so outside the ``Similarity`` class only ``_affine`` may read
 ``exact_affine()`` or ``orthogonal[0, 0]``.  Likewise the models reach
 ``EigenvalueSequence`` through their values, never through a function that
-looks entries up in an array.
+looks entries up in an array, and every sequence holds one thing: its
+validated array, evaluated once when the sequence is made.
 """
 
 import ast
 import pathlib
+
+import numpy as np
+import pytest
+
+from fractrace.sequences import EigenvalueSequence, LogLinearProfile
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fractrace"
 
@@ -55,3 +61,21 @@ def test_models_reach_sequences_through_their_values():
              for sub in ast.walk(node)
              if isinstance(sub, ast.Attribute) and sub.attr == "from_function"]
     assert calls == []
+
+
+PROFILE = LogLinearProfile([0.0, 2.0, 30.0], [0.0, 2.6], [1.3, 1.7])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EigenvalueSequence.from_values(np.arange(1, 3001) ** -1.2),
+    lambda: EigenvalueSequence.from_function(lambda n: n ** -1.5, cap=3000),
+    lambda: EigenvalueSequence.from_profile(PROFILE, cap=3000),
+], ids=["from_values", "from_function", "from_profile"])
+def test_a_sequence_holds_its_array_and_no_function(make):
+    base = make()
+    for seq in (base, base.power(0.7)):
+        assert [k for k, v in vars(seq).items() if callable(v)] == []
+        held = seq.values
+        whole = seq.prefix(seq.cap)
+        assert seq.values is held and len(whole) == seq.cap
+        assert np.shares_memory(whole, held)
