@@ -16,7 +16,6 @@ MODULES = ("sequences", "asymptotics", "exemplars", "fractal_geometry",
            "spectral_triples", "reporting", "errors")
 
 SURFACE = """
-sequences.EigenvalueSequence.__init__(cap=1000000, profile=None, name='')
 sequences.EigenvalueSequence.from_function(cap=1000000, name='')
 sequences.EigenvalueSequence.from_profile(cap=1000000, name='')
 sequences.EigenvalueSequence.from_values(name='', complete=True)
