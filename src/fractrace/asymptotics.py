@@ -107,6 +107,13 @@ def _ratio_samples(seq: EigenvalueSequence, n_lo: float, n_hi: float, m: int = 2
     return t, r
 
 
+def _enough_entries(n: int):
+    """Raise CapExceeded when n entries are too few for the tail windows."""
+    if n < MIN_CAP:
+        raise CapExceeded(f"{n} entries, fewer than the {MIN_CAP} "
+                          "the tail windows read")
+
+
 def order_of_infinitesimal(seq: EigenvalueSequence) -> OrdEstimate:
     """liminf of log mu_n / log(1/n), from tail windows.
 
@@ -117,8 +124,7 @@ def order_of_infinitesimal(seq: EigenvalueSequence) -> OrdEstimate:
     against 1/log n, which removes the O(1/log n) transient that a plain
     window minimum would report.
     """
-    if seq.cap < MIN_CAP:
-        raise CapExceeded("cap too small for tail windows")
+    _enough_entries(seq.cap)
     jumps = seq._jump_positions()
     if len(jumps) >= 2 and math.log(float(jumps[-1])) >= 0.5 * math.log(seq.cap):
         use = jumps[jumps >= 3]

@@ -23,6 +23,7 @@ from .sequences import EigenvalueSequence
 from .asymptotics import (
     DixmierEstimate,
     OrdEstimate,
+    _enough_entries,
     dixmier_trace_estimate,
     eccentricity_scan,
     order_of_infinitesimal,
@@ -237,7 +238,10 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
         if np.array_equal(new_order, order):
             break
         order = new_order
+    # a word's entry lam * d0 can round to 0 where lam did not; such words
+    # close the sorted stream, and they stay out of the truncated model
     idx = order[:n_words_max]
+    idx = idx[lam[idx] * d0 > 0]
 
     # the model is complete only when the whole (finite) word tree was walked
     truncated = len(lam) > len(idx) or pruned or (
@@ -339,6 +343,9 @@ def spectral_dimension(model) -> SpectralDimension:
     that needs no fit: the limsup of log n / |log l_n| over the plain
     (single-copy) gap lengths.
     """
+    # counted before the sequence is made: a short model's entries may all
+    # be equal, which from_values refuses as not vanishing
+    _enough_entries(len(model))
     est = order_of_infinitesimal(model.eigen)
     scaling = None
     if isinstance(model, GapTripleModel):

@@ -603,6 +603,40 @@ def test_a_pair_run_past_float_underflow_ends(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_pair_model_whose_entries_round_to_zero_is_too_short(tmp_path,
+                                                               capsys):
+    """Two maps of ratio 3.2e-162 at seed distance 0.1: the entries of the
+    depth-2 words round to 0 and stay out, which leaves 4 entries, too few
+    for the tail windows."""
+    doc = {"kind": "PAIR_TRIPLE", "name": "zero",
+           "parameters": {"ifs": {"generation": "stationary",
+                                  "maps": [{"ratio": 3.2e-162,
+                                            "translation": 0.0},
+                                           {"ratio": 3.2e-162,
+                                            "translation": 0.1}]},
+                          "cap": 16}}
+    code, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert err == ("zero: CAP_EXCEEDED: 4 entries, fewer than the 16 the "
+                   "tail windows read\n")
+
+
+def test_a_gap_model_below_the_tail_windows_names_its_size(tmp_path, capsys):
+    """A gap model of 14 entries fails with its size, not with a cap it
+    does not have; 30 entries run."""
+    def gap(depth):
+        return {"kind": "GAP_TRIPLE", "name": "g",
+                "parameters": {"ifs": line_ifs(0.3, 0.4), "depth": depth}}
+
+    code, _ = run_cli(tmp_path, gap(3), "short")
+    assert code == 3
+    assert capsys.readouterr().err == ("g: CAP_EXCEEDED: 14 entries, fewer "
+                                       "than the 16 the tail windows read\n")
+    code, _ = run_cli(tmp_path, gap(4), "enough")
+    assert code == 0 and capsys.readouterr().err == ""
+
+
 def test_dimension_ratios_of_subnormal_eigenvalues(tmp_path):
     """Two maps of ratio 1e-20 reach eigenvalues near 1e-320, whose
     reciprocal overflows; their dimension ratios are still positive and

@@ -126,6 +126,16 @@ def test_pair_enumeration_stops_at_float_underflow():
     assert np.all(model.values > 0)
 
 
+def test_pair_entries_that_round_to_zero_stay_out():
+    """Two maps of ratio 3.2e-162 at seed distance 0.1: the depth-2 words
+    have a positive ratio product, but their entries round to 0."""
+    ifs = LimitIfs.stationary([Similarity(3.2e-162, 0.0),
+                               Similarity(3.2e-162, 0.1)])
+    model = pair_triple(ifs, cap=16)
+    assert model.truncated and len(model) == 4
+    assert np.all(model.values > 0)
+
+
 def test_pair_model_tags_lie_at_value_distance():
     model = pair_triple(make_cantor(), seed=((0.0,), (1.0,)), max_depth=6)
     dist = np.linalg.norm(model.tags_x - model.tags_y, axis=1)
