@@ -692,17 +692,14 @@ class GapList:
 
     @classmethod
     def from_intervals(cls, intervals) -> "GapList":
-        """Gap list of a finite union of closed intervals (solid residuals)."""
-        ivs = []
-        exact = True
-        for lo, hi in intervals:
-            lo_e, hi_e = _exact_number(lo), _exact_number(hi)
-            if lo_e is None or hi_e is None:
-                exact = False
-                lo_e, hi_e = float(lo), float(hi)
-            if not lo_e < hi_e:
-                raise ValueError("intervals must be nondegenerate")
-            ivs.append((lo_e, hi_e))
+        """Gap list of a finite union of closed intervals (solid residuals);
+        exact only when every endpoint is an int or a Fraction, else every
+        endpoint becomes a float before any arithmetic."""
+        given = [(lo, hi) for lo, hi in intervals]
+        exact = all(_exact_number(x) is not None for iv in given for x in iv)
+        ivs = [tuple(map(_exact_number if exact else float, iv)) for iv in given]
+        if not all(lo < hi for lo, hi in ivs):
+            raise ValueError("intervals must be nondegenerate")
         ivs.sort(key=lambda iv: float(iv[0]))
         for (_, h1), (l2, _) in zip(ivs, ivs[1:]):
             if not h1 < l2:

@@ -1,5 +1,6 @@
 """Similarity systems, limit-set geometry, gaps, contents, dimensions."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -479,6 +480,24 @@ def test_from_intervals_finite_union():
         GapList.from_intervals([(0.0, 0.5), (0.4, 1.0)])
     with pytest.raises(ValueError):
         GapList.from_intervals([(0.5, 0.5)])
+
+
+def test_from_intervals_decides_exactness_for_the_whole_list():
+    """One float endpoint makes every endpoint a float, so a mixed list is
+    its all-float version to the last bit; all-Fraction lists stay exact."""
+    mixed = GapList.from_intervals([(0, Fraction(9, 97)),
+                                    (Fraction(1, 3), Fraction(33, 97)),
+                                    (2 / 3, 1.0)])
+    floats = GapList.from_intervals([(0.0, 9 / 97), (1 / 3, 33 / 97),
+                                     (2 / 3, 1.0)])
+    assert not mixed.exact
+    for f in dataclasses.fields(GapList):
+        a, b = getattr(mixed, f.name), getattr(floats, f.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+    exact = GapList.from_intervals([(0, Fraction(9, 97)),
+                                    (Fraction(1, 3), Fraction(33, 97)),
+                                    (Fraction(2, 3), 1)])
+    assert exact.exact and exact.conservation_defect == 0.0
 
 
 # --- tube volumes ------------------------------------------------------------------------------
