@@ -1268,7 +1268,7 @@ def _run_pair_triple(exp, budget, out):
                         "truncated": bool(model.truncated),
                         "ambient_dim": int(model.dim),
                         "seed_distance": _val(model.seed_distance),
-                        "max_depth_reached": int(model.depths.max())}}
+                        "max_depth_reached": int(model.depths.max(initial=0))}}
     return [build] + _model_entries(exp, model, out), len(model)
 
 

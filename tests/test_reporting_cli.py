@@ -603,23 +603,26 @@ def test_a_pair_run_past_float_underflow_ends(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_a_pair_model_whose_entries_round_to_zero_is_too_short(tmp_path,
-                                                               capsys):
+@pytest.mark.parametrize("ratio, extra, entries", [
+    (3.2e-162, {}, 4), (5e-324, {}, 0), (0.3, {"max_depth": 0}, 0)])
+def test_a_pair_model_whose_entries_round_to_zero_is_too_short(
+        tmp_path, capsys, ratio, extra, entries):
     """Two maps of ratio 3.2e-162 at seed distance 0.1: the entries of the
     depth-2 words round to 0 and stay out, which leaves 4 entries, too few
-    for the tail windows."""
+    for the tail windows.  At ratio 5e-324 every entry rounds to 0, and
+    max_depth 0 asks for no word at all: both models are empty."""
     doc = {"kind": "PAIR_TRIPLE", "name": "zero",
            "parameters": {"ifs": {"generation": "stationary",
-                                  "maps": [{"ratio": 3.2e-162,
+                                  "maps": [{"ratio": ratio,
                                             "translation": 0.0},
-                                           {"ratio": 3.2e-162,
+                                           {"ratio": ratio,
                                             "translation": 0.1}]},
-                          "cap": 16}}
+                          "cap": 16, **extra}}
     code, _ = run_cli(tmp_path, doc)
     err = capsys.readouterr().err
     assert code == 3 and "Traceback" not in err
-    assert err == ("zero: CAP_EXCEEDED: 4 entries, fewer than the 16 the "
-                   "tail windows read\n")
+    assert err == (f"zero: CAP_EXCEEDED: {entries} entries, fewer than the "
+                   "16 the tail windows read\n")
 
 
 def test_a_gap_model_below_the_tail_windows_names_its_size(tmp_path, capsys):
