@@ -213,12 +213,13 @@ class EigenvalueSequence:
     whole sequence (tails past them are exactly zero) or not (tails are
     fitted); power() keeps the flag and scales the profile.
 
-    Each array is validated in one blocked pass over cache-sized slices,
-    which checks positivity and monotonicity and also finds the jump
-    positions (successive ratios below _JUMP_RATIO); a sequence that never
-    decreases at all trips the vanishing check.  The jump positions and the
-    prefix sums [0, S_1, ..., S_cap] are cached with the values, so every
-    diagnostic reads one array.
+    The values of each constructor are validated in one blocked pass over
+    cache-sized slices, which checks positivity and monotonicity and also
+    finds the jump positions (successive ratios below _JUMP_RATIO); a
+    sequence that never decreases at all trips the vanishing check.  Powers
+    find their jumps on first use, without the checks.  The jump positions
+    and the prefix sums [0, S_1, ..., S_cap] are cached with the values, so
+    every diagnostic reads one array.
     """
 
     def __init__(self, values, jumps, *, complete: bool,
