@@ -853,7 +853,8 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
     Exact and float runs share one vectorized enumeration: exact endpoints
     are Python-int numerators over one common denominator (no width limit),
     rounded correctly to float at the end, and the conservation defect is an
-    integer identity.
+    integer identity.  A float run holds its endpoint arrays once, so its
+    working set stays within about twice the arrays it returns.
     """
     if ifs.dim != 1:
         raise ValueError("gap analysis needs a one-dimensional system")
@@ -892,25 +893,44 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
         [level_cache[i] for i in block_ids], a, b, use_exact, budget)
 
     def to_float(x):
-        # int / int rounds correctly, to the value float(Fraction) gives
-        return np.asarray(x / denom, dtype=float)
+        # int / int rounds correctly, to the value float(Fraction) gives; a
+        # float run's endpoints are floats already
+        return np.asarray(x / denom, dtype=float) if use_exact else x
 
-    # left-to-right sums, as Python's sum adds; a leading 0 keeps an empty
-    # gap list summable and changes no float
-    total = np.cumsum(np.append(0, hi - lo))[-1] + np.cumsum(res_hi - res_lo)[-1]
+    # from here on every array is released as soon as it is used, and each
+    # sorted copy replaces its source before the next is made
+    rlen = res_hi - res_lo
+    # rounding is monotone, so the rounded max is the max of the rounded
+    r_max = float(to_float(rlen.max()))
+    # left-to-right sums, as Python's sum adds, each in place over its own
+    # array of lengths
+    r_sum = np.cumsum(rlen, out=rlen)[-1]
+    del rlen
+    glen = hi - lo
+    total = (np.cumsum(glen, out=glen)[-1] if glen.size else 0) + r_sum
+    del glen
     defect = ((b - a) * denom - total) / denom
-    r_max = float(to_float(res_hi - res_lo).max())
     cutoff = r_max / (float(b) - float(a)) * _future_gap_factor(
         ifs, depth, float(a), float(b))
-    starts, ends = to_float(lo), to_float(hi)
-    order = np.lexsort((starts, -(ends - starts)))
+
     res_starts, res_ends = to_float(res_lo), to_float(res_hi)
+    del res_lo, res_hi
     ridx = np.argsort(res_starts)
+    res_starts = res_starts[ridx]
+    res_ends = res_ends[ridx]
+    del ridx
+    starts, ends = to_float(lo), to_float(hi)
+    del lo, hi
+    key = ends - starts
+    order = np.lexsort((starts, np.negative(key, out=key)))
+    del key
+    starts = starts[order]
+    ends = ends[order]
+    glevels = glevels[order]
     return GapList(
         a=float(a), b=float(b),
-        starts=starts[order], ends=ends[order],
-        levels=glevels[order],
-        residual_starts=res_starts[ridx], residual_ends=res_ends[ridx],
+        starts=starts, ends=ends, levels=glevels,
+        residual_starts=res_starts, residual_ends=res_ends,
         exact=use_exact, residual_solid=False,
         conservation_defect=float(defect),
         stationary_ratios=(tuple(float(r) for r in ifs.ratios(1))
@@ -927,7 +947,9 @@ def _gap_numerators(levels, a, b, exact, budget):
     runs hold Python ints in object arrays with S = D^m E, D the lcm of the
     map denominators and E that of a and b; float runs hold float64 with S
     and every scale 1.0.  Returns (gap_lo, gap_hi, gap_level, res_lo,
-    res_hi, S), level by level and in word order within a level.
+    res_hi, S), level by level and in word order within a level.  Each level
+    writes its gaps into arrays sized for every level, so no chunk is
+    copied; a word that reverses orientation swaps its two ends at the end.
     """
     m = len(levels)
     dtype, den, scales = float, 1.0, [1.0] * (m + 1)
@@ -945,23 +967,43 @@ def _gap_numerators(levels, a, b, exact, budget):
             out = [x.numerator for x in out]
         return np.array(out, dtype=dtype)
 
+    words = [1]
+    for n, (ivs, _) in enumerate(levels, start=1):
+        words.append(words[-1] * len(ivs))
+        if words[n] > budget:
+            raise BudgetExceeded(f"depth {n} needs {words[n]} words, budget {budget}")
+    n_gaps = sum(w * len(lgaps) for w, (_, lgaps) in zip(words, levels))
+    gap_lo, gap_hi = np.empty(n_gaps, dtype=dtype), np.empty(n_gaps, dtype=dtype)
+    gap_level = np.empty(n_gaps, dtype=np.int64)
+
     alpha, beta = np.ones(1, dtype=dtype), np.zeros(1, dtype=dtype)
-    gap_lo, gap_hi, gap_level = [], [], []
+    start = 0
     for n, (ivs, lgaps) in enumerate(levels, start=1):
-        if alpha.size * len(ivs) > budget:
-            raise BudgetExceeded(f"depth {n} needs {alpha.size * len(ivs)} words, budget {budget}")
-        e1 = alpha[:, None] * scaled([g[0] for g in lgaps], scales[n - 1]) + beta[:, None]
-        e2 = alpha[:, None] * scaled([g[1] for g in lgaps], scales[n - 1]) + beta[:, None]
-        gap_lo.append(np.minimum(e1, e2).ravel())
-        gap_hi.append(np.maximum(e1, e2).ravel())
-        gap_level.append(np.full(e1.size, n))
-        la = scaled([iv[2] for iv in ivs], den)
-        lb = scaled([iv[3] for iv in ivs], scales[n - 1])
-        alpha, beta = ((alpha[:, None] * la).ravel(),
-                       (alpha[:, None] * lb + beta[:, None]).ravel())
-    e1, e2 = alpha * scaled([a, b], scales[m])[:, None] + beta
-    return (np.concatenate(gap_lo), np.concatenate(gap_hi), np.concatenate(gap_level),
-            np.minimum(e1, e2), np.maximum(e1, e2), scales[0])
+        rows = slice(start, start + alpha.size * len(lgaps))
+        start = rows.stop
+        for out, k in ((gap_lo, 0), (gap_hi, 1)):
+            # alpha g + beta over every word and gap, written in place
+            block = out[rows].reshape(alpha.size, len(lgaps))
+            np.multiply(alpha[:, None], scaled([g[k] for g in lgaps], scales[n - 1]),
+                        out=block)
+            block += beta[:, None]
+        gap_level[rows] = n
+        lb = alpha[:, None] * scaled([iv[3] for iv in ivs], scales[n - 1])
+        lb += beta[:, None]
+        beta = lb.ravel()
+        alpha = (alpha[:, None] * scaled([iv[2] for iv in ivs], den)).ravel()
+    # the last level's words map [a, b] onto the residual cylinders; alpha
+    # turns into their upper ends in place
+    res_lo = alpha * scaled([a], scales[m])
+    res_lo += beta
+    res_hi = alpha
+    res_hi *= scaled([b], scales[m])
+    res_hi += beta
+    del alpha, beta
+    for lo, hi in ((gap_lo, gap_hi), (res_lo, res_hi)):
+        flip = lo > hi
+        lo[flip], hi[flip] = hi[flip], lo[flip]
+    return gap_lo, gap_hi, gap_level, res_lo, res_hi, scales[0]
 
 
 # ---------------------------------------------------------------------------
