@@ -816,25 +816,22 @@ def _future_gap_factor(ifs: LimitIfs, depth: int, a: float, b: float) -> float:
     """sup over k > depth of (product of levels' max ratios up to k-1 beyond
     depth) times the max gap of the level-k pattern; the largest gap a unit
     copy of [a, b] subdivided from level depth+1 onward can still open,
-    relative to the copy's own scale."""
+    relative to the copy's own scale.
+
+    Stationary and periodic systems stop after one period of levels: a later
+    term is an earlier one's gap times a smaller float product, so it cannot
+    raise the sup.  Explicit systems run to their last level.
+    """
+    last = ifs.max_depth if ifs.generation == EXPLICIT else depth + len(ifs.blocks)
     width = b - a
     best, prod = 0.0, 1.0
-    pattern: dict = {}
-    k = depth + 1
-    while ifs.max_depth is None or k <= ifs.max_depth:
-        bid = ifs.block_index(k)
-        if bid not in pattern:
-            pattern[bid] = _level_max_gap(ifs.blocks[bid], a, b)
-        best = max(best, prod * pattern[bid])
-        prod *= max(w.ratio for w in ifs.blocks[bid])
-        # every later term is below prod * width; once that can't improve
-        # the running max the sup is reached (gapless systems settle once
-        # every distinct block has been seen)
-        if prod == 0.0 or prod * width <= best:
+    for k in range(depth + 1, last + 1):
+        maps = ifs.level(k)
+        best = max(best, prod * _level_max_gap(maps, a, b))
+        prod *= max(w.ratio for w in maps)
+        # every later term is below prod * width
+        if prod * width <= best:
             break
-        if best == 0.0 and len(pattern) == len(ifs.blocks) and ifs.generation != EXPLICIT:
-            break
-        k += 1
     return best
 
 

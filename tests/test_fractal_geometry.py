@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from fractrace.fractal_geometry import (
     GapList,
     LimitIfs,
     Similarity,
+    _level_max_gap,
     attractor_cloud,
     box_dimension_estimate,
     contraction_limit,
@@ -390,6 +392,46 @@ def test_truncated_list_is_a_complete_prefix():
     kept = shallow.lengths[shallow.lengths > shallow.completeness_cutoff]
     assert len(kept) > 20
     np.testing.assert_array_equal(kept, deep.lengths[: len(kept)])
+
+
+def run_within(seconds, fn):
+    """fn(), or TimeoutError once ``seconds`` of wall time have passed."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+NEAR_ONE = [interval_map(0.999999999923, 0.0), interval_map(3.9e-76, 0.9999999999)]
+
+
+@pytest.mark.parametrize("ifs, interval", [
+    (LimitIfs.stationary(NEAR_ONE), None),
+    (LimitIfs.periodic([[interval_map(0.9999999999, 0.0),
+                         interval_map(1e-11, 1.0 - 1e-11)],
+                        [interval_map(0.999999999923, 0.0),
+                         interval_map(1e-12, 1.0 - 1e-12)]]), (0.0, 1.0)),
+], ids=["stationary", "periodic"])
+def test_a_ratio_near_one_leaves_the_cutoff_quick(ifs, interval):
+    """A largest ratio within 1e-10 of 1 once made the completeness cutoff
+    step through about 1e11 levels.  One period of levels past the depth
+    gives the sup: the first level's gap on a stationary system, the larger
+    of the first gap and the second scaled by the first largest ratio on a
+    period of two."""
+    gaps = run_within(2.0, lambda: gaps_from_interval_ifs(ifs, 11, interval=interval))
+    unit = gaps.residual_lengths.max() / (gaps.b - gaps.a)
+    terms = [_level_max_gap(ifs.level(k), gaps.a, gaps.b) for k in (12, 13)]
+    if ifs.generation == "STATIONARY":
+        sup = terms[0]
+    else:
+        sup = max(terms[0], max(w.ratio for w in ifs.level(12)) * terms[1])
+    assert gaps.completeness_cutoff == unit * sup > 0.0
 
 
 def test_gap_conservation_against_residuals():
