@@ -31,7 +31,8 @@ everything here:
   shortest text that round-trips the float64 (so ``0.1`` stays ``0.1``,
   where the report JSON writes 17 significant digits and quotes nan and
   infinities; CSV writes them bare).  A model's entries CSV has one row per
-  entry, so each repeated eigenvalue repeats its row.
+  entry: each gap or word gives two equal rows, repeated from the one tag
+  row the model stores for it.
 * A batch runs on every CPU the process may use.  The process count P is
   the size of the CPU affinity mask (``os.sched_getaffinity``), at most the
   number of experiments.  Experiments are dealt round-robin by config
@@ -922,10 +923,11 @@ def _sequence_series(out, seq, scan):
     out.write("eccentricity", "log_n,ratio_gap", [scan.t_points, scan.gaps])
 
 
-def _entries_table(model):
+def _entries_table(model, max_rows):
     """Header and columns of a model's entries CSV: mu_k and the coordinates
-    of both tags, one row per entry."""
-    tx, ty = model.tag_matrix()
+    of both tags, one row per entry, for the first ``max_rows`` entries (all
+    when None)."""
+    tx, ty = model.tag_matrix(max_rows)
     dim = tx.shape[1]
     axes = [""] if dim == 1 else [f"_{i}" for i in range(1, dim + 1)]
     header = ",".join(["k", "mu_k"] + [f"tag_{t}{a}" for t in "xy"
@@ -1218,9 +1220,9 @@ def _model_entries(exp, model, out):
         func, echo = p["functional"]
         results.append(_functional_entry(model, func, echo, p["exponent"],
                                          p["tolerance"]))
-    out.write("entries", *_entries_table(model), p["series_max_rows"],
-              numbered=True)
-    if out.on:   # the ratios are computed for their CSV only
+    if out.on:   # the table and the ratios are computed for their CSVs only
+        out.write("entries", *_entries_table(model, p["series_max_rows"]),
+                  p["series_max_rows"], numbered=True)
         out.write("dimension_ratios", "n,dimension_ratio",
                   _dimension_ratios(model.values))
     return results

@@ -5,13 +5,15 @@ line: the characteristic values of the inverse operator are the lengths of
 the complementary intervals of a compact set, each entered twice, tagged by
 the gap endpoints.  The pair model lives over an iterated system in any
 dimension: every finite word contributes the distance between the images of
-a fixed seed pair, again twice, tagged by the two image points.  Functions
+a fixed seed pair, again twice, tagged by the two image points.  A model
+stores its values one per entry and its tags one per gap or word.  Functions
 act through their values at the tags, which is all the downstream trace
 machinery ever reads.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -63,10 +65,13 @@ _RESIDUE_DELTAS = np.geomspace(1e-3, 1e-1, 16)
 class GapTripleModel:
     """Inverse-Dirac eigenvalue data read off a one-dimensional gap list.
 
-    Each gap (a_n, b_n) contributes the value b_n - a_n twice; both copies
-    are tagged with the endpoint pair, which is the two-point space the
-    corresponding operator block acts on.  ``truncated`` records whether the
-    list cuts off an infinite complement, controlling how zeta tails close.
+    Each gap (a_n, b_n) contributes the value b_n - a_n twice, so
+    ``values`` has one row per entry.  Both copies are tagged with the
+    endpoint pair, which is the two-point space the corresponding operator
+    block acts on: ``tags_x``/``tags_y`` hold one row per gap, views of the
+    first gaps of ``gaps``, and ``tag_matrix()`` gives one row per entry.
+    ``truncated`` records whether the list cuts off an infinite complement,
+    controlling how zeta tails close.
     """
 
     gaps: GapList
@@ -90,9 +95,17 @@ class GapTripleModel:
                 self.values, "gap-triple", complete=not self.truncated)
         return self._eigen
 
-    def tag_matrix(self):
-        """Tags as two (n, 1) arrays, the shape functional sampling expects."""
-        return self.tags_x.reshape(-1, 1), self.tags_y.reshape(-1, 1)
+    def tag_matrix(self, n: int | None = None):
+        """Tags of the first n entries (all when None) as two (n, 1) arrays,
+        one row per entry, the shape functional sampling expects."""
+        return _entry_rows(self.tags_x, n)[:, None], _entry_rows(self.tags_y, n)[:, None]
+
+
+def _entry_rows(tags, n):
+    """The rows of the first n entries (all when None) from ``tags``, which
+    holds one row per gap or word: each row twice."""
+    blocks = None if n is None else (n + 1) // 2
+    return np.repeat(tags[:blocks], 2, axis=0)[:n]
 
 
 def gap_triple(gaps: GapList) -> GapTripleModel:
@@ -103,21 +116,29 @@ def gap_triple(gaps: GapList) -> GapTripleModel:
     at or below the list's completeness cutoff are dropped: down there the
     sorted list interleaves with gaps the enumeration has not opened yet,
     and a model must be an exact initial segment of the true sequence or
-    every tail statistic downstream is biased.
+    every tail statistic downstream is biased.  The gaps kept are a prefix
+    of the list, found by bisection, so the model allocates its values and
+    nothing else.
     """
-    if gaps.starts.size == 0:
+    n_gaps = gaps.starts.size
+    if n_gaps == 0:
         raise ValueError("gap list has no gaps to build a model from")
-    keep = gaps.lengths > gaps.completeness_cutoff
-    if not np.any(keep):
+    cutoff = gaps.completeness_cutoff
+    k = bisect.bisect_left(
+        range(n_gaps), True, key=lambda i: gaps.ends[i] - gaps.starts[i] <= cutoff)
+    if k == 0:
         raise ValueError(
             "no gap clears the completeness cutoff; deepen the enumeration")
+    values = np.empty(2 * k)
+    np.subtract(gaps.ends[:k], gaps.starts[:k], out=values[::2])
+    values[1::2] = values[::2]
     truncated = bool((not gaps.residual_solid) and gaps.residual_starts.size > 0)
     return GapTripleModel(
         gaps=gaps,
-        values=np.repeat(gaps.lengths[keep], 2),
-        tags_x=np.repeat(gaps.starts[keep], 2),
-        tags_y=np.repeat(gaps.ends[keep], 2),
-        truncated=truncated or not np.all(keep),
+        values=values,
+        tags_x=gaps.starts[:k],
+        tags_y=gaps.ends[:k],
+        truncated=truncated or k < n_gaps,
     )
 
 
@@ -125,9 +146,11 @@ def gap_triple(gaps: GapList) -> GapTripleModel:
 class PairTripleModel:
     """Word-indexed two-point model over an iterated system.
 
-    Entry k covers one word sigma (twice): value d(x_sigma, y_sigma) with
-    x_sigma, y_sigma the images of the seed pair, stored in tags_x/tags_y as
-    (n, dim) rows; depths keeps each word's length.
+    Each word sigma gives two entries of value d(x_sigma, y_sigma), with
+    x_sigma, y_sigma the images of the seed pair, so ``values`` has one row
+    per entry.  ``tags_x``/``tags_y`` hold those images as (words, dim) rows
+    and ``depths`` each word's length, one row per word; ``tag_matrix()``
+    gives the tags one row per entry.
     """
 
     ifs: LimitIfs
@@ -155,8 +178,10 @@ class PairTripleModel:
                 self.values, "pair-triple", complete=not self.truncated)
         return self._eigen
 
-    def tag_matrix(self):
-        return self.tags_x, self.tags_y
+    def tag_matrix(self, n: int | None = None):
+        """Tags of the first n entries (all when None) as two (n, dim)
+        arrays, one row per entry."""
+        return _entry_rows(self.tags_x, n), _entry_rows(self.tags_y, n)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +278,9 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
         seed_y=y,
         seed_distance=d0,
         values=np.repeat(lam[idx] * d0, 2),
-        tags_x=np.repeat(lin @ x + off, 2, axis=0),
-        tags_y=np.repeat(lin @ y + off, 2, axis=0),
-        depths=np.repeat(words["depth"][idx], 2),
+        tags_x=lin @ x + off,
+        tags_y=lin @ y + off,
+        depths=words["depth"][idx],
         truncated=bool(truncated),
     )
 

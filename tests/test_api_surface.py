@@ -145,6 +145,7 @@ spectral_triples.GapTripleModel.values
 spectral_triples.GapTripleModel.tags_x
 spectral_triples.GapTripleModel.tags_y
 spectral_triples.GapTripleModel.truncated
+spectral_triples.GapTripleModel.tag_matrix(n=None)
 spectral_triples.HausdorffFunctional.value
 spectral_triples.HausdorffFunctional.lo
 spectral_triples.HausdorffFunctional.hi
@@ -169,6 +170,7 @@ spectral_triples.PairTripleModel.tags_x
 spectral_triples.PairTripleModel.tags_y
 spectral_triples.PairTripleModel.depths
 spectral_triples.PairTripleModel.truncated
+spectral_triples.PairTripleModel.tag_matrix(n=None)
 spectral_triples.SpectralDimension.value
 spectral_triples.SpectralDimension.lo
 spectral_triples.SpectralDimension.hi

@@ -2,6 +2,8 @@
 
 Each reference below is the per-cell loop the package used before the
 writer formatted columns: ``repr`` per float cell, ``str`` per integer cell.
+A model lists each eigenvalue twice and stores its tags once per gap or
+word, so the entries loop reads the tags of entry k from row k // 2.
 The writer must give the same bytes through every entry point: the writer
 itself, and the series of one experiment, whose entries table numbers its
 rows and stops at ``series_max_rows``.
@@ -83,7 +85,10 @@ def reference_write_csv(path, header, columns):
 
 
 def reference_entries_csv(path, values, tx, ty, max_rows=None):
+    """Entries k = 1..n of ``values``, tagged by rows (k - 1) // 2 of the
+    tag arrays, which hold one row per gap or word."""
     n_rows = len(values) if max_rows is None else min(len(values), int(max_rows))
+    tx, ty = (t if t.ndim == 2 else t[:, None] for t in (tx, ty))
     dim = tx.shape[1]
     if dim == 1:
         head = "k,mu_k,tag_x,tag_y"
@@ -95,8 +100,8 @@ def reference_entries_csv(path, values, tx, ty, max_rows=None):
         fh.write(head + "\n")
         for k in range(n_rows):
             cells = [str(k + 1), repr(float(values[k]))]
-            cells += [repr(float(v)) for v in tx[k]]
-            cells += [repr(float(v)) for v in ty[k]]
+            cells += [repr(float(v)) for v in tx[k // 2]]
+            cells += [repr(float(v)) for v in ty[k // 2]]
             fh.write(",".join(cells) + "\n")
 
 
@@ -126,8 +131,8 @@ def series_files(write, *args) -> dict:
 def entries_csv(model, max_rows=None) -> bytes:
     """A model's entries CSV, written the way the model runners write it."""
     def write(out):
-        out.write("entries", *reporting._entries_table(model), max_rows,
-                  numbered=True)
+        out.write("entries", *reporting._entries_table(model, max_rows),
+                  max_rows, numbered=True)
     return series_files(write)["entries"]
 
 
@@ -160,15 +165,15 @@ def test_write_csv_matches_row_loop(data):
 @given(st.data())
 def test_gap_model_csv_matches_row_loop(data):
     n = data.draw(st.integers(0, 12), label="n")
-    # every model entry is listed twice
-    values, starts, ends = (np.repeat(data.draw(column("f8", n)), 2)
-                            for _ in range(3))
+    # every model entry is listed twice, every gap's tags once
+    values = np.repeat(data.draw(column("f8", n)), 2)
+    starts, ends = (data.draw(column("f8", n)) for _ in range(2))
     model = dataclasses.replace(GAP_MODEL, values=values, tags_x=starts,
                                 tags_y=ends)
     max_rows = max_rows_for(data, 2 * n)
     with mock.patch.object(reporting, "_CSV_BLOCK_ROWS", block_rows(data)):
         got = entries_csv(model, max_rows)
-    assert got == written(reference_entries_csv, values, *model.tag_matrix(),
+    assert got == written(reference_entries_csv, values, starts, ends,
                           max_rows=max_rows)
 
 
@@ -178,8 +183,7 @@ def test_pair_model_csv_matches_row_loop(data):
     n = data.draw(st.integers(0, 12), label="n")
     dim = data.draw(st.sampled_from([1, 2, 3]), label="dim")
     values = np.repeat(data.draw(column("f8", n)), 2)
-    tx, ty = (np.repeat(data.draw(column("f8", (n, dim))), 2, axis=0)
-              for _ in range(2))
+    tx, ty = (data.draw(column("f8", (n, dim))) for _ in range(2))
     model = dataclasses.replace(PAIR_MODELS[dim], values=values, tags_x=tx,
                                 tags_y=ty)
     max_rows = max_rows_for(data, 2 * n)
@@ -234,12 +238,14 @@ def test_tables_past_one_block_match_row_loops():
     gaps = gap_triple(gaps_from_interval_ifs(make_cantor(), depth=13))
     assert len(gaps) > BLOCK
     assert (entries_csv(gaps)
-            == written(reference_entries_csv, gaps.values, *gaps.tag_matrix()))
+            == written(reference_entries_csv, gaps.values, gaps.tags_x,
+                       gaps.tags_y))
 
 
 
 def test_series_off_writes_and_records_nothing(tmp_path):
     out = reporting._Series(SimpleNamespace(series=False, name="x"), tmp_path)
-    out.write("entries", *reporting._entries_table(GAP_MODEL), numbered=True)
+    out.write("entries", *reporting._entries_table(GAP_MODEL, None),
+              numbered=True)
     reporting._sequence_series(out, None, None)
     assert out.files == {} and list(tmp_path.iterdir()) == []

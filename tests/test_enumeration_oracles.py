@@ -20,7 +20,7 @@ from fractrace.fractal_geometry import (
     gaps_from_interval_ifs,
     interval_map,
 )
-from fractrace.spectral_triples import pair_triple
+from fractrace.spectral_triples import gap_triple, pair_triple
 from systems import (
     make_cantor,
     make_periodic,
@@ -70,9 +70,10 @@ def assert_matches_heap(ifs, cap, max_depth=None):
               np.zeros(0, dtype=np.int64))
     x, y = model.seed_x, model.seed_y
     assert same(model.values, np.repeat(lam * model.seed_distance, 2))
-    assert same(model.tags_x, np.repeat(lin @ x + off, 2, axis=0))
-    assert same(model.tags_y, np.repeat(lin @ y + off, 2, axis=0))
-    assert same(model.depths, np.repeat(depth, 2))
+    # two entries per word, one tag row and one depth per word
+    assert same(model.tags_x, lin @ x + off)
+    assert same(model.tags_y, lin @ y + off)
+    assert same(model.depths, depth)
     below_ceiling = ceiling is not None and (
         ifs.max_depth is None or ceiling < ifs.max_depth)
     assert model.truncated == (left or below_ceiling)
@@ -108,7 +109,7 @@ def test_pair_cap_cutting_a_tie_group():
     # Cantor words of length 5 all share the product 3^-5 and fill ranks
     # 31..62; a cap of 40 words stops inside that group
     model = assert_matches_heap(make_cantor(), 80)
-    assert model.depths[-1] == 5 and model.depths.tolist().count(5) == 2 * 10
+    assert model.depths[-1] == 5 and model.depths.tolist().count(5) == 10
 
 
 def test_pair_max_depth_zero_and_ceiling():
@@ -123,6 +124,27 @@ def test_pair_explicit_tree_walked_to_the_end(seed):
     model = assert_matches_heap(ifs, 10**6)
     assert not model.truncated
     assert_matches_heap(ifs, 500)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gap_triple(gaps_from_interval_ifs(make_cantor(), 8)),
+    lambda: gap_triple(gaps_from_interval_ifs(make_uneven(), 12)),
+    lambda: pair_triple(make_uneven(), cap=3000),
+    lambda: pair_triple(make_planar(), cap=3000),
+    lambda: pair_triple(make_rotated(), cap=3000),
+], ids=["gap-cantor", "gap-uneven", "pair-uneven", "pair-planar", "pair-rotated"])
+def test_tag_matrix_repeats_each_tag_row_for_both_entries(build):
+    """Models store one tag row per gap or word; the per-entry tags are each
+    row twice, as (entries, dim) arrays, and the tags of the first n entries
+    are the first n of those rows."""
+    model = build()
+    rows = (len(model) // 2, -1)
+    tx, ty = model.tag_matrix()
+    assert same(tx, np.repeat(model.tags_x.reshape(rows), 2, axis=0))
+    assert same(ty, np.repeat(model.tags_y.reshape(rows), 2, axis=0))
+    for n in (0, 1, 2, 7, len(model) - 1, len(model), len(model) + 3):
+        head_x, head_y = model.tag_matrix(n)
+        assert same(head_x, tx[:n]) and same(head_y, ty[:n])
 
 
 def test_pair_cap_below_one_word_is_empty_and_truncated():

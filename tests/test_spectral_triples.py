@@ -76,7 +76,10 @@ def test_gap_model_doubles_each_gap():
 def test_gap_model_tags_subtract_to_values():
     model = cantor_gap_model(5)
     # lengths are stored as end minus start, so this holds to the last bit
-    assert np.array_equal(model.tags_y - model.tags_x, model.values)
+    # for both entries of every gap
+    assert model.tags_x.shape == (len(model) // 2,)
+    for copy in (model.values[0::2], model.values[1::2]):
+        assert np.array_equal(model.tags_y - model.tags_x, copy)
     tx, ty = model.tag_matrix()
     assert tx.shape == (len(model), 1) and ty.shape == (len(model), 1)
 
@@ -139,7 +142,8 @@ def test_pair_entries_that_round_to_zero_stay_out():
 def test_pair_model_tags_lie_at_value_distance():
     model = pair_triple(make_cantor(), seed=((0.0,), (1.0,)), max_depth=6)
     dist = np.linalg.norm(model.tags_x - model.tags_y, axis=1)
-    np.testing.assert_allclose(dist, model.values, rtol=1e-12)
+    for copy in (model.values[0::2], model.values[1::2]):
+        np.testing.assert_allclose(dist, copy, rtol=1e-12)
 
 
 def test_pair_model_depth_zero_is_empty():
@@ -174,7 +178,8 @@ def test_pair_model_shape_invariants(seed):
     assert np.all(np.diff(model.values) <= 0.0)
     assert np.array_equal(model.values[0::2], model.values[1::2])
     dist = np.linalg.norm(model.tags_x - model.tags_y, axis=1)
-    np.testing.assert_allclose(dist, model.values, rtol=1e-9)
+    for copy in (model.values[0::2], model.values[1::2]):
+        np.testing.assert_allclose(dist, copy, rtol=1e-9)
 
 
 def test_pair_seed_guards():
@@ -217,8 +222,8 @@ def test_pair_model_scaling_covariance():
 def write_entries(tmp_path, name, model, max_rows):
     """A model's entries CSV as the reporting runners write it."""
     out = reporting._Series(SimpleNamespace(series=True, name=name), tmp_path)
-    out.write("entries", *reporting._entries_table(model), max_rows,
-              numbered=True)
+    out.write("entries", *reporting._entries_table(model, max_rows),
+              max_rows, numbered=True)
     return tmp_path / out.files["entries"]
 
 
