@@ -311,8 +311,7 @@ class EigenvalueSequence:
         """
         n = int(n)
         if self.complete:
-            vals = self.values if gamma == 1.0 else self.values ** gamma
-            return float(vals[n:].sum()), 0.0, "exhausted"
+            return self._held_tail(n, gamma), 0.0, "exhausted"
 
         if self.profile is not None:
             # log 0 lies outside the profile: the whole sum (n = 0) is mu_1
@@ -335,14 +334,18 @@ class EigenvalueSequence:
             raise TailUnfittable(
                 "tail exponent does not clear summability by 3 standard errors"
             )
-        vals = self.values if gamma == 1.0 else self.values ** gamma
         beyond = c * self.cap ** (1.0 - a) / (a - 1.0)
         lo_a, hi_a = a - 3.0 * se, a + 3.0 * se
         spread = abs(c * self.cap ** (1.0 - lo_a) / (lo_a - 1.0) - beyond) if lo_a > 1 else beyond
         if n > self.cap:
             raise CapExceeded("tail request beyond cap")
-        within = float(vals[n:].sum())
+        within = self._held_tail(n, gamma)
         return within + beyond, spread + abs(beyond) * 1e-3, "power_fit"
+
+    def _held_tail(self, n: int, gamma: float) -> float:
+        """sum of mu_k^gamma over the held k > n, raising only those."""
+        tail = self.values[n:]
+        return float((tail if gamma == 1.0 else tail ** gamma).sum())
 
     def _fit_tail_power(self, gamma: float):
         """Least squares of log mu^gamma against log n over the last decade."""

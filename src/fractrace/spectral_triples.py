@@ -349,14 +349,19 @@ def _length_scaling_estimate(lengths: np.ndarray) -> float | None:
 
     The ratio peaks at the last index of each size class, so the maximum
     over the tail half reads the limsup off directly; entries with l >= 1
-    (possible among the first few gaps of a wide set) are skipped.
+    (possible among the first few gaps of a wide set) are skipped, and so
+    is n = 1.  The lengths fall, so the entries kept are a suffix, and only
+    its tail half is evaluated.
     """
-    n = np.arange(1, len(lengths) + 1, dtype=float)
-    ok = (lengths < 1.0) & (n > 1.0)
-    if ok.sum() < 4:
+    first = max(1, bisect.bisect_left(range(len(lengths)), True,
+                                      key=lambda i: lengths[i] < 1.0))
+    kept = len(lengths) - first
+    if kept < 4:
         return None
-    r = np.log(n[ok]) / -np.log(lengths[ok])
-    return float(r[len(r) // 2:].max())
+    start = first + kept // 2
+    r = np.log(np.arange(start + 1, len(lengths) + 1, dtype=float))
+    r /= -np.log(lengths[start:])
+    return float(r.max())
 
 
 def spectral_dimension(model) -> SpectralDimension:
