@@ -75,6 +75,12 @@ class SeedCoincident(FractraceError):
     code = "SEED_COINCIDENT"
 
 
+class Underflow(FractraceError):
+    """A computed eigenvalue that rounds to 0."""
+
+    code = "UNDERFLOW"
+
+
 class KindMismatch(FractraceError):
     code = "KIND_MISMATCH"
 

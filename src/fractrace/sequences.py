@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, NotVanishing, TailUnfittable
+from .errors import CapExceeded, NotVanishing, TailUnfittable, Underflow
 
 DEFAULT_CAP = 10**6
 
@@ -217,7 +217,8 @@ class EigenvalueSequence:
     cache-sized slices, which checks positivity and monotonicity and also
     finds the jump positions (successive ratios below _JUMP_RATIO); a
     sequence that never decreases at all trips the vanishing check.  Powers
-    find their jumps on first use, without the checks.  The jump positions
+    find their jumps on first use, without the checks; they only check that
+    their last, smallest value is positive.  The jump positions
     and the prefix sums [0, S_1, ..., S_cap] are cached with the values, so
     every diagnostic reads one array.
     """
@@ -290,11 +291,16 @@ class EigenvalueSequence:
 
     def power(self, alpha: float) -> "EigenvalueSequence":
         """Sequence of mu_n^alpha, with the same ``complete`` flag and the
-        profile scaled."""
+        profile scaled.  Raises Underflow when mu_cap^alpha rounds to 0:
+        powers keep the order, so the last value is the smallest."""
         if alpha <= 0:
             raise ValueError("alpha must be positive")
+        values = self.values ** alpha
+        if values[-1] == 0.0:
+            raise Underflow(f"mu_n^{alpha:g} rounds to 0 at n = {self.cap} "
+                            f"(mu_n = {self.values[-1]:.6g})")
         return EigenvalueSequence(
-            self.values ** alpha, None, complete=self.complete,
+            values, None, complete=self.complete,
             profile=self.profile.scaled(alpha) if self.profile is not None else None,
             name=f"{self.name}^({alpha:g})" if self.name else "",
         )

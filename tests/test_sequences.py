@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractrace.errors import (CapExceeded, FractraceError, NotVanishing,
-                              TailExhausted)
+                              TailExhausted, Underflow)
 from fractrace.sequences import (
     NON_TRACE_CLASS,
     TRACE_CLASS,
@@ -76,6 +76,24 @@ def test_power_is_pointwise_power():
     np.testing.assert_allclose(sq.prefix(200), seq.prefix(200) ** 2, rtol=1e-15)
     assert seq.power(1.0) is seq or np.array_equal(seq.power(1.0).prefix(200),
                                                    seq.prefix(200))
+
+
+def test_a_power_that_underflows_raises_a_typed_error():
+    """(1e-110 / n)^3 rounds to 0 for every n, and (1e-100 ... 1e-200)^2
+    from some n on: each power fails when it is made, instead of holding
+    zeros that a later log divides by.  A power whose last value stays
+    positive is kept."""
+    cases = ((EigenvalueSequence.from_function(lambda n: 1e-110 / n, cap=1000),
+              3.0, 1000),
+             (EigenvalueSequence.from_values(np.geomspace(1e-100, 1e-200, 50)),
+              2.0, 50))
+    for seq, alpha, cap in cases:
+        with pytest.raises(Underflow, match=f"rounds to 0 at n = {cap} ") as e:
+            seq.power(alpha)
+        assert isinstance(e.value, FractraceError)
+        assert e.value.code == "UNDERFLOW"
+    kept = cases[1][0].power(1.5)
+    assert kept.values[-1] > 0.0 and kept.cap == 50
 
 
 @given(a=st.floats(0.3, 3.0), c=st.floats(0.1, 10.0))
