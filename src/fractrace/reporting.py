@@ -609,6 +609,7 @@ def _gap_triple_rules(ctx, v, path, budget):
 
 def _pair_triple_rules(ctx, v, path, budget):
     """seed_pair points have the ambient dimension
+    seed_pair is given when the first level has one map
     residue needs a stationary system"""
     ifs, seed = v["ifs"], v["seed_pair"]
     if ifs is not None and seed is not None:
@@ -616,6 +617,9 @@ def _pair_triple_rules(ctx, v, path, budget):
             if len(pt) != ifs.dim:
                 ctx.fail(f"{path}.seed_pair[{i}]",
                          f"must have {ifs.dim} coordinates")
+    elif ifs is not None and len(ifs.level(1)) < 2:
+        ctx.fail(f"{path}.seed_pair",
+                 "must be given: the first level has one map")
     _residue_rule(ctx, v, path)
     return v
 

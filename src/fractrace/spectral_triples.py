@@ -220,15 +220,16 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
 
     Words are drawn level by level from ``ifs``; the entry for a word is the
     seed distance scaled by the word's ratio product, exact for similarities.
-    Every child contracts strictly below its parent, so the words above a
-    threshold product form a subtree and a prefix of the sorted stream: the
-    tree is expanded level by level, pruned at the threshold, which is
-    lowered until the prefix holds ``cap`` / 2 words or the tree runs out.
-    Equal products go by parent rank, then map index, first-level words
-    first.  ``cap`` counts eigen-entries (two per word); ``max_depth``
-    optionally stops the tree at a word length, with 0 giving the empty
-    model.  The default seed is the fixed-point pair of the first two maps
-    of level 1.
+    Every child contracts strictly below its parent, so the tree is walked
+    once, each level read once: a word is dropped, with all of its subtree,
+    when its entry rounds to 0 or when ``cap`` / 2 words already kept have
+    strictly larger products.  A kept word composes its map from its
+    parent's and stores its two tags.  The kept words are then sorted and
+    cut at ``cap`` / 2.  Equal products go by parent rank, then map index,
+    first-level words first.  ``cap`` counts eigen-entries (two per word);
+    ``max_depth`` optionally stops the tree at a word length, with 0 giving
+    the empty model.  The default seed is the fixed-point pair of the first
+    two maps of level 1.
     """
     x, y, d0 = _seed_pair(ifs, seed)
 
@@ -237,24 +238,58 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
         if max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
         ceiling = max_depth if ceiling is None else min(max_depth, ceiling)
-    n_words_max = 0 if ceiling == 0 else int(cap) // 2
+    n_words = 0 if ceiling == 0 else int(cap) // 2
 
-    # halving, or the largest ratio when gentler, keeps one step from
-    # multiplying the subtree by much more than the number of maps
-    shrink = max(0.5, max(w.ratio for level in ifs.blocks for w in level))
-    lam_star = max(w.ratio for w in ifs.level(1))
+    # a lower bound on the n_words-th largest product kept: a word below it
+    # has n_words kept words ahead of it, and so has its subtree.  It is taken
+    # once n_words words are kept and again after each n_words more, not at
+    # every level, which is quadratic on a chain of one word per level.  With
+    # no words to keep it is +inf
+    floor, limit = (0.0, n_words) if n_words else (math.inf, 0)
+    # per kept word: product, row of its parent (-1 on level 1), map index,
+    # depth and tags.  The level being expanded also keeps its composed
+    # maps; level 1 hangs off a root of product 1
+    rows = {k: [] for k in ("lam", "parent", "child", "depth", "tags_x", "tags_y")}
+    lam_up, start, n_rows, depth, dropped = np.ones(1), -1, 0, 1, False
     while True:
-        lam_star *= shrink
-        words, pruned = _words_above(ifs, lam_star, ceiling)
-        # at a threshold of 0 only products that underflowed are pruned, and
-        # lowering it further changes nothing: the model stays truncated
-        if len(words["lam"]) >= n_words_max or not pruned or lam_star == 0.0:
+        level = ifs.level(depth)
+        lam = (lam_up[:, None] * np.array([w.ratio for w in level])).ravel()
+        keep = np.flatnonzero((lam * d0 > 0) & (lam >= floor))
+        if n_rows + keep.size > limit:
+            kept = np.concatenate(rows["lam"] + [lam[keep]])
+            floor = np.partition(kept, kept.size - n_words)[kept.size - n_words]
+            limit = kept.size + n_words
+            keep = keep[lam[keep] >= floor]
+        dropped = dropped or keep.size < lam.size
+        # rows of one depth in stream order, which is by product, then by
+        # position in the frontier: parent row, then map index
+        keep = keep[np.argsort(-lam[keep], kind="stable")]
+        lam_up = lam[keep]
+        up, child = np.divmod(keep, len(level))
+        lin = np.empty((keep.size, ifs.dim, ifs.dim))
+        off = np.empty((keep.size, ifs.dim))
+        for j, w in enumerate(level):
+            r = child == j
+            if depth == 1:
+                lin[r], off[r] = w.linear, w.translation
+            else:
+                u = up[r]
+                lin[r], off[r] = lin_up[u] @ w.linear, lin_up[u] @ w.translation + off_up[u]
+        lin_up, off_up = lin, off
+        for k, v in (("lam", lam_up), ("parent", up + start), ("child", child),
+                     ("depth", np.full(keep.size, depth)),
+                     ("tags_x", lin @ x + off), ("tags_y", lin @ y + off)):
+            _push(rows[k], v)
+        start, n_rows = n_rows, n_rows + keep.size
+        if keep.size == 0 or depth == ceiling:
             break
+        depth += 1
+    rows = {k: np.concatenate(v) for k, v in rows.items()}
 
     # sort by (-lam, rank of parent, map index).  Within a depth the rows
     # already come in that order, so a parent's row stands in for its rank
     # until the ties across depths settle, one more generation per pass
-    lam, parent, child = words["lam"], words["parent"], words["child"]
+    lam, parent, child = rows["lam"], rows["parent"], rows["child"]
     order = np.lexsort((child, parent, -lam))
     rank = np.empty(len(lam), dtype=np.int64)
     while True:
@@ -263,72 +298,31 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
         if np.array_equal(new_order, order):
             break
         order = new_order
-    # a word's entry lam * d0 can round to 0 where lam did not; such words
-    # close the sorted stream, and they stay out of the truncated model
-    idx = order[:n_words_max]
-    idx = idx[lam[idx] * d0 > 0]
+    idx = order[:n_words]
 
     # the model is complete only when the whole (finite) word tree was walked
-    truncated = len(lam) > len(idx) or pruned or (
+    truncated = dropped or len(lam) > len(idx) or (
         ceiling is not None and (ifs.max_depth is None or ceiling < ifs.max_depth))
-    lin, off = _word_maps(ifs, words, idx)
     return PairTripleModel(
         ifs=ifs,
         seed_x=x,
         seed_y=y,
         seed_distance=d0,
         values=np.repeat(lam[idx] * d0, 2),
-        tags_x=lin @ x + off,
-        tags_y=lin @ y + off,
-        depths=words["depth"][idx],
+        tags_x=rows["tags_x"][idx],
+        tags_y=rows["tags_y"][idx],
+        depths=rows["depth"][idx],
         truncated=bool(truncated),
     )
 
 
-def _words_above(ifs: LimitIfs, lam_star: float, ceiling):
-    """Ratio product, depth, parent row (-1 on level 1) and map index of
-    every word above lam_star, depth by depth and in stream order within a
-    depth; and whether any word was pruned."""
-    p = len(ifs.level(1))
-    frontier = {"lam": np.array([w.ratio for w in ifs.level(1)]),
-                "parent": np.full(p, -1), "child": np.arange(p)}
-    chunks, n_rows, depth, pruned = [], 0, 1, False
-    while True:
-        lam = frontier["lam"]
-        keep = np.flatnonzero(lam > lam_star)
-        pruned = pruned or len(keep) < len(lam)
-        # rows of one depth in stream order; their parents are so already
-        keep = keep[np.lexsort((frontier["child"][keep], frontier["parent"][keep], -lam[keep]))]
-        kept = {k: v[keep] for k, v in frontier.items()}
-        count = len(kept["lam"])
-        chunks.append(dict(kept, depth=np.full(count, depth)))
-        if count == 0 or (ceiling is not None and depth >= ceiling):
-            return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}, pruned
-        ratios = np.array([w.ratio for w in ifs.level(depth + 1)])
-        p = len(ratios)
-        frontier = {"lam": (kept["lam"][:, None] * ratios[None, :]).ravel(),
-                    "parent": np.repeat(np.arange(n_rows, n_rows + count), p),
-                    "child": np.tile(np.arange(p), count)}
-        n_rows += count
-        depth += 1
-
-
-def _word_maps(ifs: LimitIfs, words, rows):
-    """Composed linear parts and offsets of ``rows``, which must hold every
-    parent of theirs, as a prefix of the sorted stream does.  A child is
-    lin @ linear and lin @ translation + off of its parent's (lin, off)."""
-    lin = np.empty((len(words["lam"]), ifs.dim, ifs.dim))
-    off = np.empty((len(words["lam"]), ifs.dim))
-    depth, child = words["depth"][rows], words["child"][rows]
-    for n in range(1, int(depth.max(initial=0)) + 1):
-        for j, w in enumerate(ifs.level(n)):
-            r = rows[(depth == n) & (child == j)]
-            if n == 1:
-                lin[r], off[r] = w.linear, w.translation
-            else:
-                up = words["parent"][r]
-                lin[r], off[r] = lin[up] @ w.linear, lin[up] @ w.translation + off[up]
-    return lin[rows], off[rows]
+def _push(chunks, v):
+    """Append the array v to ``chunks``, merging the last two while the later
+    is at least as long: a walk of many small levels holds a few arrays, not
+    one per level."""
+    chunks.append(v)
+    while len(chunks) > 1 and len(chunks[-2]) <= len(chunks[-1]):
+        chunks[-2:] = [np.concatenate(chunks[-2:])]
 
 
 # ---------------------------------------------------------------------------

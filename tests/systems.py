@@ -1,5 +1,7 @@
-"""Shared iterated-system builders used across the test modules."""
+"""Shared iterated-system builders used across the test modules, and a
+wall-time bound for calls that once ran without end."""
 
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -64,3 +66,17 @@ def random_explicit(rng: np.random.Generator, n_levels: int = 8) -> LimitIfs:
         slots = np.linspace(0.0, 1.0 - lam, p)
         levels.append([interval_map(lam, float(t)) for t in slots])
     return LimitIfs.explicit(levels)
+
+
+def within(seconds, fn):
+    """fn(), or TimeoutError once ``seconds`` of wall time have passed."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

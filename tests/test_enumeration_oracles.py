@@ -28,6 +28,7 @@ from systems import (
     make_planar,
     make_uneven,
     random_explicit,
+    within,
 )
 
 
@@ -59,8 +60,13 @@ def heap_words(ifs, cap, ceiling):
     return popped, bool(heap)
 
 
-def assert_matches_heap(ifs, cap, max_depth=None):
-    model = pair_triple(ifs, cap=cap, max_depth=max_depth)
+def assert_matches_heap(ifs, cap, max_depth=None, seconds=None):
+    """The model against the heap, with pair_triple bounded to ``seconds``
+    of wall time when given."""
+    def build():
+        return pair_triple(ifs, cap=cap, max_depth=max_depth)
+
+    model = build() if seconds is None else within(seconds, build)
     ceiling = ifs.max_depth
     if max_depth is not None:
         ceiling = max_depth if ceiling is None else min(ceiling, max_depth)
@@ -99,10 +105,26 @@ def make_dyadic() -> LimitIfs:
 @pytest.mark.parametrize("build", [make_cantor, make_uneven, make_planar,
                                    make_periodic, make_periodic_gapped,
                                    make_rotated, make_dyadic])
-@pytest.mark.parametrize("cap", [2, 2000, 30_000])
+@pytest.mark.parametrize("cap", [1, 2, 3, 2000, 30_000])
 def test_pair_order_matches_the_heap(build, cap):
     model = assert_matches_heap(build(), cap)
     assert model.truncated
+
+
+def make_near_one() -> LimitIfs:
+    """A ratio within 4e-12 of 1 beside 0.772: the top words of a cap below
+    about 1e11 are the chain of the first map's powers, one per level."""
+    return LimitIfs.stationary([interval_map(0.9999999999966, 0.0),
+                                interval_map(0.772, 0.228)])
+
+
+@pytest.mark.parametrize("cap, max_depth, seconds, depth", [
+    (20_000, 12, 1.0, 12), (2000, None, 2.0, 1000)], ids=["ceiling", "chain"])
+def test_pair_ratio_near_one_ends_in_time(cap, max_depth, seconds, depth):
+    """A threshold lowered by a factor of the largest ratio once took about
+    1e11 steps here; one walk of the tree ends within the bound."""
+    model = assert_matches_heap(make_near_one(), cap, max_depth, seconds)
+    assert model.truncated and model.depths.max() == depth
 
 
 def test_pair_cap_cutting_a_tie_group():

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import signal
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +39,7 @@ from systems import (
     make_planar,
     make_uneven,
     random_explicit,
+    within,
 )
 
 LOG23 = math.log(2.0) / math.log(3.0)
@@ -394,20 +394,6 @@ def test_truncated_list_is_a_complete_prefix():
     np.testing.assert_array_equal(kept, deep.lengths[: len(kept)])
 
 
-def run_within(seconds, fn):
-    """fn(), or TimeoutError once ``seconds`` of wall time have passed."""
-    def too_slow(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 NEAR_ONE = [interval_map(0.999999999923, 0.0), interval_map(3.9e-76, 0.9999999999)]
 
 
@@ -424,7 +410,7 @@ def test_a_ratio_near_one_leaves_the_cutoff_quick(ifs, interval):
     gives the sup: the first level's gap on a stationary system, the larger
     of the first gap and the second scaled by the first largest ratio on a
     period of two."""
-    gaps = run_within(2.0, lambda: gaps_from_interval_ifs(ifs, 11, interval=interval))
+    gaps = within(2.0, lambda: gaps_from_interval_ifs(ifs, 11, interval=interval))
     unit = gaps.residual_lengths.max() / (gaps.b - gaps.a)
     terms = [_level_max_gap(ifs.level(k), gaps.a, gaps.b) for k in (12, 13)]
     if ifs.generation == "STATIONARY":

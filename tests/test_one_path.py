@@ -8,16 +8,23 @@ starts, so outside the ``Similarity`` class only ``_affine`` may read
 ``exact_affine()`` or ``orthogonal[0, 0]``.  Likewise the models reach
 ``EigenvalueSequence`` through their values, never through a function that
 looks entries up in an array, and every sequence holds one thing: its
-validated array, evaluated once when the sequence is made.
+validated array, evaluated once when the sequence is made.  The pair model
+walks its word tree once: it reads each level of the system once, level 1
+at most twice since the default seed reads it too, so no loop rebuilds the
+tree from the root.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from fractrace.fractal_geometry import LimitIfs
 from fractrace.sequences import EigenvalueSequence, LogLinearProfile
+from fractrace.spectral_triples import pair_triple
+from systems import make_periodic, make_planar, make_uneven
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fractrace"
 
@@ -61,6 +68,23 @@ def test_models_reach_sequences_through_their_values():
              for sub in ast.walk(node)
              if isinstance(sub, ast.Attribute) and sub.attr == "from_function"]
     assert calls == []
+
+
+@pytest.mark.parametrize("build, max_depth", [
+    (make_uneven, None), (make_planar, None), (make_periodic, None),
+    (make_uneven, 6)], ids=["uneven", "planar", "periodic", "ceiling"])
+def test_pair_enumeration_reads_each_level_once(monkeypatch, build, max_depth):
+    ifs, reads = build(), []
+    level = LimitIfs.level
+    monkeypatch.setattr(LimitIfs, "level",
+                        lambda self, n: reads.append(n) or level(self, n))
+    model = pair_triple(ifs, cap=30_000, max_depth=max_depth)
+    counts = Counter(reads)
+    deepest = max(counts)
+    assert deepest >= model.depths.max() > 1
+    assert sorted(counts) == list(range(1, deepest + 1))
+    assert counts[1] <= 2
+    assert all(counts[n] == 1 for n in range(2, deepest + 1))
 
 
 PROFILE = LogLinearProfile([0.0, 2.0, 30.0], [0.0, 2.6], [1.3, 1.7])
