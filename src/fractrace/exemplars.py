@@ -79,8 +79,7 @@ def two_slope_sequence(spec: TwoSlopeSpec, cap: int = DEFAULT_CAP) -> Eigenvalue
     """mu_n = exp(-f(log n)) for the alternating-slope profile, generated to
     a horizon of DEFAULT_HORIZON or log(cap) + 2, whichever is larger."""
     prof = two_slope_profile(spec, max(DEFAULT_HORIZON, math.log(cap) + 2.0))
-    name = f"two_slope(alpha={spec.alpha:g},beta={spec.beta:g},{spec.gaps[0]})"
-    return EigenvalueSequence.from_profile(prof, cap=cap, name=name)
+    return EigenvalueSequence.from_profile(prof, cap=cap)
 
 
 @dataclass
@@ -125,8 +124,7 @@ def step_sequence(spec: StepSpec, cap: int = DEFAULT_CAP) -> EigenvalueSequence:
     """Piecewise-constant sequence with unboundedly growing collapse factors,
     generated to the horizon two_slope_sequence uses."""
     prof = step_profile(spec, max(DEFAULT_HORIZON, math.log(cap) + 2.0))
-    return EigenvalueSequence.from_profile(prof, cap=cap,
-                                           name=f"step(q={spec.q:g})")
+    return EigenvalueSequence.from_profile(prof, cap=cap)
 
 
 def step_block_ends(spec: StepSpec, cap: int) -> np.ndarray:

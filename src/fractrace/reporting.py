@@ -81,8 +81,8 @@ LINK_CHECK = "LINK_CHECK"
 KINDS = (SEQUENCE_ANALYSIS, EXEMPLAR, IFS_CLASSICAL, GAP_TRIPLE, PAIR_TRIPLE,
          LINK_CHECK)
 
-DEFAULT_ENTRY_BUDGET = 2 * 10**6
-DEFAULT_WORD_BUDGET = 10**7
+DEFAULT_ENTRY_BUDGET = st.DEFAULT_ENTRY_CAP
+DEFAULT_WORD_BUDGET = fg.DEFAULT_WORD_BUDGET
 DEFAULT_SERIES_ROWS = 10**5
 REPORT_FORMAT = "fractrace-report/2"
 DIFF_FORMAT = "fractrace-diff/1"
@@ -547,12 +547,17 @@ def _functional(ctx, v, path, budget):
 
 
 def _sequence_rules(ctx, v, path, budget):
-    """values: at most the entry budget of them"""
+    """values: at most the entry budget of them
+    values: nonincreasing"""
     values = v.get("values")
     if values is not None:
         if len(values) > budget.entries:
             ctx.fail(f"{path}.values",
                      f"length exceeds the entry budget {budget.entries}")
+        rises = np.diff(values) > 0
+        if rises.any():
+            ctx.fail(f"{path}.values", "must be nonincreasing; it rises at "
+                     f"index {rises.argmax() + 1}")
         v["cap"] = len(values)
     return v
 
@@ -570,10 +575,19 @@ def _gaps_on(p) -> bool:
     return p["ifs"].dim == 1 if p["gaps"] is None else p["gaps"]
 
 
+def _one_map_rule(ctx, ifs, exponent, path):
+    """An exponent that defaults to the similarity dimension must be given
+    on a stationary system of one map, whose similarity dimension is 0."""
+    if exponent is None and ifs is not None \
+            and ifs.generation == fg.STATIONARY and len(ifs.level(1)) == 1:
+        ctx.fail(path, "required for a system of one map")
+
+
 def _ifs_classical_rules(ctx, v, path, budget):
     """gaps needs a 1d system
     minkowski needs the gap analysis
-    minkowski needs an exponent on a non-stationary system"""
+    minkowski needs an exponent on a non-stationary system
+    minkowski needs an exponent on a stationary system of one map"""
     ifs, mink = v["ifs"], v["minkowski"]
     if v["gaps"] and ifs is not None and ifs.dim != 1:
         ctx.fail(f"{path}.gaps", "gap analysis needs a 1d system")
@@ -582,6 +596,8 @@ def _ifs_classical_rules(ctx, v, path, budget):
                 and ifs.generation != fg.STATIONARY:
             ctx.fail(f"{path}.minkowski.exponent",
                      "required for a non-stationary system")
+        _one_map_rule(ctx, ifs, mink["exponent"],
+                      f"{path}.minkowski.exponent")
         if v["gaps"] is False or (ifs is not None and not _gaps_on(v)):
             ctx.fail(f"{path}.minkowski", "needs the gap analysis enabled")
     return v
@@ -593,24 +609,28 @@ def _one_dim(ctx, v, path, msg):
         v["ifs"] = None
 
 
-def _residue_rule(ctx, v, path):
+def _model_rules(ctx, v, path):
     if v["residue"] and v["ifs"] is not None \
             and v["ifs"].generation != fg.STATIONARY:
         ctx.fail(f"{path}.residue", "needs a stationary system")
+    if v["functional"] is not None:
+        _one_map_rule(ctx, v["ifs"], v["exponent"], f"{path}.exponent")
 
 
 def _gap_triple_rules(ctx, v, path, budget):
     """ifs is a 1d system
-    residue needs a stationary system"""
+    residue needs a stationary system
+    functional needs an exponent on a stationary system of one map"""
     _one_dim(ctx, v, path, "gap models need a 1d system")
-    _residue_rule(ctx, v, path)
+    _model_rules(ctx, v, path)
     return v
 
 
 def _pair_triple_rules(ctx, v, path, budget):
     """seed_pair points have the ambient dimension
     seed_pair is given when the first level has one map
-    residue needs a stationary system"""
+    residue needs a stationary system
+    functional needs an exponent on a stationary system of one map"""
     ifs, seed = v["ifs"], v["seed_pair"]
     if ifs is not None and seed is not None:
         for i, pt in enumerate(seed):
@@ -620,13 +640,15 @@ def _pair_triple_rules(ctx, v, path, budget):
     elif ifs is not None and len(ifs.level(1)) < 2:
         ctx.fail(f"{path}.seed_pair",
                  "must be given: the first level has one map")
-    _residue_rule(ctx, v, path)
+    _model_rules(ctx, v, path)
     return v
 
 
 def _link_check_rules(ctx, v, path, budget):
-    """ifs is a 1d system"""
+    """ifs is a 1d system
+    exponent is given on a stationary system of one map"""
     _one_dim(ctx, v, path, "the link check needs a 1d system")
+    _one_map_rule(ctx, v["ifs"], v["exponent"], f"{path}.exponent")
     return v
 
 
@@ -954,14 +976,28 @@ def _dimension_ratios(values):
 # ---------------------------------------------------------------------------
 # runners
 
-def _analyze_entry(seq, tolerance) -> dict:
-    rep = asy.analyze_sequence(seq, tolerance=tolerance)
-    cb = rep.c_bounds
-    cls = rep.classification
+def _entry(op, parameters, values) -> dict:
+    """The report entry of the package function ``op`` that ran, named by
+    the last part of its module and its own name."""
+    return dict(module=op.__module__.rpartition(".")[2], op=op.__name__,
+                parameters=parameters, values=values)
+
+
+def _band(est) -> dict:
+    """An estimate that carries ``value``, ``lo`` and ``hi``."""
+    return _val(est.value, est.lo, est.hi)
+
+
+def _sequence_entries(p, out, seq, build, parameters):
+    """A built sequence's entries, in report order: the ``build`` that made
+    it, its analysis and the scans of its powers at ``gammas``; and its CSV
+    series.  Returns them with the entries used."""
+    tol = p["tolerance"]
+    rep = asy.analyze_sequence(seq, tolerance=tol)
+    cb, cls = rep.c_bounds, rep.classification
     se = cls.tail_exponent_se
     values = {
-        "ord": _val(rep.ord_estimate.value, rep.ord_estimate.lo,
-                    rep.ord_estimate.hi),
+        "ord": _band(rep.ord_estimate),
         "ord_method": rep.ord_estimate.method,
         "dimension": _val(rep.dimension, rep.dimension_lo, rep.dimension_hi),
         "c_lower": _val(cb.c_lower, cb.c_lower_lo, cb.c_lower_hi),
@@ -980,33 +1016,36 @@ def _analyze_entry(seq, tolerance) -> dict:
         "note": rep.note,
     }
     if rep.trace_value is not None:
-        tv = rep.trace_value
-        values["dixmier"] = _val(tv.value, tv.lo, tv.hi)
-        values["dixmier_measurable"] = bool(tv.measurable)
-    entry = {"module": "asymptotics", "op": "analyze_sequence",
-             "parameters": {"tolerance": tolerance, "cap": int(seq.cap)},
-             "values": values}
-    return entry, rep
+        values["dixmier"] = _band(rep.trace_value)
+        values["dixmier_measurable"] = bool(rep.trace_value.measurable)
+    results = [_entry(build, parameters, {"cap": int(seq.cap)}),
+               _entry(asy.analyze_sequence,
+                      {"tolerance": tol, "cap": int(seq.cap)}, values)]
+    for g in p.get("gammas", ()):
+        powered = seq.power(g)
+        kind = asy.resolve_kind(powered)
+        scan = asy.eccentricity_scan(powered, kind, tol)
+        results.append(_entry(
+            asy.eccentricity_scan,
+            {"gamma": g, "tolerance": tol, "kind": kind},
+            {"eccentric_count": len(scan), "inf_gap": _val(scan.inf_gap),
+             "nonempty": bool(scan.nonempty), "route": scan.route}))
+    _sequence_series(out, seq, rep.scan)
+    return results, int(seq.cap)
 
 
 def _run_sequence_analysis(exp, budget, out):
     p = exp.params
     if "values" in p:
-        seq = EigenvalueSequence.from_values(p["values"], name=exp.name)
-        build = {"module": "sequences", "op": "from_values",
-                 "parameters": {"n": len(p["values"])},
-                 "values": {"cap": int(seq.cap)}}
+        build = EigenvalueSequence.from_values
+        seq, parameters = build(p["values"]), {"n": len(p["values"])}
     else:
         c, a = p["mu"]["coefficient"], p["mu"]["exponent"]
-        seq = EigenvalueSequence.from_function(
-            lambda n: c * np.asarray(n, dtype=float) ** (-a),
-            cap=p["cap"], name=exp.name)
-        build = {"module": "sequences", "op": "from_function",
-                 "parameters": dict(p["mu"]),
-                 "values": {"cap": int(seq.cap)}}
-    entry, rep = _analyze_entry(seq, p["tolerance"])
-    _sequence_series(out, seq, rep.scan)
-    return [build, entry], int(seq.cap)
+        build = EigenvalueSequence.from_function
+        seq = build(lambda n: c * np.asarray(n, dtype=float) ** (-a),
+                    cap=p["cap"])
+        parameters = dict(p["mu"])
+    return _sequence_entries(p, out, seq, build, parameters)
 
 
 def _run_exemplar(exp, budget, out):
@@ -1015,54 +1054,40 @@ def _run_exemplar(exp, budget, out):
         g = p["gaps"]
         gaps = (ex.CONSTANT, g["value"]) if g["form"] == ex.CONSTANT \
             else (ex.LINEAR,)
-        spec = ex.TwoSlopeSpec(p["alpha"], p["beta"], gaps)
-        seq = ex.two_slope_sequence(spec, cap=p["cap"])
-        build = {"module": "exemplars", "op": "two_slope_sequence",
-                 "parameters": {"alpha": p["alpha"], "beta": p["beta"],
-                                "gaps": list(gaps), "cap": p["cap"]},
-                 "values": {"cap": int(seq.cap)}}
+        build = ex.two_slope_sequence
+        seq = build(ex.TwoSlopeSpec(p["alpha"], p["beta"], gaps),
+                    cap=p["cap"])
+        parameters = {"alpha": p["alpha"], "beta": p["beta"],
+                      "gaps": list(gaps), "cap": p["cap"]}
     else:
-        seq = ex.step_sequence(ex.StepSpec(q=p["q"]), cap=p["cap"])
-        build = {"module": "exemplars", "op": "step_sequence",
-                 "parameters": {"q": p["q"], "cap": p["cap"]},
-                 "values": {"cap": int(seq.cap)}}
-    entry, rep = _analyze_entry(seq, p["tolerance"])
-    results = [build, entry]
-    for g in p["gammas"]:
-        powered = seq.power(g)
-        kind = asy.resolve_kind(powered)
-        scan = asy.eccentricity_scan(powered, kind, p["tolerance"])
-        results.append({
-            "module": "asymptotics", "op": "eccentricity_scan",
-            "parameters": {"gamma": g, "tolerance": p["tolerance"],
-                           "kind": kind},
-            "values": {"eccentric_count": len(scan),
-                       "inf_gap": _val(scan.inf_gap),
-                       "nonempty": bool(scan.nonempty),
-                       "route": scan.route}})
-    _sequence_series(out, seq, rep.scan)
-    return results, int(seq.cap)
+        build = ex.step_sequence
+        seq = build(ex.StepSpec(q=p["q"]), cap=p["cap"])
+        parameters = {"q": p["q"], "cap": p["cap"]}
+    return _sequence_entries(p, out, seq, build, parameters)
 
 
-def _gap_list_entry(gaps, depth, interval) -> dict:
+def _gap_parameters(p) -> dict:
+    """The depth and bounding interval of a gap analysis, as echoed."""
+    return {"depth": p["depth"],
+            "interval": list(p["interval"]) if p["interval"] else None}
+
+
+def _gap_list_entry(gaps, p) -> dict:
     width = gaps.b - gaps.a
     gap_sum = float(gaps.lengths.sum())
     residual = float(gaps.residual_lengths.sum())
     # gaps and residual intervals tile the hull, solid or not
     defect = width - gap_sum - residual
-    return {
-        "module": "fractal_geometry", "op": "gaps_from_interval_ifs",
-        "parameters": {"depth": depth,
-                       "interval": list(interval) if interval else None},
-        "values": {"count": int(len(gaps.lengths)),
-                   "exact": bool(gaps.exact),
-                   "max_level": int(gaps.levels.max()) if len(gaps.lengths) else 0,
-                   "hull": [float(gaps.a), float(gaps.b)],
-                   "gap_sum": _val(gap_sum),
-                   "residual_sum": _val(residual),
-                   "conservation_defect": _val(defect),
-                   "min_gap": _val(gaps.min_gap()),
-                   "completeness_cutoff": _val(gaps.completeness_cutoff)}}
+    return _entry(fg.gaps_from_interval_ifs, _gap_parameters(p), {
+        "count": int(len(gaps.lengths)),
+        "exact": bool(gaps.exact),
+        "max_level": int(gaps.levels.max()) if len(gaps.lengths) else 0,
+        "hull": [float(gaps.a), float(gaps.b)],
+        "gap_sum": _val(gap_sum),
+        "residual_sum": _val(residual),
+        "conservation_defect": _val(defect),
+        "min_gap": _val(gaps.min_gap()),
+        "completeness_cutoff": _val(gaps.completeness_cutoff)})
 
 
 def _similarity_val(d) -> dict:
@@ -1077,17 +1102,17 @@ def _run_ifs_classical(exp, budget, out):
     p = exp.params
     ifs = p["ifs"]
     results = []
+    dim = None   # a non-stationary system has no similarity dimension
     if ifs.generation == fg.STATIONARY:
-        results.append({"module": "fractal_geometry",
-                        "op": "similarity_dimension", "parameters": {},
-                        "values": {"dimension": _similarity_val(
-                            fg.similarity_dimension(ifs))}})
+        dim = fg.similarity_dimension(ifs)
+        results.append(_entry(fg.similarity_dimension, {},
+                              {"dimension": _similarity_val(dim)}))
     gaps = None
     if _gaps_on(p):
         gaps = fg.gaps_from_interval_ifs(ifs, p["depth"],
                                          interval=p["interval"],
                                          budget=budget.words)
-        results.append(_gap_list_entry(gaps, p["depth"], p["interval"]))
+        results.append(_gap_list_entry(gaps, p))
         out.write("gaps", "k,start,end,length,level",
                   [gaps.starts, gaps.ends, gaps.lengths, gaps.levels],
                   p["series_max_rows"], numbered=True)
@@ -1095,141 +1120,103 @@ def _run_ifs_classical(exp, budget, out):
         cd = p["box_dimension"].get("cloud_depth") or p["depth"]
         cloud = fg.attractor_cloud(ifs, cd, budget=budget.words)
         est = fg.box_dimension_estimate(cloud)
-        results.append({"module": "fractal_geometry",
-                        "op": "box_dimension_estimate",
-                        "parameters": {"cloud_depth": cd},
-                        "values": {"dimension": _val(est.value, est.lower,
-                                                     est.upper),
-                                   "n_eps": int(len(est.eps)),
-                                   "cloud_points": int(len(cloud.points))}})
+        results.append(_entry(fg.box_dimension_estimate, {"cloud_depth": cd}, {
+            "dimension": _val(est.value, est.lower, est.upper),
+            "n_eps": int(len(est.eps)),
+            "cloud_points": int(len(cloud.points))}))
         out.write("box_counts", "eps,count", [est.eps, est.counts])
     if p["minkowski"] is not None:
-        d = p["minkowski"]["exponent"]
-        if d is None:
-            d = fg.similarity_dimension(ifs)
+        # validation leaves the exponent unset only where dim is known
+        d = p["minkowski"]["exponent"] or dim
         content = fg.minkowski_content_estimate(gaps, d)
-        results.append({"module": "fractal_geometry",
-                        "op": "minkowski_content_estimate",
-                        "parameters": {"exponent": d},
-                        "values": {"content": _val(content.value,
-                                                   *content.band),
-                                   "measurable": bool(content.measurable),
-                                   "oscillation": _val(content.oscillation),
-                                   "oscillation_coarse":
-                                       _val(content.oscillation_coarse),
-                                   "n_eps": int(len(content.eps))}})
+        results.append(_entry(fg.minkowski_content_estimate, {"exponent": d}, {
+            "content": _val(content.value, *content.band),
+            "measurable": bool(content.measurable),
+            "oscillation": _val(content.oscillation),
+            "oscillation_coarse": _val(content.oscillation_coarse),
+            "n_eps": int(len(content.eps))}))
         out.write("tube", "eps,ratio_lo,ratio_hi",
                   [content.eps, content.ratio_lo, content.ratio_hi])
     if p["cylinder"] is not None:
         s = p["cylinder"]["exponent"]
         cd = p["cylinder"]["depth"] or p["depth"]
         cm = fg.cylinder_measure(ifs, s, cd, budget=budget.words)
-        results.append({"module": "fractal_geometry", "op": "cylinder_measure",
-                        "parameters": {"exponent": s, "depth": cd},
-                        "values": {"n_words": int(len(cm.weights)),
-                                   "total": _val(float(cm.weights.sum())),
-                                   "max_weight": _val(float(cm.weights.max())),
-                                   "min_weight": _val(float(cm.weights.min()))}})
+        results.append(_entry(
+            fg.cylinder_measure, {"exponent": s, "depth": cd},
+            {"n_words": int(len(cm.weights)),
+             "total": _val(float(cm.weights.sum())),
+             "max_weight": _val(float(cm.weights.max())),
+             "min_weight": _val(float(cm.weights.min()))}))
     if p["translation"]:
         td = fg.translation_dimension_formula(ifs, p["depth"])
-        results.append({"module": "fractal_geometry",
-                        "op": "translation_dimension_formula",
-                        "parameters": {"depth": p["depth"]},
-                        "values": {"dimension": _val(td.value, td.lower,
-                                                     td.upper),
-                                   "closed_form": bool(td.closed_form)}})
+        results.append(_entry(
+            fg.translation_dimension_formula, {"depth": p["depth"]},
+            {"dimension": _val(td.value, td.lower, td.upper),
+             "closed_form": bool(td.closed_form)}))
     if p["contraction"] is not None:
         cd = p["contraction"].get("depth") or p["depth"]
         run = fg.contraction_limit(ifs, np.zeros(ifs.dim), cd,
                                    budget=budget.words)
-        results.append({"module": "fractal_geometry", "op": "contraction_limit",
-                        "parameters": {"depth": cd},
-                        "values": {"bound_margin": _val(run.bound_margin()),
-                                   "final_step": _val(float(run.rho[-1])),
-                                   "steps": int(len(run.rho))}})
+        results.append(_entry(fg.contraction_limit, {"depth": cd}, {
+            "bound_margin": _val(run.bound_margin()),
+            "final_step": _val(float(run.rho[-1])),
+            "steps": int(len(run.rho))}))
     entries_used = 0 if gaps is None else 2 * int(len(gaps.lengths))
     return results, entries_used
 
 
-def _spectral_dim_entry(model) -> dict:
+def _model_entries(p, out, model, build, parameters, values):
+    """A built model's entries, in report order: the ``build`` that made it,
+    whose ``values`` gain the model's size and truncation, then its spectral
+    dimension, zeta values, residue and functional; and its CSV series.
+    Returns them with the entries used."""
+    results = [_entry(build, parameters, dict(
+        values, entries=len(model), truncated=bool(model.truncated)))]
     sd = st.spectral_dimension(model)
-    values = {"dimension": _val(sd.value, sd.lo, sd.hi),
-              "ord": _val(sd.ord_estimate.value, sd.ord_estimate.lo,
-                          sd.ord_estimate.hi)}
+    dim = {"dimension": _band(sd), "ord": _band(sd.ord_estimate)}
     if sd.length_scaling is not None:
-        values["length_scaling"] = _val(sd.length_scaling)
-    return {"module": "spectral_triples", "op": "spectral_dimension",
-            "parameters": {}, "values": values}
-
-
-def _zeta_entries(model, s_list) -> list:
-    out = []
-    for s in s_list:
+        dim["length_scaling"] = _val(sd.length_scaling)
+    results.append(_entry(st.spectral_dimension, {}, dim))
+    for s in p["zeta"]["s"] if p["zeta"] else ():
         z = st.zeta_partial(model, s)
-        values = {"s": _val(z.s),
-                  "value": _val(z.value, z.value - z.tail_error,
-                                z.value + z.tail_error),
-                  "head": _val(z.truncated_sum),
-                  "tail": _val(z.tail, z.tail - z.tail_error,
-                               z.tail + z.tail_error),
-                  "tail_route": z.tail_route,
-                  "n_terms": int(z.n_terms)}
+        err = z.tail_error
+        zeta = {"s": _val(z.s),
+                "value": _val(z.value, z.value - err, z.value + err),
+                "head": _val(z.truncated_sum),
+                "tail": _val(z.tail, z.tail - err, z.tail + err),
+                "tail_route": z.tail_route,
+                "n_terms": int(z.n_terms)}
         if z.closed_form is not None:
-            values["closed_form"] = _val(z.closed_form)
-            values["closed_within_error"] = bool(
-                abs(z.value - z.closed_form) <= z.tail_error)
-        out.append({"module": "spectral_triples", "op": "zeta_partial",
-                    "parameters": {"s": s}, "values": values})
-    return out
-
-
-def _residue_entry(model) -> dict:
-    r = st.zeta_residue(model)
-    return {"module": "spectral_triples", "op": "zeta_residue",
-            "parameters": {}, "values": {
-                "exponent": _similarity_val(r.d),
-                "analytic": _val(r.analytic),
-                "numeric": _val(r.numeric),
-                "agreement": _val(abs(r.analytic - r.numeric))}}
-
-
-def _functional_entry(model, func, echo, exponent, tolerance) -> dict:
-    h = st.hausdorff_functional(model, func, d=exponent, tolerance=tolerance)
-    return {"module": "spectral_triples", "op": "hausdorff_functional",
-            "parameters": {"functional": echo, "exponent": h.exponent,
-                           "tolerance": tolerance},
-            "values": {"value": _val(h.value, h.lo, h.hi),
-                       "measurable": bool(h.measurable),
-                       "n_points": int(h.n_points)}}
-
-
-def _residue_wanted(p, model) -> bool:
-    if p["residue"] is not None:
-        return p["residue"]
-    if isinstance(model, st.GapTripleModel):
-        return bool(model.gaps.stationary_ratios)
-    return model.ifs.generation == fg.STATIONARY
-
-
-def _model_entries(exp, model, out):
-    """Operations shared by the two model kinds, in report order, and the
-    model's CSV series."""
-    p = exp.params
-    results = [_spectral_dim_entry(model)]
-    if p["zeta"]:
-        results.extend(_zeta_entries(model, p["zeta"]["s"]))
-    if _residue_wanted(p, model):
-        results.append(_residue_entry(model))
+            zeta["closed_form"] = _val(z.closed_form)
+            zeta["closed_within_error"] = bool(
+                abs(z.value - z.closed_form) <= err)
+        results.append(_entry(st.zeta_partial, {"s": s}, zeta))
+    residue = p["residue"]
+    if residue is None:   # where zeta_residue finds a level that repeats
+        residue = bool(st._generator_ratios(model))
+    if residue:
+        r = st.zeta_residue(model)
+        results.append(_entry(st.zeta_residue, {}, {
+            "exponent": _similarity_val(r.d),
+            "analytic": _val(r.analytic),
+            "numeric": _val(r.numeric),
+            "agreement": _val(abs(r.analytic - r.numeric))}))
     if p["functional"] is not None:
         func, echo = p["functional"]
-        results.append(_functional_entry(model, func, echo, p["exponent"],
-                                         p["tolerance"]))
+        h = st.hausdorff_functional(model, func, d=p["exponent"],
+                                    tolerance=p["tolerance"])
+        results.append(_entry(
+            st.hausdorff_functional,
+            {"functional": echo, "exponent": h.exponent,
+             "tolerance": p["tolerance"]},
+            {"value": _band(h), "measurable": bool(h.measurable),
+             "n_points": int(h.n_points)}))
     if out.on:   # the table and the ratios are computed for their CSVs only
         out.write("entries", *_entries_table(model, p["series_max_rows"]),
                   p["series_max_rows"], numbered=True)
         out.write("dimension_ratios", "n,dimension_ratio",
                   _dimension_ratios(model.values))
-    return results
+    return results, len(model)
 
 
 def _gap_model(p, budget):
@@ -1249,16 +1236,10 @@ def _gap_model(p, budget):
 def _run_gap_triple(exp, budget, out):
     p = exp.params
     gaps, model = _gap_model(p, budget)
-    build = {"module": "spectral_triples", "op": "gap_triple",
-             "parameters": {"depth": p["depth"],
-                            "interval": list(p["interval"])
-                            if p["interval"] else None},
-             "values": {"entries": len(model),
-                        "truncated": bool(model.truncated),
-                        "completeness_cutoff": _val(gaps.completeness_cutoff),
-                        "max_value": _val(model.values[0]),
-                        "min_value": _val(model.values[-1])}}
-    return [build] + _model_entries(exp, model, out), len(model)
+    return _model_entries(p, out, model, st.gap_triple, _gap_parameters(p), {
+        "completeness_cutoff": _val(gaps.completeness_cutoff),
+        "max_value": _val(model.values[0]),
+        "min_value": _val(model.values[-1])})
 
 
 def _run_pair_triple(exp, budget, out):
@@ -1266,16 +1247,13 @@ def _run_pair_triple(exp, budget, out):
     seed = p["seed_pair"]
     model = st.pair_triple(p["ifs"], seed=seed, cap=p["cap"],
                            max_depth=p["max_depth"])
-    build = {"module": "spectral_triples", "op": "pair_triple",
-             "parameters": {"cap": p["cap"], "max_depth": p["max_depth"],
-                            "seed_pair": None if seed is None else
-                            [seed[0].tolist(), seed[1].tolist()]},
-             "values": {"entries": len(model),
-                        "truncated": bool(model.truncated),
-                        "ambient_dim": int(model.dim),
-                        "seed_distance": _val(model.seed_distance),
-                        "max_depth_reached": int(model.depths.max(initial=0))}}
-    return [build] + _model_entries(exp, model, out), len(model)
+    parameters = {"cap": p["cap"], "max_depth": p["max_depth"],
+                  "seed_pair": None if seed is None
+                  else [seed[0].tolist(), seed[1].tolist()]}
+    return _model_entries(p, out, model, st.pair_triple, parameters, {
+        "ambient_dim": int(model.dim),
+        "seed_distance": _val(model.seed_distance),
+        "max_depth_reached": int(model.depths.max(initial=0))})
 
 
 def _run_link_check(exp, budget, out):
@@ -1285,22 +1263,20 @@ def _run_link_check(exp, budget, out):
     # unset, the exponent is the similarity dimension of a stationary system
     # and 1 / (order of infinitesimal) otherwise
     similarity = p["exponent"] is None and bool(gaps.stationary_ratios)
-    results = [
-        _gap_list_entry(gaps, p["depth"], p["interval"]),
-        {"module": "spectral_triples", "op": "minkowski_link_check",
-         "parameters": {"exponent": p["exponent"]},
-         "values": {"exponent": _similarity_val(link.d) if similarity
-                    else _val(link.d),
-                    "trace": _val(link.trace.value, *link.trace.band),
-                    "trace_measurable": bool(link.trace.measurable),
-                    "content": _val(link.content.value, *link.content.band),
-                    "content_measurable": bool(link.content.measurable),
-                    "scaled_content": _val(link.scaled_value, link.scaled_lo,
-                                           link.scaled_hi),
-                    "lattice": link.lattice,
-                    "asserted": bool(link.asserted),
-                    "overlap": bool(link.overlap),
-                    "entries": len(model)}}]
+    results = [_gap_list_entry(gaps, p), _entry(
+        st.minkowski_link_check, {"exponent": p["exponent"]}, {
+            "exponent": _similarity_val(link.d) if similarity
+            else _val(link.d),
+            "trace": _band(link.trace),
+            "trace_measurable": bool(link.trace.measurable),
+            "content": _val(link.content.value, *link.content.band),
+            "content_measurable": bool(link.content.measurable),
+            "scaled_content": _val(link.scaled_value, link.scaled_lo,
+                                   link.scaled_hi),
+            "lattice": link.lattice,
+            "asserted": bool(link.asserted),
+            "overlap": bool(link.overlap),
+            "entries": len(model)})]
     out.write("tube", "eps,ratio_lo,ratio_hi",
               [link.content.eps, link.content.ratio_lo, link.content.ratio_hi])
     out.write("trace_windows", "window,slope", [link.trace.window_slopes],

@@ -224,20 +224,18 @@ class EigenvalueSequence:
     """
 
     def __init__(self, values, jumps, *, complete: bool,
-                 profile: LogLinearProfile | None, name: str):
+                 profile: LogLinearProfile | None):
         self.values = values
         self.cap = len(values)
         self.complete = complete
         self.profile = profile
-        self.name = name
         self._jumps = jumps  # None until first use for powers
         self._sums = None    # [0, S_1, ..., S_cap]
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_values(values, name: str = "",
-                    complete: bool = True) -> "EigenvalueSequence":
+    def from_values(values, complete: bool = True) -> "EigenvalueSequence":
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or len(values) == 0:
             raise ValueError("values must be a nonempty 1d array")
@@ -245,17 +243,17 @@ class EigenvalueSequence:
         if values[0] == values[-1] and len(values) > 1:
             raise NotVanishing("sequence is constant over its whole range")
         return EigenvalueSequence(values, jumps, complete=complete,
-                                  profile=None, name=name)
+                                  profile=None)
 
     @staticmethod
-    def from_function(mu_fn, cap=DEFAULT_CAP, name: str = "") -> "EigenvalueSequence":
-        return _evaluated(mu_fn, cap, None, name)
+    def from_function(mu_fn, cap=DEFAULT_CAP) -> "EigenvalueSequence":
+        return _evaluated(mu_fn, cap, None)
 
     @staticmethod
-    def from_profile(profile: LogLinearProfile, cap=DEFAULT_CAP,
-                     name: str = "") -> "EigenvalueSequence":
+    def from_profile(profile: LogLinearProfile,
+                     cap=DEFAULT_CAP) -> "EigenvalueSequence":
         return _evaluated(lambda n: np.exp(-profile.f(np.log(n))), cap,
-                          profile, name)
+                          profile)
 
     # -- access --------------------------------------------------------------
 
@@ -302,7 +300,6 @@ class EigenvalueSequence:
         return EigenvalueSequence(
             values, None, complete=self.complete,
             profile=self.profile.scaled(alpha) if self.profile is not None else None,
-            name=f"{self.name}^({alpha:g})" if self.name else "",
         )
 
     # -- tail models ----------------------------------------------------------
@@ -370,7 +367,7 @@ class EigenvalueSequence:
         return float(np.exp(logc)), float(a), float(se)
 
 
-def _evaluated(mu_fn, cap, profile, name) -> EigenvalueSequence:
+def _evaluated(mu_fn, cap, profile) -> EigenvalueSequence:
     """The sequence of mu_fn on 1..cap.  Its values pass the tolerant check,
     which lets rises of rounding size (1e-15 relative) through."""
     vals = np.asarray(mu_fn(np.arange(1, int(cap) + 1, dtype=np.int64)),
@@ -378,8 +375,7 @@ def _evaluated(mu_fn, cap, profile, name) -> EigenvalueSequence:
     jumps = _scan_values(vals, rtol=1e-15, atol=1e-300)
     if len(vals) > 1 and vals[0] == vals[-1]:
         raise NotVanishing("sequence constant up to the cap")
-    return EigenvalueSequence(vals, jumps, complete=False, profile=profile,
-                              name=name)
+    return EigenvalueSequence(vals, jumps, complete=False, profile=profile)
 
 
 @dataclass

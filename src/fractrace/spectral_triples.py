@@ -92,7 +92,7 @@ class GapTripleModel:
     def eigen(self) -> EigenvalueSequence:
         if self._eigen is None:
             self._eigen = EigenvalueSequence.from_values(
-                self.values, "gap-triple", complete=not self.truncated)
+                self.values, complete=not self.truncated)
         return self._eigen
 
     def tag_matrix(self, n: int | None = None):
@@ -175,7 +175,7 @@ class PairTripleModel:
     def eigen(self) -> EigenvalueSequence:
         if self._eigen is None:
             self._eigen = EigenvalueSequence.from_values(
-                self.values, "pair-triple", complete=not self.truncated)
+                self.values, complete=not self.truncated)
         return self._eigen
 
     def tag_matrix(self, n: int | None = None):

@@ -16,9 +16,9 @@ MODULES = ("sequences", "asymptotics", "exemplars", "fractal_geometry",
            "spectral_triples", "reporting", "errors")
 
 SURFACE = """
-sequences.EigenvalueSequence.from_function(cap=1000000, name='')
-sequences.EigenvalueSequence.from_profile(cap=1000000, name='')
-sequences.EigenvalueSequence.from_values(name='', complete=True)
+sequences.EigenvalueSequence.from_function(cap=1000000)
+sequences.EigenvalueSequence.from_profile(cap=1000000)
+sequences.EigenvalueSequence.from_values(complete=True)
 sequences.EigenvalueSequence.tail_sum(gamma=1.0)
 sequences.LogProfile.ts
 sequences.LogProfile.fs

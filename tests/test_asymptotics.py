@@ -33,8 +33,7 @@ from fractrace.sequences import (
 
 
 def power_seq(a: float, cap: int = 100_000, c: float = 1.0) -> EigenvalueSequence:
-    return EigenvalueSequence.from_function(lambda n: c * n**-a, cap=cap,
-                                            name=f"n^-{a:g}")
+    return EigenvalueSequence.from_function(lambda n: c * n**-a, cap=cap)
 
 
 def log_factor_seq(a: float, b: float, cap: int = 30_000) -> EigenvalueSequence:

@@ -77,6 +77,30 @@ def test_numeric_precondition_failures_exit_3(tmp_path, capsys):
         ["link.report.json"]
 
 
+def test_the_values_and_one_map_rules_leave_typed_run_failures(tmp_path,
+                                                             capsys):
+    """A constant values list passes validation and fails as not vanishing;
+    a one-map system with its exponent given runs, and its link check fails
+    typed."""
+    one_map = {"generation": "stationary",
+               "maps": [{"ratio": 0.5, "translation": 0.0}]}
+    doc = {"experiments": [
+        {"kind": "SEQUENCE_ANALYSIS", "name": "constant",
+         "parameters": {"values": [0.5] * 20}},
+        {"kind": "IFS_CLASSICAL", "name": "classical",
+         "parameters": {"ifs": one_map, "depth": 8,
+                        "minkowski": {"exponent": 0.5}}},
+        {"kind": "LINK_CHECK", "name": "link",
+         "parameters": {"ifs": one_map, "depth": 8, "exponent": 0.5}}]}
+    code, out = _run(tmp_path, doc)
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[:2] for line in err] == \
+        [["constant", "NOT_VANISHING"], ["link", "NOT_L1_WEAK"]]
+    assert sorted(p.name for p in out.glob("*.report.json")) == \
+        ["classical.report.json"]
+
+
 @pytest.mark.parametrize("kind", ["LINK_CHECK", "GAP_TRIPLE"])
 def test_a_model_over_the_entry_budget_exits_3(tmp_path, capsys, kind):
     doc = {"kind": kind, "name": "big",

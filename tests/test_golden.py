@@ -28,8 +28,13 @@ and the same two steps for ``golden/models``.
 """
 
 import hashlib
+import importlib
+import inspect
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 from fractrace import cli
 
@@ -83,3 +88,36 @@ def test_series_golden_batch_replays_byte_for_byte(tmp_path):
 
 def test_models_golden_batch_replays_byte_for_byte(tmp_path):
     _replay_with_series(tmp_path, GOLDEN / "models", 8, 17)
+
+
+def _public_ops(module) -> set:
+    """Names of the public functions defined in ``module`` and of the public
+    static methods of its public classes."""
+    ops = set()
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) \
+                != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            ops.add(name)
+        elif inspect.isclass(obj):
+            ops.update(k for k, v in vars(obj).items()
+                       if isinstance(v, staticmethod)
+                       and not k.startswith("_"))
+    return ops
+
+
+GOLDEN_REPORTS = sorted(GOLDEN.glob("**/*.report.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_REPORTS,
+                         ids=[str(p.relative_to(GOLDEN)) for p in
+                              GOLDEN_REPORTS])
+def test_every_report_op_names_the_function_that_ran(path):
+    """A report names each result by the package function that produced
+    it: its ``module`` is a module of the package and its ``op`` a public
+    function there, or a public static method of one of its classes."""
+    for result in json.loads(path.read_text())["results"]:
+        module = importlib.import_module(f"fractrace.{result['module']}")
+        assert result["op"] in _public_ops(module), \
+            (result["module"], result["op"])

@@ -22,8 +22,7 @@ from fractrace.exemplars import CONSTANT, TwoSlopeSpec, two_slope_sequence
 
 
 def harmonic(cap: int = 5000) -> EigenvalueSequence:
-    return EigenvalueSequence.from_values(1.0 / np.arange(1, cap + 1),
-                                          name="harmonic")
+    return EigenvalueSequence.from_values(1.0 / np.arange(1, cap + 1))
 
 
 # --- construction -----------------------------------------------------------
