@@ -13,60 +13,3 @@ from . import (  # noqa: F401
     sequences,
     spectral_triples,
 )
-from .sequences import (  # noqa: F401
-    NON_TRACE_CLASS,
-    TRACE_CLASS,
-    EigenvalueSequence,
-    LogProfile,
-    PartialSumSeries,
-    log_profile,
-)
-from .asymptotics import (  # noqa: F401
-    analyze_sequence,
-    c_bounds,
-    classify_ideal,
-    dixmier_trace_estimate,
-    eccentricity_scan,
-    order_of_infinitesimal,
-    resolve_kind,
-    singular_trace_estimate,
-)
-from .fractal_geometry import (  # noqa: F401
-    GapList,
-    LimitIfs,
-    Similarity,
-    attractor_cloud,
-    box_dimension_estimate,
-    contraction_limit,
-    cylinder_measure,
-    gaps_from_interval_ifs,
-    hausdorff_distance,
-    interval_map,
-    minkowski_content_estimate,
-    similarity_dimension,
-    translation_dimension_formula,
-)
-from .spectral_triples import (  # noqa: F401
-    FunctionalSample,
-    GapTripleModel,
-    PairTripleModel,
-    affine_functional,
-    box_indicator,
-    functional_spectrum,
-    gap_triple,
-    hausdorff_functional,
-    minkowski_link_check,
-    pair_triple,
-    sample_functional,
-    spectral_dimension,
-    zeta_partial,
-    zeta_residue,
-)
-from .reporting import (  # noqa: F401
-    Budget,
-    compare_reports,
-    config_schema,
-    dumps_canonical,
-    parse_config,
-    run_experiment,
-)

@@ -165,10 +165,6 @@ class CBounds:
     c_upper_hi: float
     jump_regime: bool = False
 
-    @property
-    def values(self):
-        return (self.c_lower, self.c_upper)
-
 
 def _recip(q: float) -> float:
     return float(np.inf) if q <= 1e-12 else 1.0 / q
@@ -389,10 +385,6 @@ class TraceValue:
     ratios: np.ndarray
     measurable: bool
 
-    @property
-    def band(self):
-        return (self.lo, self.hi)
-
 
 def singular_trace_estimate(weights, seq: EigenvalueSequence, subseq,
                             kind: str = NON_TRACE_CLASS) -> TraceValue:
@@ -443,10 +435,6 @@ class DixmierEstimate:
     hi: float
     window_slopes: np.ndarray
     measurable: bool
-
-    @property
-    def band(self):
-        return (self.lo, self.hi)
 
 
 def dixmier_trace_estimate(seq: EigenvalueSequence, check: bool = True) -> DixmierEstimate:

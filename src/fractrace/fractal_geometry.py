@@ -165,10 +165,6 @@ class LimitIfs:
         return self.blocks[0][0].dim
 
     @property
-    def osc_asserted(self) -> bool:
-        return self.osc_box is not None
-
-    @property
     def max_depth(self):
         """Deepest defined level, or None when levels never run out."""
         return len(self.blocks) if self.generation == EXPLICIT else None
@@ -468,10 +464,6 @@ class AttractorCloud:
     word_ratios: np.ndarray  # composed contraction ratio per word
     depth: int
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
     def diameter(self) -> float:
         span = self.points.max(axis=0) - self.points.min(axis=0)
         return float(np.linalg.norm(span))
@@ -744,12 +736,15 @@ def _images(maps, a, b, exact):
 def _stationary_hull(maps):
     """Smallest [a, b] with every map image inside and touching the ends.
 
-    Float iteration finds the hull.  When every map is exact, the maps whose
-    images realize its ends give the two defining equations a = w(a or b)
-    and b = w'(a or b), solved in Fractions; the solve is kept only if it
-    reproduces a touching invariant hull exactly.
+    One map leaves only its fixed point invariant, which is both ends.
+    Float iteration finds the hull of several.  When every map is exact,
+    the maps whose images realize its ends give the two defining equations
+    a = w(a or b) and b = w'(a or b), solved in Fractions; the solve is kept
+    only if it reproduces a touching invariant hull exactly.
     """
     fixed = [t / (1 - a) for a, t in (_affine(w, False) for w in maps)]
+    if len(maps) == 1:
+        return fixed[0], fixed[0]
     lo, hi = min(fixed), max(fixed)
     if hi <= lo:
         hi = lo + 1.0
@@ -1058,6 +1053,9 @@ def minkowski_content_estimate(gaps: GapList, d: float) -> MinkowskiContent:
         lo = hi * 1e-5
     else:
         lo = gaps.min_gap() * 10.0 if g.size else hi / 100.0
+        if lo == 0.0:
+            raise EpsilonBelowResolution(
+                "the smallest gap is 0: no tube width resolves the gaps")
         lo = min(lo, hi / 2.0)
     n_steps = int(math.log(hi / lo) / math.log(1 / 0.9)) + 2
     eps = np.geomspace(hi, lo, n_steps)

@@ -515,7 +515,7 @@ def _ifs(ctx, v, path, budget):
 
 
 def _functional(ctx, v, path, budget):
-    """box_indicator: lo <= hi componentwise, and a box of positive width"""
+    """box_indicator: lo < hi componentwise"""
     ftype = v["type"]
     if ftype == "constant":
         if v["value"] is None:
@@ -534,16 +534,13 @@ def _functional(ctx, v, path, budget):
     lo, hi, margin = v["lo"], v["hi"], v["margin"]
     if lo is None or hi is None:
         return None
-    if len(lo) != len(hi) or not np.all(lo <= hi):
-        return ctx.fail(path, "needs lo <= hi componentwise")
+    if len(lo) != len(hi) or not np.all(lo < hi):
+        return ctx.fail(path, "needs lo < hi componentwise")
     if margin is None:
         return None
-    try:
-        func = st.box_indicator(lo, hi, margin=margin)
-    except ValueError as e:
-        return ctx.fail(path, str(e))
-    return func, {"type": ftype, "lo": lo.tolist(), "hi": hi.tolist(),
-                  "margin": margin}
+    return (st.box_indicator(lo, hi, margin=margin),
+            {"type": ftype, "lo": lo.tolist(), "hi": hi.tolist(),
+             "margin": margin})
 
 
 def _sequence_rules(ctx, v, path, budget):
@@ -575,22 +572,33 @@ def _gaps_on(p) -> bool:
     return p["ifs"].dim == 1 if p["gaps"] is None else p["gaps"]
 
 
-def _one_map_rule(ctx, ifs, exponent, path):
-    """An exponent that defaults to the similarity dimension must be given
-    on a stationary system of one map, whose similarity dimension is 0."""
-    if exponent is None and ifs is not None \
+def _one_map_rule(ctx, ifs, given, path):
+    """A value that defaults to what the maps leave invariant must be given
+    on a stationary system of one map: its similarity dimension is 0 and
+    its invariant interval a point."""
+    if given is None and ifs is not None \
             and ifs.generation == fg.STATIONARY and len(ifs.level(1)) == 1:
         ctx.fail(path, "required for a system of one map")
 
 
+def _interval_rule(ctx, v, path):
+    """The bounding interval of a gap analysis defaults to the ifs box."""
+    ifs = v["ifs"]
+    if ifs is None or ifs.osc_box is None:
+        _one_map_rule(ctx, ifs, v["interval"], f"{path}.interval")
+
+
 def _ifs_classical_rules(ctx, v, path, budget):
     """gaps needs a 1d system
+    gap analysis needs an interval or ifs box on a stationary one-map system
     minkowski needs the gap analysis
     minkowski needs an exponent on a non-stationary system
     minkowski needs an exponent on a stationary system of one map"""
     ifs, mink = v["ifs"], v["minkowski"]
     if v["gaps"] and ifs is not None and ifs.dim != 1:
         ctx.fail(f"{path}.gaps", "gap analysis needs a 1d system")
+    elif ifs is not None and _gaps_on(v):
+        _interval_rule(ctx, v, path)
     if mink is not None:
         if mink["exponent"] is None and ifs is not None \
                 and ifs.generation != fg.STATIONARY:
@@ -619,9 +627,11 @@ def _model_rules(ctx, v, path):
 
 def _gap_triple_rules(ctx, v, path, budget):
     """ifs is a 1d system
+    interval or ifs box is given on a stationary system of one map
     residue needs a stationary system
     functional needs an exponent on a stationary system of one map"""
     _one_dim(ctx, v, path, "gap models need a 1d system")
+    _interval_rule(ctx, v, path)
     _model_rules(ctx, v, path)
     return v
 
@@ -646,8 +656,10 @@ def _pair_triple_rules(ctx, v, path, budget):
 
 def _link_check_rules(ctx, v, path, budget):
     """ifs is a 1d system
+    interval or ifs box is given on a stationary system of one map
     exponent is given on a stationary system of one map"""
     _one_dim(ctx, v, path, "the link check needs a 1d system")
+    _interval_rule(ctx, v, path)
     _one_map_rule(ctx, v["ifs"], v["exponent"], f"{path}.exponent")
     return v
 
@@ -658,7 +670,8 @@ _POSITIVE = dict(lo=0.0, lo_open=True)
 _IFS = _F("ifs", req=True)
 _DEPTH = _F("integer", "word length of the construction", req=True, lo=1)
 _INTERVAL = _F("interval", "bounding interval of the gap analysis; null: "
-               "the ifs box, else the smallest invariant interval")
+               "the ifs box, else the smallest invariant interval, so "
+               "required for a system of one map with no box")
 _ROWS = _F("integer", "rows written to the entries or gaps CSV",
            default=DEFAULT_SERIES_ROWS, lo=1)
 _TOLERANCE = _F("number", "eccentricity tolerance", default=0.02, **_POSITIVE)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -62,50 +63,52 @@ _RESIDUE_DELTAS = np.geomspace(1e-3, 1e-1, 16)
 
 
 @dataclass
-class GapTripleModel:
-    """Inverse-Dirac eigenvalue data read off a one-dimensional gap list.
+class TripleModel:
+    """Inverse-Dirac eigenvalue data of a two-point spectral triple.
 
-    Each gap (a_n, b_n) contributes the value b_n - a_n twice, so
-    ``values`` has one row per entry.  Both copies are tagged with the
-    endpoint pair, which is the two-point space the corresponding operator
-    block acts on: ``tags_x``/``tags_y`` hold one row per gap, views of the
-    first gaps of ``gaps``, and ``tag_matrix()`` gives one row per entry.
-    ``truncated`` records whether the list cuts off an infinite complement,
-    controlling how zeta tails close.
+    Every value of |D|^-1 comes twice, once per point of the two-point space
+    its operator block acts on, so ``values`` has one row per entry and
+    ``tags_x``/``tags_y`` hold those two points one row per block: 1-D for
+    gap models, (words, dim) for pair models.  ``tag_matrix()`` gives the
+    tags one row per entry.  ``truncated`` records whether entries exist
+    beyond the ones held, controlling how zeta tails close.
     """
 
-    gaps: GapList
     values: np.ndarray
     tags_x: np.ndarray
     tags_y: np.ndarray
     truncated: bool
-    _eigen: EigenvalueSequence | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.values)
 
     @property
     def dim(self) -> int:
-        return 1
+        return 1 if self.tags_x.ndim == 1 else self.tags_x.shape[1]
 
-    @property
+    @cached_property
     def eigen(self) -> EigenvalueSequence:
-        if self._eigen is None:
-            self._eigen = EigenvalueSequence.from_values(
-                self.values, complete=not self.truncated)
-        return self._eigen
+        return EigenvalueSequence.from_values(self.values, complete=not self.truncated)
 
     def tag_matrix(self, n: int | None = None):
-        """Tags of the first n entries (all when None) as two (n, 1) arrays,
-        one row per entry, the shape functional sampling expects."""
-        return _entry_rows(self.tags_x, n)[:, None], _entry_rows(self.tags_y, n)[:, None]
+        """Tags of the first n entries (all when None) as two (n, dim)
+        arrays, one row per entry: each block's row twice."""
+        blocks = None if n is None else (n + 1) // 2
+
+        def rows(tags):
+            out = np.repeat(tags[:blocks], 2, axis=0)[:n]
+            return out.reshape(len(out), self.dim)
+
+        return rows(self.tags_x), rows(self.tags_y)
 
 
-def _entry_rows(tags, n):
-    """The rows of the first n entries (all when None) from ``tags``, which
-    holds one row per gap or word: each row twice."""
-    blocks = None if n is None else (n + 1) // 2
-    return np.repeat(tags[:blocks], 2, axis=0)[:n]
+@dataclass(kw_only=True)
+class GapTripleModel(TripleModel):
+    """Gap model: each gap (a_n, b_n) of a one-dimensional gap list gives
+    the value b_n - a_n, tagged by its endpoints; ``tags_x``/``tags_y`` are
+    views of the first gaps of ``gaps``."""
+
+    gaps: GapList
 
 
 def gap_triple(gaps: GapList) -> GapTripleModel:
@@ -142,46 +145,20 @@ def gap_triple(gaps: GapList) -> GapTripleModel:
     )
 
 
-@dataclass
-class PairTripleModel:
+@dataclass(kw_only=True)
+class PairTripleModel(TripleModel):
     """Word-indexed two-point model over an iterated system.
 
-    Each word sigma gives two entries of value d(x_sigma, y_sigma), with
-    x_sigma, y_sigma the images of the seed pair, so ``values`` has one row
-    per entry.  ``tags_x``/``tags_y`` hold those images as (words, dim) rows
-    and ``depths`` each word's length, one row per word; ``tag_matrix()``
-    gives the tags one row per entry.
+    Each word sigma gives the value d(x_sigma, y_sigma), with x_sigma,
+    y_sigma the images of the seed pair, which are its tags; ``depths``
+    holds each word's length, one row per word.
     """
 
     ifs: LimitIfs
     seed_x: np.ndarray
     seed_y: np.ndarray
     seed_distance: float
-    values: np.ndarray
-    tags_x: np.ndarray
-    tags_y: np.ndarray
     depths: np.ndarray
-    truncated: bool
-    _eigen: EigenvalueSequence | None = field(default=None, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def dim(self) -> int:
-        return int(self.seed_x.size)
-
-    @property
-    def eigen(self) -> EigenvalueSequence:
-        if self._eigen is None:
-            self._eigen = EigenvalueSequence.from_values(
-                self.values, complete=not self.truncated)
-        return self._eigen
-
-    def tag_matrix(self, n: int | None = None):
-        """Tags of the first n entries (all when None) as two (n, dim)
-        arrays, one row per entry."""
-        return _entry_rows(self.tags_x, n), _entry_rows(self.tags_y, n)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +430,7 @@ def zeta_partial(model, s: float) -> ZetaPartial:
             f"s = {s:.6g} is not above the dimension estimate {floor:.6g}")
     seq = model.eigen
     n = seq.cap
-    head = float(np.sum(seq.prefix(n) ** s))
+    head = seq._held_tail(0, s)
     tail, err, route = seq.tail_sum(n, s)
     ratios = _generator_ratios(model)
     closed = _zeta_closed(model, s, ratios) if ratios else None
@@ -592,10 +569,6 @@ class HausdorffFunctional:
     exponent: float
     measurable: bool
     n_points: int
-
-    @property
-    def band(self):
-        return (self.lo, self.hi)
 
 
 def hausdorff_functional(model, f, d: float | None = None,

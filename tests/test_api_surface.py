@@ -1,16 +1,22 @@
 """The settings and outputs of the public API, pinned.
 
 Every optional parameter of each public function and method (with its
-default) and every public dataclass field of the package is listed from
-``inspect.signature`` and ``dataclasses.fields`` and compared with the list
-below, so a change that adds a setting or an output, or changes a default,
-shows it in its diff.  The command-line module is left out: its surface is
-the argument parser.
+default), every public dataclass field and every public property of the
+package is listed from ``inspect.signature``, ``dataclasses.fields`` and the
+class namespace, and compared with the list below, so a change that adds a
+setting or an output, or changes a default, shows it in its diff.  The
+command-line module is left out: its surface is the argument parser.  The
+package itself exports its submodules only, so each name has one import
+path.
 """
 
 import dataclasses
+import functools
 import importlib
 import inspect
+import types
+
+import fractrace
 
 MODULES = ("sequences", "asymptotics", "exemplars", "fractal_geometry",
            "spectral_triples", "reporting", "errors")
@@ -20,8 +26,10 @@ sequences.EigenvalueSequence.from_function(cap=1000000)
 sequences.EigenvalueSequence.from_profile(cap=1000000)
 sequences.EigenvalueSequence.from_values(complete=True)
 sequences.EigenvalueSequence.tail_sum(gamma=1.0)
+sequences.LogLinearProfile.t_max
 sequences.LogProfile.ts
 sequences.LogProfile.fs
+sequences.LogProfile.dt
 sequences.PartialSumSeries.kind
 sequences.PartialSumSeries.indices
 sequences.PartialSumSeries.values
@@ -47,6 +55,7 @@ asymptotics.EccentricityScan.gaps
 asymptotics.EccentricityScan.accepted_t
 asymptotics.EccentricityScan.accepted_n
 asymptotics.EccentricityScan.inf_gap
+asymptotics.EccentricityScan.nonempty
 asymptotics.IdealClassification.label
 asymptotics.IdealClassification.in_l1
 asymptotics.IdealClassification.in_l1_weak
@@ -88,6 +97,7 @@ exemplars.two_slope_sequence(cap=1000000)
 fractal_geometry.AttractorCloud.points
 fractal_geometry.AttractorCloud.word_ratios
 fractal_geometry.AttractorCloud.depth
+fractal_geometry.AttractorCloud.resolution
 fractal_geometry.BoxDimensionEstimate.value
 fractal_geometry.BoxDimensionEstimate.lower
 fractal_geometry.BoxDimensionEstimate.upper
@@ -113,11 +123,17 @@ fractal_geometry.GapList.residual_solid
 fractal_geometry.GapList.conservation_defect
 fractal_geometry.GapList.stationary_ratios
 fractal_geometry.GapList.completeness_cutoff
+fractal_geometry.GapList.diameter
+fractal_geometry.GapList.lengths
+fractal_geometry.GapList.residual_lengths
 fractal_geometry.LimitIfs.__init__(osc_box=None)
+fractal_geometry.LimitIfs.dim
 fractal_geometry.LimitIfs.explicit(osc_box=None)
+fractal_geometry.LimitIfs.max_depth
 fractal_geometry.LimitIfs.osc_overlap_evidence(depth=1)
 fractal_geometry.LimitIfs.periodic(osc_box=None)
 fractal_geometry.LimitIfs.stationary(osc_box=None)
+fractal_geometry.LimitIfs.translation_flag
 fractal_geometry.MinkowskiContent.value
 fractal_geometry.MinkowskiContent.band
 fractal_geometry.MinkowskiContent.measurable
@@ -127,6 +143,8 @@ fractal_geometry.MinkowskiContent.eps
 fractal_geometry.MinkowskiContent.ratio_lo
 fractal_geometry.MinkowskiContent.ratio_hi
 fractal_geometry.Similarity.__init__(orthogonal=None)
+fractal_geometry.Similarity.dim
+fractal_geometry.Similarity.linear
 fractal_geometry.TranslationDimension.value
 fractal_geometry.TranslationDimension.upper
 fractal_geometry.TranslationDimension.lower
@@ -140,12 +158,11 @@ fractal_geometry.interval_map(flip=False)
 spectral_triples.FunctionalSample.values_x
 spectral_triples.FunctionalSample.values_y
 spectral_triples.FunctionalSample.lipschitz
-spectral_triples.GapTripleModel.gaps
 spectral_triples.GapTripleModel.values
 spectral_triples.GapTripleModel.tags_x
 spectral_triples.GapTripleModel.tags_y
 spectral_triples.GapTripleModel.truncated
-spectral_triples.GapTripleModel.tag_matrix(n=None)
+spectral_triples.GapTripleModel.gaps
 spectral_triples.HausdorffFunctional.value
 spectral_triples.HausdorffFunctional.lo
 spectral_triples.HausdorffFunctional.hi
@@ -161,21 +178,27 @@ spectral_triples.MinkowskiLink.d
 spectral_triples.MinkowskiLink.lattice
 spectral_triples.MinkowskiLink.asserted
 spectral_triples.MinkowskiLink.overlap
+spectral_triples.PairTripleModel.values
+spectral_triples.PairTripleModel.tags_x
+spectral_triples.PairTripleModel.tags_y
+spectral_triples.PairTripleModel.truncated
 spectral_triples.PairTripleModel.ifs
 spectral_triples.PairTripleModel.seed_x
 spectral_triples.PairTripleModel.seed_y
 spectral_triples.PairTripleModel.seed_distance
-spectral_triples.PairTripleModel.values
-spectral_triples.PairTripleModel.tags_x
-spectral_triples.PairTripleModel.tags_y
 spectral_triples.PairTripleModel.depths
-spectral_triples.PairTripleModel.truncated
-spectral_triples.PairTripleModel.tag_matrix(n=None)
 spectral_triples.SpectralDimension.value
 spectral_triples.SpectralDimension.lo
 spectral_triples.SpectralDimension.hi
 spectral_triples.SpectralDimension.ord_estimate
 spectral_triples.SpectralDimension.length_scaling
+spectral_triples.TripleModel.values
+spectral_triples.TripleModel.tags_x
+spectral_triples.TripleModel.tags_y
+spectral_triples.TripleModel.truncated
+spectral_triples.TripleModel.dim
+spectral_triples.TripleModel.eigen
+spectral_triples.TripleModel.tag_matrix(n=None)
 spectral_triples.ZetaPartial.s
 spectral_triples.ZetaPartial.value
 spectral_triples.ZetaPartial.truncated_sum
@@ -226,6 +249,9 @@ def _class_surface(prefix, cls) -> list:
             continue
         if name == "__init__" and dataclasses.is_dataclass(cls):
             continue  # generated from the fields listed above
+        if isinstance(raw, (property, functools.cached_property)):
+            out.append(f"{prefix}.{name}")
+            continue
         fn = raw.__func__ if isinstance(raw, (staticmethod, classmethod)) \
             else raw
         if inspect.isfunction(fn):
@@ -250,3 +276,12 @@ def surface() -> list:
 
 def test_the_api_surface_is_the_pinned_one():
     assert surface() == SURFACE
+
+
+def test_the_package_exports_its_submodules_only():
+    public = {name: obj for name, obj in vars(fractrace).items()
+              if not name.startswith("_")}
+    assert all(isinstance(obj, types.ModuleType)
+               and obj.__name__ == f"fractrace.{name}"
+               for name, obj in public.items()), sorted(public)
+    assert set(MODULES) <= set(public)

@@ -3,8 +3,7 @@
 ``golden/rejected.json`` is a corpus of configs that validation rejects,
 each with the problems ``parse_config`` reports and the CLI's exit code.
 Replayed under ``python -m trace --count``, it reaches every place the
-validator reports a problem, except a zero-width ``box_indicator`` box
-(see ``test_reporting_cli``).  A case may carry a ``budget`` [entries,
+validator reports a problem.  A case may carry a ``budget`` [entries,
 words] for checks against the entry budget.  The problems are compared as
 multisets: their order is not part of the pin.
 """
@@ -67,12 +66,17 @@ def test_numeric_precondition_failures_exit_3(tmp_path, capsys):
          "parameters": {"ifs": _line_ifs(1 / 2, 1 / 3, 2 / 3), "cap": 20000,
                         "zeta": {"s": [0.8]}}},
         {"kind": "LINK_CHECK", "name": "link",
-         "parameters": {"ifs": _line_ifs(0.3, 0.4, 0.6), "depth": 8}}]}
+         "parameters": {"ifs": _line_ifs(0.3, 0.4, 0.6), "depth": 8}},
+        # the depth-3 gaps round to 0
+        {"kind": "IFS_CLASSICAL", "name": "content",
+         "parameters": {"ifs": _line_ifs(1e-200, 1e-200, 0.5), "depth": 3,
+                        "minkowski": True}}]}
     code, out = _run(tmp_path, doc)
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert [line.split(": ")[:2] for line in err] == \
-        [["empty", "EMPTY_SUBSEQUENCE"], ["unfittable", "TAIL_UNFITTABLE"]]
+        [["empty", "EMPTY_SUBSEQUENCE"], ["unfittable", "TAIL_UNFITTABLE"],
+         ["content", "EPSILON_BELOW_RESOLUTION"]]
     assert sorted(p.name for p in out.glob("*.report.json")) == \
         ["link.report.json"]
 
@@ -80,18 +84,19 @@ def test_numeric_precondition_failures_exit_3(tmp_path, capsys):
 def test_the_values_and_one_map_rules_leave_typed_run_failures(tmp_path,
                                                              capsys):
     """A constant values list passes validation and fails as not vanishing;
-    a one-map system with its exponent given runs, and its link check fails
-    typed."""
+    a one-map system with its interval and exponent given runs, and its
+    link check fails typed."""
     one_map = {"generation": "stationary",
                "maps": [{"ratio": 0.5, "translation": 0.0}]}
     doc = {"experiments": [
         {"kind": "SEQUENCE_ANALYSIS", "name": "constant",
          "parameters": {"values": [0.5] * 20}},
         {"kind": "IFS_CLASSICAL", "name": "classical",
-         "parameters": {"ifs": one_map, "depth": 8,
+         "parameters": {"ifs": one_map, "depth": 8, "interval": [0, 1],
                         "minkowski": {"exponent": 0.5}}},
         {"kind": "LINK_CHECK", "name": "link",
-         "parameters": {"ifs": one_map, "depth": 8, "exponent": 0.5}}]}
+         "parameters": {"ifs": one_map, "depth": 8, "interval": [0, 1],
+                        "exponent": 0.5}}]}
     code, out = _run(tmp_path, doc)
     assert code == 3
     err = capsys.readouterr().err.splitlines()

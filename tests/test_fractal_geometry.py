@@ -132,7 +132,7 @@ def test_osc_box_assertion_recorded_and_checked():
     ifs = LimitIfs.stationary(
         [interval_map(1 / 3, 0.0), interval_map(1 / 3, 2 / 3)],
         osc_box=([0.0], [1.0]))
-    assert ifs.osc_asserted
+    assert ifs.osc_box is not None
     assert ifs.osc_overlap_evidence(depth=2) == 0.0
     bad = LimitIfs.stationary(
         [interval_map(0.6, 0.0), interval_map(0.6, 0.4)],
@@ -472,6 +472,15 @@ def test_exact_hull_for_every_orientation(flip_left, flip_right):
     assert (gaps.starts[0], gaps.ends[0]) == (1 / 3, 3 / 4)
 
 
+@pytest.mark.parametrize("one", [interval_map(0.5, 0.3),
+                                 interval_map(Fraction(1, 2), Fraction(3, 10))])
+def test_one_map_has_no_default_bounding_interval(one):
+    """x -> x/2 + 3/10 leaves only its fixed point 3/5 invariant, so the
+    default bounding interval is degenerate, in floats and in Fractions."""
+    with pytest.raises(ValueError, match="bounding interval is degenerate"):
+        gaps_from_interval_ifs(LimitIfs.stationary([one]), depth=4)
+
+
 def test_overlapping_images_rejected():
     bad = LimitIfs.stationary([interval_map(0.6, 0.0),
                                interval_map(0.6, 0.4)])
@@ -574,6 +583,16 @@ def test_content_exponent_domain():
     with pytest.raises(ValueError):
         minkowski_content_estimate(gaps, 1.5)
 
+
+def test_content_of_gaps_that_round_to_0_fails_typed():
+    """Depth-3 gaps of two maps of ratio 1e-200 round to 0, so no tube width
+    resolves them."""
+    ifs = LimitIfs.stationary([interval_map(1e-200, 0.0),
+                               interval_map(1e-200, 0.5)])
+    gaps = gaps_from_interval_ifs(ifs, depth=3)
+    assert gaps.min_gap() == 0.0
+    with pytest.raises(EpsilonBelowResolution, match="smallest gap is 0"):
+        minkowski_content_estimate(gaps, 0.5)
 
 
 # --- common-ratio dimension formula --------------------------------------------------------------

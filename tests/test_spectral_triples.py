@@ -345,7 +345,7 @@ def test_constant_function_is_a_state():
     model = cantor_gap_model(14)
     est = hausdorff_functional(model, lambda x: np.ones_like(x), d=LOG23)
     assert est.value == 1.0
-    assert est.band == (1.0, 1.0)
+    assert (est.lo, est.hi) == (1.0, 1.0)
     assert est.measurable
 
 
