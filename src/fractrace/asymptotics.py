@@ -27,6 +27,7 @@ from .sequences import (
     NON_TRACE_CLASS,
     TRACE_CLASS,
     EigenvalueSequence,
+    Estimate,
     LogProfile,
     PartialSumSeries,
     log_profile,
@@ -87,10 +88,7 @@ def _partial_sums(seq: EigenvalueSequence, kind: str, indices):
 # order of infinitesimal
 
 @dataclass
-class OrdEstimate:
-    value: float
-    lo: float
-    hi: float
+class OrdEstimate(Estimate):
     method: str  # "fit" or "jump"
 
 
@@ -157,12 +155,8 @@ def order_of_infinitesimal(seq: EigenvalueSequence) -> OrdEstimate:
 
 @dataclass
 class CBounds:
-    c_lower: float
-    c_lower_lo: float
-    c_lower_hi: float
-    c_upper: float
-    c_upper_lo: float
-    c_upper_hi: float
+    c_lower: Estimate
+    c_upper: Estimate
     jump_regime: bool = False
 
 
@@ -206,18 +200,13 @@ def c_bounds(profile: LogProfile) -> CBounds:
 
     if jumpy:
         q_up = float((fs[2:] - fs[:-2]).max() / (2.0 * dt))
-        lower_lo, lower_hi = _recip(q_up), _recip(float(eup.min()))
+        lower = Estimate(_recip(q_up), _recip(q_up), _recip(float(eup.min())))
     else:
         q_up = float(eup.min())
-        lower_lo, lower_hi = _recip(float(eup.max())), _recip(float(eup.min()))
+        lower = Estimate(_recip(q_up), _recip(float(eup.max())), _recip(q_up))
     q_dn = float(edn.max())
-    upper_lo, upper_hi = _recip(float(edn.max())), _recip(float(edn.min()))
-
-    return CBounds(
-        c_lower=_recip(q_up), c_lower_lo=lower_lo, c_lower_hi=lower_hi,
-        c_upper=_recip(q_dn), c_upper_lo=upper_lo, c_upper_hi=upper_hi,
-        jump_regime=jumpy,
-    )
+    upper = Estimate(_recip(q_dn), _recip(q_dn), _recip(float(edn.min())))
+    return CBounds(c_lower=lower, c_upper=upper, jump_regime=jumpy)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +367,7 @@ def eccentricity_scan(seq: EigenvalueSequence, kind: str,
 # trace estimates
 
 @dataclass
-class TraceValue:
-    value: float
-    lo: float
-    hi: float
+class TraceValue(Estimate):
     ratios: np.ndarray
     measurable: bool
 
@@ -429,10 +415,7 @@ def singular_trace_estimate(weights, seq: EigenvalueSequence, subseq,
 
 
 @dataclass
-class DixmierEstimate:
-    value: float
-    lo: float
-    hi: float
+class DixmierEstimate(Estimate):
     window_slopes: np.ndarray
     measurable: bool
 
@@ -468,9 +451,7 @@ NOT_TRACEABLE_AT_1 = "NOT_TRACEABLE_AT_1"
 class TraceabilityReport:
     ord_estimate: OrdEstimate
     c_bounds: CBounds
-    dimension: float
-    dimension_lo: float
-    dimension_hi: float
+    dimension: Estimate
     classification: IdealClassification
     scan: EccentricityScan
     trace_value: DixmierEstimate | None
@@ -479,8 +460,8 @@ class TraceabilityReport:
     def sandwich_holds(self) -> bool:
         """1/ord within _SANDWICH_TOL of [c_lower, c_upper]."""
         recip = 1.0 / self.ord_estimate.value
-        lo_ok = self.c_bounds.c_lower - _SANDWICH_TOL <= recip + 1e-12
-        hi_ok = recip <= self.c_bounds.c_upper + _SANDWICH_TOL
+        lo_ok = self.c_bounds.c_lower.value - _SANDWICH_TOL <= recip + 1e-12
+        hi_ok = recip <= self.c_bounds.c_upper.value + _SANDWICH_TOL
         return bool(lo_ok and hi_ok)
 
 
@@ -503,9 +484,7 @@ def analyze_sequence(seq: EigenvalueSequence,
     return TraceabilityReport(
         ord_estimate=ordest,
         c_bounds=cb,
-        dimension=1.0 / ordest.value,
-        dimension_lo=1.0 / ordest.hi,
-        dimension_hi=1.0 / ordest.lo,
+        dimension=ordest.reciprocal(),
         classification=cls,
         scan=scan,
         trace_value=trace,

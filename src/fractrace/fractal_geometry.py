@@ -26,6 +26,7 @@ from .errors import (
     EpsilonBelowResolution,
     OverlappingImages,
 )
+from .sequences import Estimate
 
 STATIONARY = "STATIONARY"
 PERIODIC = "PERIODIC"
@@ -550,10 +551,9 @@ def cylinder_measure(ifs: LimitIfs, s: float, depth: int,
 # box-counting dimension
 
 @dataclass
-class BoxDimensionEstimate:
-    value: float               # global log N vs log 1/eps slope
-    lower: float               # smallest windowed slope
-    upper: float               # largest windowed slope
+class BoxDimensionEstimate(Estimate):
+    """The global log N vs log 1/eps slope, in the windowed slopes' range."""
+
     eps: np.ndarray
     counts: np.ndarray
 
@@ -625,8 +625,8 @@ def box_dimension_estimate(cloud, eps=None, resolution=None,
     ])
     return BoxDimensionEstimate(
         value=value,
-        lower=float(slopes.min()),
-        upper=float(slopes.max()),
+        lo=float(slopes.min()),
+        hi=float(slopes.max()),
         eps=eps,
         counts=counts,
     )
@@ -1002,18 +1002,16 @@ def _gap_numerators(levels, a, b, exact, budget):
 # Minkowski content in R
 
 @dataclass
-class MinkowskiContent:
+class MinkowskiContent(Estimate):
     """vol S_eps(F) / eps^(1-d) statistics over an epsilon window.
 
     The accepted epsilons are split into a coarse and a fine half; value and
-    band come from the fine half.  Measurability is read off the relative
+    [lo, hi] come from the fine half.  Measurability is read off the relative
     band widths: a band that keeps shrinking as the window slides toward
     eps -> 0 is the numerical face of Minkowski measurability, one that
     stays put over several multiplicative periods is the lattice case.
     """
 
-    value: float
-    band: tuple
     measurable: bool
     oscillation: float          # relative band width over the fine half
     oscillation_coarse: float   # same over the coarse half
@@ -1093,13 +1091,14 @@ def minkowski_content_estimate(gaps: GapList, d: float) -> MinkowskiContent:
     osc_fine = rel_width(fine)
     osc_coarse = rel_width(coarse)
     value = float(np.mean(0.5 * (ratio_lo[fine] + ratio_hi[fine])))
-    band = (float(ratio_lo[fine].min()), float(ratio_hi[fine].max()))
     # measurable: the fine band is narrow and either clearly still shrinking
     # or already negligible
     measurable = osc_fine <= _MEASURABLE_OSCILLATION and (
         osc_fine <= 0.5 * osc_coarse or osc_fine <= 0.005)
     return MinkowskiContent(
-        value=value, band=band,
+        value=value,
+        lo=float(ratio_lo[fine].min()),
+        hi=float(ratio_hi[fine].max()),
         measurable=bool(measurable),
         oscillation=float(osc_fine),
         oscillation_coarse=float(osc_coarse),
@@ -1111,10 +1110,9 @@ def minkowski_content_estimate(gaps: GapList, d: float) -> MinkowskiContent:
 # translation-fractal dimension formula
 
 @dataclass
-class TranslationDimension:
-    value: float
-    upper: float               # limsup statistic of the partial ratios
-    lower: float               # liminf statistic
+class TranslationDimension(Estimate):
+    """The limsup statistic of the partial ratios, in [liminf, limsup]."""
+
     closed_form: bool
 
 
@@ -1137,14 +1135,14 @@ def translation_dimension_formula(ifs: LimitIfs, depth: int) -> TranslationDimen
         num = sum(math.log(len(level)) for level in ifs.blocks)
         den = sum(math.log(1.0 / level[0].ratio) for level in ifs.blocks)
         d = num / den
-        return TranslationDimension(value=d, upper=d, lower=d, closed_form=True)
+        return TranslationDimension(value=d, lo=d, hi=d, closed_form=True)
     log_p = np.array([math.log(ifs.p(n)) for n in range(1, depth + 1)])
     log_inv = np.array([math.log(1.0 / ifs.ratios(n)[0]) for n in range(1, depth + 1)])
     partials = np.cumsum(log_p) / np.cumsum(log_inv)
     tail = partials[(depth - 1) // 2:]
     return TranslationDimension(
         value=float(tail.max()),
-        upper=float(tail.max()),
-        lower=float(tail.min()),
+        lo=float(tail.min()),
+        hi=float(tail.max()),
         closed_form=False,
     )

@@ -997,7 +997,7 @@ def _entry(op, parameters, values) -> dict:
 
 
 def _band(est) -> dict:
-    """An estimate that carries ``value``, ``lo`` and ``hi``."""
+    """A ``sequences.Estimate`` with its interval."""
     return _val(est.value, est.lo, est.hi)
 
 
@@ -1012,9 +1012,9 @@ def _sequence_entries(p, out, seq, build, parameters):
     values = {
         "ord": _band(rep.ord_estimate),
         "ord_method": rep.ord_estimate.method,
-        "dimension": _val(rep.dimension, rep.dimension_lo, rep.dimension_hi),
-        "c_lower": _val(cb.c_lower, cb.c_lower_lo, cb.c_lower_hi),
-        "c_upper": _val(cb.c_upper, cb.c_upper_lo, cb.c_upper_hi),
+        "dimension": _band(rep.dimension),
+        "c_lower": _band(cb.c_lower),
+        "c_upper": _band(cb.c_upper),
         "jump_regime": bool(cb.jump_regime),
         "classification": cls.label,
         "in_l1": cls.in_l1,
@@ -1134,7 +1134,7 @@ def _run_ifs_classical(exp, budget, out):
         cloud = fg.attractor_cloud(ifs, cd, budget=budget.words)
         est = fg.box_dimension_estimate(cloud)
         results.append(_entry(fg.box_dimension_estimate, {"cloud_depth": cd}, {
-            "dimension": _val(est.value, est.lower, est.upper),
+            "dimension": _band(est),
             "n_eps": int(len(est.eps)),
             "cloud_points": int(len(cloud.points))}))
         out.write("box_counts", "eps,count", [est.eps, est.counts])
@@ -1143,7 +1143,7 @@ def _run_ifs_classical(exp, budget, out):
         d = p["minkowski"]["exponent"] or dim
         content = fg.minkowski_content_estimate(gaps, d)
         results.append(_entry(fg.minkowski_content_estimate, {"exponent": d}, {
-            "content": _val(content.value, *content.band),
+            "content": _band(content),
             "measurable": bool(content.measurable),
             "oscillation": _val(content.oscillation),
             "oscillation_coarse": _val(content.oscillation_coarse),
@@ -1164,7 +1164,7 @@ def _run_ifs_classical(exp, budget, out):
         td = fg.translation_dimension_formula(ifs, p["depth"])
         results.append(_entry(
             fg.translation_dimension_formula, {"depth": p["depth"]},
-            {"dimension": _val(td.value, td.lower, td.upper),
+            {"dimension": _band(td),
              "closed_form": bool(td.closed_form)}))
     if p["contraction"] is not None:
         cd = p["contraction"].get("depth") or p["depth"]
@@ -1282,10 +1282,9 @@ def _run_link_check(exp, budget, out):
             else _val(link.d),
             "trace": _band(link.trace),
             "trace_measurable": bool(link.trace.measurable),
-            "content": _val(link.content.value, *link.content.band),
+            "content": _band(link.content),
             "content_measurable": bool(link.content.measurable),
-            "scaled_content": _val(link.scaled_value, link.scaled_lo,
-                                   link.scaled_hi),
+            "scaled_content": _band(link.scaled_content),
             "lattice": link.lattice,
             "asserted": bool(link.asserted),
             "overlap": bool(link.overlap),

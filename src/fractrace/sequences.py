@@ -30,6 +30,19 @@ _SLICE = 1 << 16    # entries per slice of the validation pass
 _PROFILE_POINTS = 4097  # samples of log_profile
 
 
+@dataclass
+class Estimate:
+    """A measured number with the interval [lo, hi] that should hold it."""
+
+    value: float
+    lo: float
+    hi: float
+
+    def reciprocal(self) -> Estimate:
+        """1 / value, the interval ends swapped as 1/x reverses order."""
+        return Estimate(1.0 / self.value, 1.0 / self.hi, 1.0 / self.lo)
+
+
 def _log_abs_expm1(z):
     """log |e^z - 1|, stable for large positive and large negative z."""
     z = np.asarray(z, dtype=float)

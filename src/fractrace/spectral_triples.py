@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptySubsequence, SBelowDimension, SeedCoincident
-from .sequences import EigenvalueSequence
+from .sequences import EigenvalueSequence, Estimate
 from .asymptotics import (
     DixmierEstimate,
     OrdEstimate,
@@ -307,10 +307,7 @@ def _push(chunks, v):
 
 
 @dataclass
-class SpectralDimension:
-    value: float
-    lo: float
-    hi: float
+class SpectralDimension(Estimate):
     ord_estimate: OrdEstimate
     length_scaling: float | None
 
@@ -353,13 +350,9 @@ def spectral_dimension(model) -> SpectralDimension:
         # one copy per gap; the model's values are trimmed to the complete
         # prefix, which the raw gap list is not
         scaling = _length_scaling_estimate(model.values[::2])
-    return SpectralDimension(
-        value=1.0 / est.value,
-        lo=1.0 / est.hi,
-        hi=1.0 / est.lo,
-        ord_estimate=est,
-        length_scaling=scaling,
-    )
+    d = est.reciprocal()
+    return SpectralDimension(d.value, d.lo, d.hi, ord_estimate=est,
+                             length_scaling=scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +368,12 @@ def _generator_ratios(model) -> tuple:
     return tuple(model.gaps.stationary_ratios)
 
 
-def _dimension_floor(model):
-    """(estimate, route) for the s > d guard; exact-ish when stationary."""
+def _dimension_floor(model) -> float:
+    """The dimension for the s > d guard; exact-ish when stationary."""
     ratios = _generator_ratios(model)
     if ratios:
-        return similarity_dimension(ratios), "similarity"
-    est = order_of_infinitesimal(model.eigen)
-    return 1.0 / est.value, "order"
+        return similarity_dimension(ratios)
+    return order_of_infinitesimal(model.eigen).reciprocal().value
 
 
 def _zeta_numerator(model, s: float, ratios) -> float:
@@ -424,7 +416,7 @@ def zeta_partial(model, s: float) -> ZetaPartial:
     to within its own tail error.
     """
     s = float(s)
-    floor, _ = _dimension_floor(model)
+    floor = _dimension_floor(model)
     if s <= floor:
         raise SBelowDimension(
             f"s = {s:.6g} is not above the dimension estimate {floor:.6g}")
@@ -562,10 +554,7 @@ def box_indicator(lo, hi, margin: float = 0.0):
 
 
 @dataclass
-class HausdorffFunctional:
-    value: float
-    lo: float
-    hi: float
+class HausdorffFunctional(Estimate):
     exponent: float
     measurable: bool
     n_points: int
@@ -586,7 +575,7 @@ def hausdorff_functional(model, f, d: float | None = None,
     if len(sample) != len(model):
         raise ValueError("functional sample does not match the model's entries")
     if d is None:
-        d, _ = _dimension_floor(model)
+        d = _dimension_floor(model)
     d = float(d)
     seq_d = model.eigen.power(d)
     kind = resolve_kind(seq_d)
@@ -594,9 +583,7 @@ def hausdorff_functional(model, f, d: float | None = None,
     weights = 0.5 * (sample.values_x + sample.values_y)
     tv = singular_trace_estimate(weights, seq_d, subseq, kind)
     return HausdorffFunctional(
-        value=tv.value,
-        lo=tv.lo,
-        hi=tv.hi,
+        tv.value, tv.lo, tv.hi,
         exponent=d,
         measurable=tv.measurable,
         n_points=len(subseq),
@@ -655,9 +642,7 @@ def functional_spectrum(model, f, exponents, tolerance: float | None = None):
 class MinkowskiLink:
     trace: DixmierEstimate
     content: MinkowskiContent
-    scaled_value: float
-    scaled_lo: float
-    scaled_hi: float
+    scaled_content: Estimate
     d: float
     lattice: bool | None
     asserted: bool
@@ -692,7 +677,7 @@ def minkowski_link_check(model: GapTripleModel, d: float | None = None) -> Minko
     if not isinstance(model, GapTripleModel):
         raise ValueError("the content link is a statement about gap models on the line")
     if d is None:
-        d, _ = _dimension_floor(model)
+        d = _dimension_floor(model)
     d = float(d)
     if not 0.0 < d <= 1.0:
         raise ValueError(f"d must lie in (0, 1], got {d:.6g}")
@@ -700,14 +685,13 @@ def minkowski_link_check(model: GapTripleModel, d: float | None = None) -> Minko
     content = minkowski_content_estimate(model.gaps, d)
     scale = 2.0**d * (1.0 - d)
     lattice = _lattice_ratios(model.gaps.stationary_ratios)
-    s_lo, s_hi = scale * content.band[0], scale * content.band[1]
-    overlap = max(trace.lo, s_lo) <= min(trace.hi, s_hi)
+    scaled = Estimate(scale * content.value, scale * content.lo,
+                      scale * content.hi)
+    overlap = max(trace.lo, scaled.lo) <= min(trace.hi, scaled.hi)
     return MinkowskiLink(
         trace=trace,
         content=content,
-        scaled_value=scale * content.value,
-        scaled_lo=s_lo,
-        scaled_hi=s_hi,
+        scaled_content=scaled,
         d=d,
         lattice=lattice,
         asserted=bool(lattice is False and content.measurable),

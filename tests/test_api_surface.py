@@ -26,6 +26,9 @@ sequences.EigenvalueSequence.from_function(cap=1000000)
 sequences.EigenvalueSequence.from_profile(cap=1000000)
 sequences.EigenvalueSequence.from_values(complete=True)
 sequences.EigenvalueSequence.tail_sum(gamma=1.0)
+sequences.Estimate.value
+sequences.Estimate.lo
+sequences.Estimate.hi
 sequences.LogLinearProfile.t_max
 sequences.LogProfile.ts
 sequences.LogProfile.fs
@@ -36,11 +39,7 @@ sequences.PartialSumSeries.values
 sequences.PartialSumSeries.tail_error
 sequences.PartialSumSeries.tail_route
 asymptotics.CBounds.c_lower
-asymptotics.CBounds.c_lower_lo
-asymptotics.CBounds.c_lower_hi
 asymptotics.CBounds.c_upper
-asymptotics.CBounds.c_upper_lo
-asymptotics.CBounds.c_upper_hi
 asymptotics.CBounds.jump_regime
 asymptotics.DixmierEstimate.value
 asymptotics.DixmierEstimate.lo
@@ -74,8 +73,6 @@ asymptotics.TraceValue.measurable
 asymptotics.TraceabilityReport.ord_estimate
 asymptotics.TraceabilityReport.c_bounds
 asymptotics.TraceabilityReport.dimension
-asymptotics.TraceabilityReport.dimension_lo
-asymptotics.TraceabilityReport.dimension_hi
 asymptotics.TraceabilityReport.classification
 asymptotics.TraceabilityReport.scan
 asymptotics.TraceabilityReport.trace_value
@@ -99,8 +96,8 @@ fractal_geometry.AttractorCloud.word_ratios
 fractal_geometry.AttractorCloud.depth
 fractal_geometry.AttractorCloud.resolution
 fractal_geometry.BoxDimensionEstimate.value
-fractal_geometry.BoxDimensionEstimate.lower
-fractal_geometry.BoxDimensionEstimate.upper
+fractal_geometry.BoxDimensionEstimate.lo
+fractal_geometry.BoxDimensionEstimate.hi
 fractal_geometry.BoxDimensionEstimate.eps
 fractal_geometry.BoxDimensionEstimate.counts
 fractal_geometry.ContractionRun.cloud
@@ -135,7 +132,8 @@ fractal_geometry.LimitIfs.periodic(osc_box=None)
 fractal_geometry.LimitIfs.stationary(osc_box=None)
 fractal_geometry.LimitIfs.translation_flag
 fractal_geometry.MinkowskiContent.value
-fractal_geometry.MinkowskiContent.band
+fractal_geometry.MinkowskiContent.lo
+fractal_geometry.MinkowskiContent.hi
 fractal_geometry.MinkowskiContent.measurable
 fractal_geometry.MinkowskiContent.oscillation
 fractal_geometry.MinkowskiContent.oscillation_coarse
@@ -146,8 +144,8 @@ fractal_geometry.Similarity.__init__(orthogonal=None)
 fractal_geometry.Similarity.dim
 fractal_geometry.Similarity.linear
 fractal_geometry.TranslationDimension.value
-fractal_geometry.TranslationDimension.upper
-fractal_geometry.TranslationDimension.lower
+fractal_geometry.TranslationDimension.lo
+fractal_geometry.TranslationDimension.hi
 fractal_geometry.TranslationDimension.closed_form
 fractal_geometry.attractor_cloud(seed=None, budget=10000000)
 fractal_geometry.box_dimension_estimate(eps=None, resolution=None, window=16)
@@ -171,9 +169,7 @@ spectral_triples.HausdorffFunctional.measurable
 spectral_triples.HausdorffFunctional.n_points
 spectral_triples.MinkowskiLink.trace
 spectral_triples.MinkowskiLink.content
-spectral_triples.MinkowskiLink.scaled_value
-spectral_triples.MinkowskiLink.scaled_lo
-spectral_triples.MinkowskiLink.scaled_hi
+spectral_triples.MinkowskiLink.scaled_content
 spectral_triples.MinkowskiLink.d
 spectral_triples.MinkowskiLink.lattice
 spectral_triples.MinkowskiLink.asserted

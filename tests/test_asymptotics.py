@@ -79,9 +79,9 @@ def test_ord_homogeneity_under_powers(a, b, alpha):
 
 def test_c_bounds_harmonic_close_to_one():
     cb = c_bounds(log_profile(power_seq(1.0)))
-    assert cb.c_lower == pytest.approx(1.0, abs=0.05)
-    assert cb.c_upper == pytest.approx(1.0, abs=0.05)
-    assert cb.c_lower <= cb.c_upper + 1e-12
+    assert cb.c_lower.value == pytest.approx(1.0, abs=0.05)
+    assert cb.c_upper.value == pytest.approx(1.0, abs=0.05)
+    assert cb.c_lower.value <= cb.c_upper.value + 1e-12
 
 
 @given(a=st.floats(0.5, 3.0), b=st.floats(-2.0, 2.0))
@@ -93,8 +93,9 @@ def test_reciprocal_ord_sits_between_c_bounds(a, b):
 
 def test_dimension_is_reciprocal_ord():
     rep = analyze_sequence(power_seq(2.0))
-    assert rep.dimension == pytest.approx(1.0 / rep.ord_estimate.value, rel=1e-12)
-    assert rep.dimension_lo <= rep.dimension <= rep.dimension_hi
+    dim = rep.dimension
+    assert dim.value == pytest.approx(1.0 / rep.ord_estimate.value, rel=1e-12)
+    assert dim.lo <= dim.value <= dim.hi
 
 
 @pytest.mark.parametrize("a, kind", [(1.7, TRACE_CLASS), (0.8, NON_TRACE_CLASS)])

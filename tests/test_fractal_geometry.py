@@ -334,7 +334,7 @@ def test_box_dimension_of_a_segment():
     pts = np.linspace(0.0, 1.0, 20_000).reshape(-1, 1)
     est = box_dimension_estimate(pts)
     assert est.value == pytest.approx(1.0, abs=0.05)
-    assert est.lower <= est.value <= est.upper
+    assert est.lo <= est.value <= est.hi
 
 
 def test_box_dimension_of_the_middle_thirds_set():
@@ -560,7 +560,7 @@ def test_uneven_content_settles():
     mc = minkowski_content_estimate(gaps, d)
     assert mc.measurable
     assert mc.oscillation < mc.oscillation_coarse
-    assert mc.band[0] <= mc.value <= mc.band[1]
+    assert mc.lo <= mc.value <= mc.hi
 
 
 @given(r1=st.floats(0.05, 0.45), r2=st.floats(0.05, 0.45),
@@ -608,7 +608,7 @@ def test_formula_periodic_closed_form():
     want = (math.log(2) + math.log(3)) / (math.log(4) + math.log(3))
     assert td.closed_form
     assert td.value == pytest.approx(want, abs=1e-12)
-    assert td.upper == td.lower == td.value
+    assert td.hi == td.lo == td.value
 
 
 def test_formula_explicit_runs_spread_bounds():
@@ -624,8 +624,8 @@ def test_formula_explicit_runs_spread_bounds():
     ifs = LimitIfs.explicit(levels)
     td = translation_dimension_formula(ifs, depth=len(levels))
     assert not td.closed_form
-    assert td.upper > td.lower + 0.01
-    assert td.value == td.upper
+    assert td.hi > td.lo + 0.01
+    assert td.value == td.hi
 
 
 def test_formula_needs_common_ratio_per_level():

@@ -11,10 +11,14 @@ looks entries up in an array, and every sequence holds one thing: its
 validated array, evaluated once when the sequence is made.  The pair model
 walks its word tree once: it reads each level of the system once, level 1
 at most twice since the default seed reads it too, so no loop rebuilds the
-tree from the root.
+tree from the root.  A number with its interval is a ``sequences.Estimate``,
+never a loose set of float fields.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import pathlib
 from collections import Counter
 
@@ -22,7 +26,7 @@ import numpy as np
 import pytest
 
 from fractrace.fractal_geometry import LimitIfs
-from fractrace.sequences import EigenvalueSequence, LogLinearProfile
+from fractrace.sequences import EigenvalueSequence, Estimate, LogLinearProfile
 from fractrace.spectral_triples import pair_triple
 from systems import make_periodic, make_planar, make_uneven
 
@@ -103,3 +107,26 @@ def test_a_sequence_holds_its_array_and_no_function(make):
         whole = seq.prefix(seq.cap)
         assert seq.values is held and len(whole) == seq.cap
         assert np.shares_memory(whole, held)
+
+
+def public_dataclasses():
+    for path in sorted(PACKAGE.glob("*.py")):
+        mod = importlib.import_module(f"fractrace.{path.stem}")
+        for name, cls in sorted(vars(mod).items()):
+            if (inspect.isclass(cls) and not name.startswith("_")
+                    and cls.__module__ == mod.__name__
+                    and dataclasses.is_dataclass(cls) and cls is not Estimate):
+                yield cls
+
+
+def test_an_interval_is_an_estimate():
+    loose = [f"{cls.__name__}.{field}"
+             for cls in public_dataclasses()
+             for field, ann in vars(cls).get("__annotations__", {}).items()
+             if field == "band" or ann == "float" and (
+                 field in ("lower", "upper") or field.endswith(("_lo", "_hi")))]
+    assert loose == []
+    triples = [cls.__name__ for cls in public_dataclasses()
+               if {"value", "lo", "hi"} <= {f.name for f in dataclasses.fields(cls)}
+               and not issubclass(cls, Estimate)]
+    assert triples == []

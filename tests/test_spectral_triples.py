@@ -440,7 +440,7 @@ def test_link_reports_lattice_without_asserting():
     link = minkowski_link_check(cantor_gap_model(14))
     assert link.lattice is True
     assert not link.asserted
-    assert link.scaled_lo < link.scaled_hi
+    assert link.scaled_content.lo < link.scaled_content.hi
 
 
 def test_link_guards():
