@@ -638,6 +638,7 @@ def _gap_triple_rules(ctx, v, path, budget):
 
 def _pair_triple_rules(ctx, v, path, budget):
     """seed_pair points have the ambient dimension
+    seed_pair points are a finite distance apart
     seed_pair is given when the first level has one map
     residue needs a stationary system
     functional needs an exponent on a stationary system of one map"""
@@ -650,6 +651,12 @@ def _pair_triple_rules(ctx, v, path, budget):
     elif ifs is not None and len(ifs.level(1)) < 2:
         ctx.fail(f"{path}.seed_pair",
                  "must be given: the first level has one map")
+    if seed is not None and len(seed[0]) == len(seed[1]):
+        # the distance the pair model scales, as _seed_pair takes it
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.linalg.norm(seed[0] - seed[1])):
+                ctx.fail(f"{path}.seed_pair",
+                         "must be points a finite distance apart")
     _model_rules(ctx, v, path)
     return v
 

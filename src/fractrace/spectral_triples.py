@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptySubsequence, SBelowDimension, SeedCoincident
+from .errors import EmptySubsequence, SBelowDimension, SeedCoincident, Underflow
 from .sequences import EigenvalueSequence, Estimate
 from .asymptotics import (
     DixmierEstimate,
@@ -121,11 +121,16 @@ def gap_triple(gaps: GapList) -> GapTripleModel:
     and a model must be an exact initial segment of the true sequence or
     every tail statistic downstream is biased.  The gaps kept are a prefix
     of the list, found by bisection, so the model allocates its values and
-    nothing else.
+    nothing else.  A gap whose ends round to one float has lost its length,
+    while its copies nearer 0 may keep theirs, so such a list is refused.
     """
     n_gaps = gaps.starts.size
     if n_gaps == 0:
         raise ValueError("gap list has no gaps to build a model from")
+    # sorted by length, a gap of length 0 comes last
+    if gaps.ends[-1] == gaps.starts[-1]:
+        raise Underflow(f"a gap near {gaps.starts[-1]:.6g} rounds to length "
+                        "0: the enumeration is deeper than float resolves")
     cutoff = gaps.completeness_cutoff
     k = bisect.bisect_left(
         range(n_gaps), True, key=lambda i: gaps.ends[i] - gaps.starts[i] <= cutoff)
@@ -179,7 +184,11 @@ def _seed_pair(ifs: LimitIfs, seed):
         y = np.atleast_1d(np.asarray(seed[1], dtype=float)).reshape(-1)
         if x.size != dim or y.size != dim:
             raise ValueError(f"seed points must have dimension {dim}")
-    d0 = float(np.linalg.norm(x - y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0 = float(np.linalg.norm(x - y))
+    if not math.isfinite(d0):
+        raise ValueError("seed points are too far apart: their distance "
+                         "overflows")
     if d0 == 0.0:
         raise SeedCoincident("seed points coincide")
     if ifs.osc_box is not None:

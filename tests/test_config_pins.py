@@ -70,13 +70,16 @@ def test_numeric_precondition_failures_exit_3(tmp_path, capsys):
         # the depth-3 gaps round to 0
         {"kind": "IFS_CLASSICAL", "name": "content",
          "parameters": {"ifs": _line_ifs(1e-200, 1e-200, 0.5), "depth": 3,
-                        "minkowski": True}}]}
+                        "minkowski": True}},
+        # gaps near 0.5 round to length 0 while their twins near 0 do not
+        {"kind": "GAP_TRIPLE", "name": "underflow",
+         "parameters": {"ifs": _line_ifs(1e-5, 1e-5, 0.5), "depth": 8}}]}
     code, out = _run(tmp_path, doc)
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert [line.split(": ")[:2] for line in err] == \
         [["empty", "EMPTY_SUBSEQUENCE"], ["unfittable", "TAIL_UNFITTABLE"],
-         ["content", "EPSILON_BELOW_RESOLUTION"]]
+         ["content", "EPSILON_BELOW_RESOLUTION"], ["underflow", "UNDERFLOW"]]
     assert sorted(p.name for p in out.glob("*.report.json")) == \
         ["link.report.json"]
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -60,11 +61,50 @@ def write_config(tmp_path, doc, name="config.json"):
 
 
 def run_cli(tmp_path, doc, out="out"):
+    """Run ``doc`` through the CLI; every report it writes must hold each
+    value in its interval."""
     out_dir = tmp_path / out
     out_dir.mkdir()
     code = cli.main(["run", "--config", write_config(tmp_path, doc),
                      "--out-dir", str(out_dir), "--quiet"])
+    for path in out_dir.glob("*.report.json"):
+        assert_intervals_hold(json.loads(path.read_text()))
     return code, out_dir
+
+
+def measurements(doc):
+    """Every {"value", "interval"} in a report document."""
+    if isinstance(doc, dict):
+        if set(doc) == {"value", "interval"}:
+            yield doc
+        else:
+            for v in doc.values():
+                yield from measurements(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from measurements(v)
+
+
+def assert_intervals_hold(doc):
+    """lo <= value <= hi for every measurement; float() reads the "inf" and
+    "-inf" that a report writes for infinite numbers."""
+    found = list(measurements(doc))
+    broken = [m for m in found
+              if not float(m["interval"][0]) <= float(m["value"])
+              <= float(m["interval"][1])]
+    assert broken == []
+    return len(found)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CHECKED_IN = sorted([*(ROOT / "tests" / "golden").rglob("*.report.json"),
+                     *(ROOT / "perfbench" / "reference").glob("*.json")])
+
+
+@pytest.mark.parametrize("path", CHECKED_IN,
+                         ids=[str(p.relative_to(ROOT)) for p in CHECKED_IN])
+def test_every_checked_in_interval_holds_its_value(path):
+    assert assert_intervals_hold(json.loads(path.read_text())) > 0
 
 
 def test_similarity_takes_any_1d_translation():

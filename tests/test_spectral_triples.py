@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from fractrace import reporting
 from fractrace.asymptotics import eccentricity_scan, resolve_kind
-from fractrace.errors import EmptySubsequence, SBelowDimension, SeedCoincident
+from fractrace.errors import (EmptySubsequence, SBelowDimension, SeedCoincident,
+                              Underflow)
 from fractrace.fractal_geometry import (
     GapList,
     LimitIfs,
@@ -95,6 +96,18 @@ def test_a_model_is_complete_unless_truncated():
 def test_gap_model_needs_gaps():
     with pytest.raises(ValueError, match="no gaps"):
         gap_triple(GapList.from_intervals([(0.0, 1.0)]))
+
+
+def test_gap_model_refuses_gaps_that_round_to_length_0():
+    """Depth-3 gaps of two maps of ratio 1e-150: 4 of the 7 round to length
+    0, among them the copies near 0.5 of the gaps of 5e-151 and 5e-301 near
+    0."""
+    ifs = LimitIfs.stationary([Similarity(1e-150, [0.0]),
+                               Similarity(1e-150, [0.5])])
+    gaps = gaps_from_interval_ifs(ifs, depth=3)
+    assert np.count_nonzero(gaps.lengths) == 3
+    with pytest.raises(Underflow, match="rounds to length 0"):
+        gap_triple(gaps)
 
 
 def test_pair_model_enumerates_level_two():
@@ -185,6 +198,14 @@ def test_pair_seed_guards():
         pair_triple(lonely)
     with pytest.raises(ValueError):
         pair_triple(make_cantor(), max_depth=-1)
+
+
+def test_a_seed_distance_that_overflows_is_refused():
+    """|x - y| = 1e300 overflows in the sum of squares of ``norm``: a
+    ValueError, with no RuntimeWarning on the way."""
+    ifs = LimitIfs.stationary([Similarity(0.3, [0.0]), Similarity(0.4, [0.6])])
+    with pytest.raises(ValueError, match="distance overflows"):
+        pair_triple(ifs, seed=((0.0,), (1e300,)), cap=2000)
 
 
 def test_pair_default_seed_is_fixed_point_pair():
