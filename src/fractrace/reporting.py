@@ -150,7 +150,8 @@ def dumps_canonical(doc) -> str:
 
 
 def _val(value, lo=None, hi=None) -> dict:
-    """A measured float with its interval; [v, v] when exact."""
+    """A float with an interval built here; [v, v] when exact.  An estimate
+    the package returns goes through ``_band``."""
     v = float(value)
     lo = v if lo is None else float(lo)
     hi = v if hi is None else float(hi)

@@ -110,7 +110,8 @@ def test_a_sequence_holds_its_array_and_no_function(make):
 
 
 def public_dataclasses():
-    for path in sorted(PACKAGE.glob("*.py")):
+    """Every public dataclass of the package other than ``Estimate``."""
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
         mod = importlib.import_module(f"fractrace.{path.stem}")
         for name, cls in sorted(vars(mod).items()):
             if (inspect.isclass(cls) and not name.startswith("_")
