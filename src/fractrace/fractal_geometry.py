@@ -124,9 +124,11 @@ class LimitIfs:
 
     ``generation`` selects how levels beyond the stored blocks are produced:
     STATIONARY repeats a single block, PERIODIC cycles through the blocks,
-    EXPLICIT ends after the listed levels.  ``osc_box`` is the user's open
-    set assertion, an axis-aligned box given as (lower corner, upper corner);
-    it is recorded, sanity-checkable at finite depth, but never proven.
+    EXPLICIT ends after the listed levels.  Other code asks
+    ``stationary_ratios`` (the repeated level's ratios, or ()) and
+    ``max_depth`` instead.  ``osc_box`` is the user's open set assertion, an
+    axis-aligned box given as (lower corner, upper corner); it is recorded,
+    sanity-checkable at finite depth, but never proven.
     """
 
     def __init__(self, generation, blocks, osc_box=None):
@@ -141,6 +143,8 @@ class LimitIfs:
             raise ValueError(f"maps disagree on ambient dimension: {sorted(dims)}")
         self.generation = generation
         self.blocks = [list(level) for level in blocks]
+        self.stationary_ratios = (tuple(w.ratio for w in self.blocks[0])
+                                  if generation == STATIONARY else ())
         self.osc_box = None
         if osc_box is not None:
             lo = np.asarray(osc_box[0], dtype=float).reshape(-1)
@@ -237,9 +241,9 @@ def similarity_dimension(ifs) -> float:
     decreasing sum, to an interval of width 1e-12.
     """
     if isinstance(ifs, LimitIfs):
-        if ifs.generation != STATIONARY:
+        ratios = ifs.stationary_ratios
+        if not ratios:
             raise ValueError("similarity dimension is defined for stationary systems")
-        ratios = [w.ratio for w in ifs.level(1)]
     else:
         ratios = [float(r) for r in ifs]
     if any(not 0.0 < r < 1.0 for r in ratios):
@@ -817,7 +821,7 @@ def _future_gap_factor(ifs: LimitIfs, depth: int, a: float, b: float) -> float:
     term is an earlier one's gap times a smaller float product, so it cannot
     raise the sup.  Explicit systems run to their last level.
     """
-    last = ifs.max_depth if ifs.generation == EXPLICIT else depth + len(ifs.blocks)
+    last = depth + len(ifs.blocks) if ifs.max_depth is None else ifs.max_depth
     width = b - a
     best, prod = 0.0, 1.0
     for k in range(depth + 1, last + 1):
@@ -859,7 +863,7 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
         a_raw, b_raw = interval
     elif ifs.osc_box is not None:
         a_raw, b_raw = float(ifs.osc_box[0][0]), float(ifs.osc_box[1][0])
-    elif ifs.generation == STATIONARY:
+    elif ifs.stationary_ratios:
         a_raw, b_raw = _stationary_hull(ifs.level(1))
     else:
         raise ValueError("non-stationary systems need an explicit bounding interval or osc_box")
@@ -925,8 +929,7 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
         residual_starts=res_starts, residual_ends=res_ends,
         exact=use_exact, residual_solid=False,
         conservation_defect=float(defect),
-        stationary_ratios=(tuple(float(r) for r in ifs.ratios(1))
-                           if ifs.generation == STATIONARY else ()),
+        stationary_ratios=ifs.stationary_ratios,
         completeness_cutoff=cutoff,
     )
 
@@ -1131,7 +1134,7 @@ def translation_dimension_formula(ifs: LimitIfs, depth: int) -> TranslationDimen
     if ifs.max_depth is not None and depth > ifs.max_depth:
         raise ValueError(f"depth {depth} beyond the {ifs.max_depth} explicit levels")
 
-    if ifs.generation in (STATIONARY, PERIODIC):
+    if ifs.max_depth is None:
         num = sum(math.log(len(level)) for level in ifs.blocks)
         den = sum(math.log(1.0 / level[0].ratio) for level in ifs.blocks)
         d = num / den

@@ -577,8 +577,7 @@ def _one_map_rule(ctx, ifs, given, path):
     """A value that defaults to what the maps leave invariant must be given
     on a stationary system of one map: its similarity dimension is 0 and
     its invariant interval a point."""
-    if given is None and ifs is not None \
-            and ifs.generation == fg.STATIONARY and len(ifs.level(1)) == 1:
+    if given is None and ifs is not None and len(ifs.stationary_ratios) == 1:
         ctx.fail(path, "required for a system of one map")
 
 
@@ -602,7 +601,7 @@ def _ifs_classical_rules(ctx, v, path, budget):
         _interval_rule(ctx, v, path)
     if mink is not None:
         if mink["exponent"] is None and ifs is not None \
-                and ifs.generation != fg.STATIONARY:
+                and not ifs.stationary_ratios:
             ctx.fail(f"{path}.minkowski.exponent",
                      "required for a non-stationary system")
         _one_map_rule(ctx, ifs, mink["exponent"],
@@ -620,7 +619,7 @@ def _one_dim(ctx, v, path, msg):
 
 def _model_rules(ctx, v, path):
     if v["residue"] and v["ifs"] is not None \
-            and v["ifs"].generation != fg.STATIONARY:
+            and not v["ifs"].stationary_ratios:
         ctx.fail(f"{path}.residue", "needs a stationary system")
     if v["functional"] is not None:
         _one_map_rule(ctx, v["ifs"], v["exponent"], f"{path}.exponent")
@@ -1124,7 +1123,7 @@ def _run_ifs_classical(exp, budget, out):
     ifs = p["ifs"]
     results = []
     dim = None   # a non-stationary system has no similarity dimension
-    if ifs.generation == fg.STATIONARY:
+    if ifs.stationary_ratios:
         dim = fg.similarity_dimension(ifs)
         results.append(_entry(fg.similarity_dimension, {},
                               {"dimension": _similarity_val(dim)}))
@@ -1214,7 +1213,7 @@ def _model_entries(p, out, model, build, parameters, values):
         results.append(_entry(st.zeta_partial, {"s": s}, zeta))
     residue = p["residue"]
     if residue is None:   # where zeta_residue finds a level that repeats
-        residue = bool(st._generator_ratios(model))
+        residue = bool(model.stationary_ratios)
     if residue:
         r = st.zeta_residue(model)
         results.append(_entry(st.zeta_residue, {}, {
@@ -1283,7 +1282,7 @@ def _run_link_check(exp, budget, out):
     link = st.minkowski_link_check(model, d=p["exponent"])
     # unset, the exponent is the similarity dimension of a stationary system
     # and 1 / (order of infinitesimal) otherwise
-    similarity = p["exponent"] is None and bool(gaps.stationary_ratios)
+    similarity = p["exponent"] is None and bool(model.stationary_ratios)
     results = [_gap_list_entry(gaps, p), _entry(
         st.minkowski_link_check, {"exponent": p["exponent"]}, {
             "exponent": _similarity_val(link.d) if similarity

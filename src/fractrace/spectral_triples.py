@@ -34,7 +34,6 @@ from .asymptotics import (
     singular_trace_estimate,
 )
 from .fractal_geometry import (
-    STATIONARY,
     GapList,
     LimitIfs,
     MinkowskiContent,
@@ -72,12 +71,15 @@ class TripleModel:
     gap models, (words, dim) for pair models.  ``tag_matrix()`` gives the
     tags one row per entry.  ``truncated`` records whether entries exist
     beyond the ones held, controlling how zeta tails close.
+    ``stationary_ratios`` are those of the level its system repeats, () when
+    levels vary: they give the exact dimension, closed-form zeta and residue.
     """
 
     values: np.ndarray
     tags_x: np.ndarray
     tags_y: np.ndarray
     truncated: bool
+    stationary_ratios: tuple
 
     def __len__(self) -> int:
         return len(self.values)
@@ -147,6 +149,7 @@ def gap_triple(gaps: GapList) -> GapTripleModel:
         tags_x=gaps.starts[:k],
         tags_y=gaps.ends[:k],
         truncated=truncated or k < n_gaps,
+        stationary_ratios=gaps.stationary_ratios,
     )
 
 
@@ -299,6 +302,7 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
         tags_y=rows["tags_y"][idx],
         depths=rows["depth"][idx],
         truncated=bool(truncated),
+        stationary_ratios=ifs.stationary_ratios,
     )
 
 
@@ -368,20 +372,10 @@ def spectral_dimension(model) -> SpectralDimension:
 # zeta
 
 
-def _generator_ratios(model) -> tuple:
-    """Level ratio multiset when one level repeats forever, else ()."""
-    if isinstance(model, PairTripleModel):
-        if model.ifs.generation == STATIONARY:
-            return tuple(w.ratio for w in model.ifs.level(1))
-        return ()
-    return tuple(model.gaps.stationary_ratios)
-
-
 def _dimension_floor(model) -> float:
     """The dimension for the s > d guard; exact-ish when stationary."""
-    ratios = _generator_ratios(model)
-    if ratios:
-        return similarity_dimension(ratios)
+    if model.stationary_ratios:
+        return similarity_dimension(model.stationary_ratios)
     return order_of_infinitesimal(model.eigen).reciprocal().value
 
 
@@ -433,7 +427,7 @@ def zeta_partial(model, s: float) -> ZetaPartial:
     n = seq.cap
     head = seq._held_tail(0, s)
     tail, err, route = seq.tail_sum(n, s)
-    ratios = _generator_ratios(model)
+    ratios = model.stationary_ratios
     closed = _zeta_closed(model, s, ratios) if ratios else None
     return ZetaPartial(
         s=s,
@@ -464,7 +458,7 @@ def zeta_residue(model) -> ZetaResidue:
     extrapolated to 0 by a cubic fit.  Both are returned; their spread is
     the caller's consistency check.
     """
-    ratios = _generator_ratios(model)
+    ratios = model.stationary_ratios
     if not ratios:
         raise ValueError("residue needs a stationary generating system")
     d = similarity_dimension(ratios)
@@ -693,7 +687,7 @@ def minkowski_link_check(model: GapTripleModel, d: float | None = None) -> Minko
     trace = dixmier_trace_estimate(model.eigen.power(d))
     content = minkowski_content_estimate(model.gaps, d)
     scale = 2.0**d * (1.0 - d)
-    lattice = _lattice_ratios(model.gaps.stationary_ratios)
+    lattice = _lattice_ratios(model.stationary_ratios)
     scaled = Estimate(scale * content.value, scale * content.lo,
                       scale * content.hi)
     overlap = max(trace.lo, scaled.lo) <= min(trace.hi, scaled.hi)

@@ -160,6 +160,7 @@ spectral_triples.GapTripleModel.values
 spectral_triples.GapTripleModel.tags_x
 spectral_triples.GapTripleModel.tags_y
 spectral_triples.GapTripleModel.truncated
+spectral_triples.GapTripleModel.stationary_ratios
 spectral_triples.GapTripleModel.gaps
 spectral_triples.HausdorffFunctional.value
 spectral_triples.HausdorffFunctional.lo
@@ -178,6 +179,7 @@ spectral_triples.PairTripleModel.values
 spectral_triples.PairTripleModel.tags_x
 spectral_triples.PairTripleModel.tags_y
 spectral_triples.PairTripleModel.truncated
+spectral_triples.PairTripleModel.stationary_ratios
 spectral_triples.PairTripleModel.ifs
 spectral_triples.PairTripleModel.seed_x
 spectral_triples.PairTripleModel.seed_y
@@ -192,6 +194,7 @@ spectral_triples.TripleModel.values
 spectral_triples.TripleModel.tags_x
 spectral_triples.TripleModel.tags_y
 spectral_triples.TripleModel.truncated
+spectral_triples.TripleModel.stationary_ratios
 spectral_triples.TripleModel.dim
 spectral_triples.TripleModel.eigen
 spectral_triples.TripleModel.tag_matrix(n=None)

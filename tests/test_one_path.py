@@ -12,7 +12,9 @@ validated array, evaluated once when the sequence is made.  The pair model
 walks its word tree once: it reads each level of the system once, level 1
 at most twice since the default seed reads it too, so no loop rebuilds the
 tree from the root.  A number with its interval is a ``sequences.Estimate``,
-never a loose set of float fields.
+never a loose set of float fields.  Only ``LimitIfs`` reads its
+``generation``: the rest of the package asks ``stationary_ratios`` whether a
+system is stationary, and ``max_depth`` whether its levels run out.
 """
 
 import ast
@@ -65,6 +67,40 @@ def test_only_affine_reads_a_map_of_the_line():
         PACKAGE / "fractal_geometry.py", skip_class="Similarity")
         if reads_the_affine_form(node)]
     assert readers == ["_affine"]
+
+
+MODES = {"STATIONARY", "PERIODIC", "EXPLICIT"}
+
+
+def module_scopes(path):
+    """(name, node) of each module-level statement: the name it defines,
+    or None for a statement that defines no one name."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield node.name, node
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)):
+            yield node.targets[0].id, node
+        else:
+            yield None, node
+
+
+def test_only_limit_ifs_reads_its_generation():
+    reads, names = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in module_scopes(path):
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and sub.attr == "generation"
+                        and isinstance(sub.ctx, ast.Load)):
+                    reads.add(f"{path.stem}.{scope}")
+                if (isinstance(sub, ast.Name) and sub.id in MODES
+                        or isinstance(sub, ast.Attribute) and sub.attr in MODES
+                        or isinstance(sub, ast.alias) and sub.name in MODES):
+                    names.add(f"{path.stem}.{scope}")
+    assert reads == {"fractal_geometry.LimitIfs"}
+    # the config table maps each mode's name in a config to the constant
+    assert {n for n in names if not n.startswith("fractal_geometry.")} \
+        == {"reporting._GENERATIONS"}
 
 
 def test_models_reach_sequences_through_their_values():
