@@ -30,6 +30,7 @@ from .sequences import (
     Estimate,
     LogProfile,
     PartialSumSeries,
+    _distinct,
     log_profile,
 )
 
@@ -185,7 +186,7 @@ def c_bounds(profile: LogProfile) -> CBounds:
     k_lo = max(int(round((h_max / 8.0) / dt)), 1)
     if k_lo < 2 or k_hi <= k_lo:
         raise GridTooCoarse("lag grid would fall below 2 grid steps")
-    ks = np.unique(np.round(np.geomspace(k_lo, k_hi, 16)).astype(int))
+    ks = _distinct(np.round(np.geomspace(k_lo, k_hi, 16)).astype(int))
 
     eup = np.empty(len(ks))
     edn = np.empty(len(ks))
@@ -236,7 +237,7 @@ def _log_window_slopes(seq: EigenvalueSequence, cap: int | None = None):
     edges = _window_edges(cap)
     slopes = []
     for a, b in zip(edges[:-1], edges[1:]):
-        n = np.unique(np.geomspace(max(a, 2), b, 64).astype(np.int64))
+        n = _distinct(np.geomspace(max(a, 2), b, 64).astype(np.int64))
         x = np.log(n.astype(float))
         y = sums[n]
         A = np.vstack([np.ones_like(x), x]).T
@@ -326,7 +327,7 @@ def eccentricity_scan(seq: EigenvalueSequence, kind: str,
             raise CapExceeded("profile horizon too small to scan")
         ts = np.arange(log2, hi, math.log(_SCAN_GRID_RATIO))
         knots = prof.knots[(prof.knots > log2) & (prof.knots < hi)]
-        ts = np.union1d(ts, knots)
+        ts = _distinct(np.concatenate([ts, knots]))
         # one call on both grids looks up the piece masses once
         both = np.concatenate([ts, ts + log2])
         if kind == NON_TRACE_CLASS:
@@ -341,7 +342,7 @@ def eccentricity_scan(seq: EigenvalueSequence, kind: str,
         if n_hi < 4:
             raise CapExceeded("cap too small to scan")
         count = int(math.log(n_hi / 2.0) / math.log(_SCAN_GRID_RATIO)) + 1
-        ns = np.unique(np.round(2.0 * _SCAN_GRID_RATIO ** np.arange(count)).astype(np.int64))
+        ns = _distinct(np.round(2.0 * _SCAN_GRID_RATIO ** np.arange(count)).astype(np.int64))
         ns = ns[ns <= n_hi]
         n2 = np.minimum(np.round(ns * 2.0).astype(np.int64), seq.cap)
         _, sums, _, _ = _partial_sums(seq, kind, np.concatenate([ns, n2]))
@@ -382,7 +383,7 @@ def singular_trace_estimate(weights, seq: EigenvalueSequence, subseq,
     subsequence, the band its min/max; width below 1% of the value marks the
     limit as insensitive to the averaging choice.
     """
-    subseq = np.unique(np.asarray(subseq, dtype=np.int64))
+    subseq = _distinct(np.asarray(subseq, dtype=np.int64))
     if len(subseq) == 0:
         raise EmptySubsequence("need at least one eccentric index")
     if subseq[0] < 1 or subseq[-1] > seq.cap:

@@ -1083,7 +1083,10 @@ def minkowski_content_estimate(gaps: GapList, d: float) -> MinkowskiContent:
 
     def rel_width(sl):
         lo_w, hi_w = ratio_lo[sl], ratio_hi[sl]
-        mid = float(np.median(0.5 * (lo_w + hi_w)))
+        # the median as np.median takes it, which would import numpy.ma: the
+        # mean of the one or two middle values
+        mid = np.sort(0.5 * (lo_w + hi_w))
+        mid = float(np.mean(mid[(mid.size - 1) // 2:mid.size // 2 + 1]))
         if mid <= 0:
             return math.inf
         return (hi_w.max() - lo_w.min()) / mid

@@ -70,7 +70,7 @@ from . import fractal_geometry as fg
 from . import spectral_triples as st
 from .errors import (BudgetExceeded, FractraceError, KindMismatch,
                      ValidationError)
-from .sequences import NON_TRACE_CLASS, EigenvalueSequence
+from .sequences import NON_TRACE_CLASS, EigenvalueSequence, _distinct
 
 SEQUENCE_ANALYSIS = "SEQUENCE_ANALYSIS"
 EXEMPLAR = "EXEMPLAR"
@@ -582,14 +582,20 @@ def _one_map_rule(ctx, ifs, given, path):
 
 
 def _interval_rule(ctx, v, path):
-    """The bounding interval of a gap analysis defaults to the ifs box."""
+    """The bounding interval of a gap analysis defaults to the ifs box,
+    else to the smallest interval a stationary system leaves invariant."""
     ifs = v["ifs"]
-    if ifs is None or ifs.osc_box is None:
-        _one_map_rule(ctx, ifs, v["interval"], f"{path}.interval")
+    if ifs is None or ifs.osc_box is not None or v["interval"] is not None:
+        return
+    if ifs.stationary_ratios:
+        _one_map_rule(ctx, ifs, None, f"{path}.interval")
+    else:
+        ctx.fail(f"{path}.interval", "required for a non-stationary system")
 
 
 def _ifs_classical_rules(ctx, v, path, budget):
     """gaps needs a 1d system
+    gap analysis needs an interval or ifs box on a non-stationary system
     gap analysis needs an interval or ifs box on a stationary one-map system
     minkowski needs the gap analysis
     minkowski needs an exponent on a non-stationary system
@@ -627,6 +633,7 @@ def _model_rules(ctx, v, path):
 
 def _gap_triple_rules(ctx, v, path, budget):
     """ifs is a 1d system
+    interval or ifs box is given on a non-stationary system
     interval or ifs box is given on a stationary system of one map
     residue needs a stationary system
     functional needs an exponent on a stationary system of one map"""
@@ -663,6 +670,7 @@ def _pair_triple_rules(ctx, v, path, budget):
 
 def _link_check_rules(ctx, v, path, budget):
     """ifs is a 1d system
+    interval or ifs box is given on a non-stationary system
     interval or ifs box is given on a stationary system of one map
     exponent is given on a stationary system of one map"""
     _one_dim(ctx, v, path, "the link check needs a 1d system")
@@ -677,8 +685,9 @@ _POSITIVE = dict(lo=0.0, lo_open=True)
 _IFS = _F("ifs", req=True)
 _DEPTH = _F("integer", "word length of the construction", req=True, lo=1)
 _INTERVAL = _F("interval", "bounding interval of the gap analysis; null: "
-               "the ifs box, else the smallest invariant interval, so "
-               "required for a system of one map with no box")
+               "the ifs box, else the smallest invariant interval of a "
+               "stationary system, so required with no box on a "
+               "non-stationary system or a system of one map")
 _ROWS = _F("integer", "rows written to the entries or gaps CSV",
            default=DEFAULT_SERIES_ROWS, lo=1)
 _TOLERANCE = _F("number", "eccentricity tolerance", default=0.02, **_POSITIVE)
@@ -955,7 +964,7 @@ class _Series:
 
 
 def _sample_indices(cap: int, n: int = 256) -> np.ndarray:
-    return np.unique(np.geomspace(1, cap, n).astype(np.int64))
+    return _distinct(np.geomspace(1, cap, n).astype(np.int64))
 
 
 def _sequence_series(out, seq, scan):

@@ -43,6 +43,19 @@ class Estimate:
         return Estimate(1.0 / self.value, 1.0 / self.hi, 1.0 / self.lo)
 
 
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct values of an array, as np.unique gives them.
+
+    np.unique asks numpy.ma whether its input is masked, and importing
+    numpy.ma costs a fresh process 10-15 ms on a 2-vCPU machine, so this
+    sorts and compares neighbours instead.
+    """
+    v = np.sort(values, axis=None)
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
+
+
 def _log_abs_expm1(z):
     """log |e^z - 1|, stable for large positive and large negative z."""
     z = np.asarray(z, dtype=float)
@@ -367,7 +380,7 @@ class EigenvalueSequence:
         """Least squares of log mu^gamma against log n over the last decade."""
         n_hi = self.cap
         n_lo = max(2, n_hi // 10)
-        idx = np.unique(np.geomspace(n_lo, n_hi, 64).astype(np.int64))
+        idx = _distinct(np.geomspace(n_lo, n_hi, 64).astype(np.int64))
         y = gamma * np.log(self.mu(idx))
         x = np.log(idx.astype(float))
         A = np.vstack([np.ones_like(x), -x]).T

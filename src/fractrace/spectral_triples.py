@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptySubsequence, SBelowDimension, SeedCoincident, Underflow
-from .sequences import EigenvalueSequence, Estimate
+from .sequences import EigenvalueSequence, Estimate, _distinct
 from .asymptotics import (
     DixmierEstimate,
     OrdEstimate,
@@ -611,7 +611,7 @@ def _eccentric_indices(seq, kind, tolerance):
         threshold = tolerance
         n = scan.accepted_n
     n = n[np.isfinite(n)]
-    n = np.unique(n[(n >= 1) & (n <= seq.cap)].astype(np.int64))
+    n = _distinct(n[(n >= 1) & (n <= seq.cap)].astype(np.int64))
     if len(n) == 0:
         raise EmptySubsequence(
             f"eccentricity scan found no admissible indices "

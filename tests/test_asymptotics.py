@@ -22,12 +22,15 @@ from fractrace.asymptotics import (
     resolve_kind,
     singular_trace_estimate,
 )
-from fractrace.errors import EmptySubsequence, NotL1Weak
+from fractrace.errors import (CapExceeded, EmptySubsequence, GridTooCoarse,
+                              NotL1Weak)
 from fractrace.exemplars import CONSTANT, TwoSlopeSpec, two_slope_sequence
 from fractrace.sequences import (
     NON_TRACE_CLASS,
     TRACE_CLASS,
     EigenvalueSequence,
+    LogLinearProfile,
+    LogProfile,
     log_profile,
 )
 
@@ -82,6 +85,14 @@ def test_c_bounds_harmonic_close_to_one():
     assert cb.c_lower.value == pytest.approx(1.0, abs=0.05)
     assert cb.c_upper.value == pytest.approx(1.0, abs=0.05)
     assert cb.c_lower.value <= cb.c_upper.value + 1e-12
+
+
+def test_c_bounds_needs_a_lag_grid_of_two_steps():
+    # five samples: the largest lag, 2 / 5 of the window, is one step
+    ts = np.arange(5.0)
+    with pytest.raises(GridTooCoarse) as e:
+        c_bounds(LogProfile(ts, ts))
+    assert e.value.code == "GRID_TOO_COARSE"
 
 
 @given(a=st.floats(0.5, 3.0), b=st.floats(-2.0, 2.0))
@@ -177,6 +188,20 @@ def test_scan_geometric_rejects_everything():
     scan = eccentricity_scan(seq, TRACE_CLASS, tolerance=0.1)
     assert not scan.nonempty
     assert scan.inf_gap > 0.3
+
+
+def test_scan_needs_room_to_double():
+    # a horizon of log n = 2 leaves no room for one doubling and the unit
+    # of margin the scan keeps below it
+    short = EigenvalueSequence.from_profile(
+        LogLinearProfile([0.0, 2.0], [0.0], [1.0]), cap=5)
+    with pytest.raises(CapExceeded, match="profile horizon") as e:
+        eccentricity_scan(short, NON_TRACE_CLASS)
+    assert e.value.code == "CAP_EXCEEDED"
+    small = EigenvalueSequence.from_values(1.0 / np.arange(1, 8))
+    with pytest.raises(CapExceeded, match="cap too small") as e:
+        eccentricity_scan(small, NON_TRACE_CLASS)
+    assert e.value.code == "CAP_EXCEEDED"
 
 
 def test_scan_accepted_indices_within_cap():
@@ -283,6 +308,11 @@ def test_trace_rejects_empty_subsequence():
     seq = power_seq(1.0, cap=1000)
     with pytest.raises(EmptySubsequence):
         singular_trace_estimate(np.ones(1000), seq, [])
+    with pytest.raises(CapExceeded, match="outside cap") as e:
+        singular_trace_estimate(np.ones(1000), seq, [10, 1001])
+    assert e.value.code == "CAP_EXCEEDED"
+    with pytest.raises(ValueError, match="weights shorter"):
+        singular_trace_estimate(np.ones(99), seq, [10, 100])
 
 
 # --- logarithmic means --------------------------------------------------------

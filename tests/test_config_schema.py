@@ -155,7 +155,7 @@ FULL = [
     {"kind": IFS_CLASSICAL,
      "parameters": {"ifs": {"generation": "periodic",
                             "blocks": [[_map(0.3, 0.0), _map(0.3, 0.7)]]},
-                    "depth": 4}},
+                    "depth": 4, "interval": [0.0, 1.0]}},
     {"kind": GAP_TRIPLE,
      "parameters": {"ifs": {"generation": "explicit",
                             "levels": [[_map(0.3, 0.0),

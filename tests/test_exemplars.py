@@ -210,6 +210,16 @@ def test_s_ratio_of_values_matches_a_direct_sum(gamma, x):
     assert s_ratio(seq, gamma, x) == pytest.approx(s(x / 2) / s(x), rel=1e-12)
 
 
+def test_s_ratio_needs_a_negligible_remainder():
+    # mu = 1/n^2 to log n = 3: the tail from x = 5 is mostly beyond it
+    from fractrace.sequences import EigenvalueSequence, LogLinearProfile
+    seq = EigenvalueSequence.from_profile(
+        LogLinearProfile([0.0, 3.0], [0.0], [2.0]), cap=10)
+    with pytest.raises(CapExceeded, match="profile horizon") as e:
+        s_ratio(seq, 1.0, 5.0)
+    assert e.value.code == "CAP_EXCEEDED"
+
+
 def test_ratio_rejects_bad_lam():
     seq = two_slope_sequence(TwoSlopeSpec(1.0, 1.0, (CONSTANT, 1.0)), cap=1000)
     with pytest.raises(ValueError):

@@ -326,6 +326,9 @@ def test_cylinder_measure_input_guards():
         cm.weight((1, 3))  # digit out of range
     with pytest.raises(ValueError):
         cm.weight((1, 2, 1))  # word longer than depth
+    with pytest.raises(BudgetExceeded) as e:
+        cylinder_measure(make_cantor(), 1.0, depth=4, budget=10)
+    assert e.value.code == "BUDGET_EXCEEDED"
 
 
 # --- box counting -----------------------------------------------------------------------------
@@ -352,6 +355,11 @@ def test_box_grid_below_resolution_rejected():
     cloud = attractor_cloud(make_cantor(), depth=6)
     with pytest.raises(EpsilonBelowResolution):
         box_dimension_estimate(cloud, eps=np.geomspace(1e-2, 1e-9, 30))
+    # two points resolve nothing finer than their distance, above the
+    # default grid's top of diameter / 8
+    with pytest.raises(EpsilonBelowResolution, match="no usable grid") as e:
+        box_dimension_estimate(np.array([[0.0], [1.0]]))
+    assert e.value.code == "EPSILON_BELOW_RESOLUTION"
 
 
 # --- gap lists ---------------------------------------------------------------------------------

@@ -15,7 +15,9 @@ import pytest
 
 import fractrace
 from fractrace import cli, reporting
+from fractrace import exemplars as ex
 from fractrace import spectral_triples as st
+from fractrace.asymptotics import order_of_infinitesimal
 from fractrace.fractal_geometry import Similarity
 from fractrace.reporting import (IFS_CLASSICAL, PAIR_TRIPLE, Budget,
                                  parse_config, run_experiment)
@@ -137,6 +139,21 @@ def test_planar_pair_model_runs_from_the_cli(tmp_path):
     with open(out_dir / report["series"]["entries"]) as fh:
         header = fh.readline().strip()
     assert header == "k,mu_k,tag_x_1,tag_x_2,tag_y_1,tag_y_2"
+
+
+def test_a_two_slope_exemplar_with_linear_gaps_runs_from_the_cli(tmp_path):
+    doc = {"kind": "EXEMPLAR", "name": "linear",
+           "parameters": {"family": "two_slope", "alpha": 1.7, "beta": 1.3,
+                          "gaps": {"form": "linear"}, "cap": 5000}}
+    code, out_dir = run_cli(tmp_path, doc)
+    assert code == 0
+    report = json.loads((out_dir / "linear.report.json").read_text())
+    build, analysis = report["results"]
+    assert build["parameters"]["gaps"] == ["linear"]
+    seq = ex.two_slope_sequence(ex.TwoSlopeSpec(1.7, 1.3, (ex.LINEAR,)),
+                                cap=5000)
+    assert analysis["values"]["ord"]["value"] == \
+        order_of_infinitesimal(seq).value
 
 
 def test_constant_functional_on_a_planar_model(tmp_path):
@@ -294,10 +311,9 @@ for config in configs:
 """
 
 
-def test_no_kind_imports_scipy(tmp_path):
-    """No kind loads scipy: not box counting and the contraction iteration
-    on a line or a planar system, and not any experiment of the six kinds.
-    Each runs alone, so in this process rather than a forked helper."""
+def every_kind():
+    """Box counting and the contraction iteration on a line and on a planar
+    system, and an experiment of each of the six kinds."""
     line = {"kind": "IFS_CLASSICAL", "name": "line",
             "parameters": {"ifs": line_ifs(0.3, 0.4), "depth": 6,
                            "gaps": False, "box_dimension": {"cloud_depth": 10},
@@ -306,7 +322,13 @@ def test_no_kind_imports_scipy(tmp_path):
              "parameters": {"ifs": PLANAR_IFS, "depth": 4,
                             "box_dimension": {"cloud_depth": 6},
                             "contraction": {"depth": 6}}}
-    docs = [line, plane, *SIX_KINDS["experiments"]]
+    return [line, plane, *SIX_KINDS["experiments"]]
+
+
+def test_no_kind_imports_scipy(tmp_path):
+    """No kind loads scipy.  Each experiment runs alone, so in this process
+    rather than a forked helper."""
+    docs = every_kind()
     assert run_script(tmp_path, ONE_BY_ONE, *docs).split() == \
         ["False"] * (1 + len(docs))
     assert {doc["kind"] for doc in docs} == set(reporting.KINDS)
@@ -315,6 +337,14 @@ def test_no_kind_imports_scipy(tmp_path):
                             .read_text())
         assert [r["op"] for r in report["results"]][-2:] == \
             ["box_dimension_estimate", "contraction_limit"]
+
+
+def test_no_kind_imports_numpy_ma(tmp_path):
+    """No kind loads numpy.ma, which np.unique without an inverse and
+    np.median import, a cost every cold process would pay."""
+    docs = every_kind()
+    assert run_script(tmp_path, ONE_BY_ONE.replace("scipy", "numpy.ma"),
+                      *docs).split() == ["False"] * (1 + len(docs))
 
 
 def test_only_a_values_experiment_loads_hashlib(tmp_path):

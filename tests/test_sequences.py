@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractrace.errors import (CapExceeded, FractraceError, NotVanishing,
-                              TailExhausted, Underflow)
+                              TailExhausted, TailUnfittable, Underflow)
 from fractrace.sequences import (
     NON_TRACE_CLASS,
     TRACE_CLASS,
     EigenvalueSequence,
     LogLinearProfile,
     PartialSumSeries,
+    _distinct,
     log_profile,
 )
 from fractrace.asymptotics import partial_sums
@@ -53,6 +54,18 @@ def test_from_values_rejects_empty():
 def test_constant_sequence_does_not_vanish():
     with pytest.raises(NotVanishing):
         EigenvalueSequence.from_values(np.full(4000, 0.25))
+    with pytest.raises(NotVanishing) as e:
+        EigenvalueSequence.from_function(lambda n: np.full(len(n), 0.25),
+                                         cap=4000)
+    assert e.value.code == "NOT_VANISHING"
+
+
+@given(st.lists(st.integers(-5, 5), max_size=30), st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_distinct_gives_what_np_unique_gives(xs, floats):
+    a = np.array(xs, dtype=float if floats else np.int64)
+    got, want = _distinct(a), np.unique(a)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_from_function_matches_pointwise():
@@ -242,6 +255,35 @@ def test_two_piece_profile_evaluates_both_slopes():
     assert prof.f(2.0) == pytest.approx(3.0, abs=1e-12)
     scaled = prof.scaled(3.0)
     assert scaled.f(2.0) == pytest.approx(9.0, abs=1e-12)
+
+
+def test_profile_queries_outside_its_knots_raise():
+    prof = LogLinearProfile([0.0, 2.0], [0.0], [1.0])
+    for t in (-1.0, 2.5):
+        with pytest.raises(CapExceeded, match="profile query outside") as e:
+            prof.f(t)
+        assert e.value.code == "CAP_EXCEEDED"
+
+
+def test_tail_sum_refuses_what_its_route_cannot_close():
+    # mu = 1/n up to log n = 2: the index 10 lies beyond the horizon
+    short = EigenvalueSequence.from_profile(
+        LogLinearProfile([0.0, 2.0], [0.0], [1.0]), cap=5)
+    with pytest.raises(CapExceeded, match="profile horizon") as e:
+        short.tail_sum(10)
+    assert e.value.code == "CAP_EXCEEDED"
+    # mu = 1/n to the horizon: the tail integral diverges
+    slow = EigenvalueSequence.from_profile(
+        LogLinearProfile([0.0, 5.0], [0.0], [1.0]), cap=20)
+    with pytest.raises(TailUnfittable, match="not summable") as e:
+        slow.tail_sum(10)
+    assert e.value.code == "TAIL_UNFITTABLE"
+    # the power fit closes the tail beyond the cap, not from an index past it
+    fitted = EigenvalueSequence.from_function(lambda n: n**-2.0, cap=1000)
+    assert fitted.tail_sum(1000)[2] == "power_fit"
+    with pytest.raises(CapExceeded, match="beyond cap") as e:
+        fitted.tail_sum(1001)
+    assert e.value.code == "CAP_EXCEEDED"
 
 
 def test_profile_convergence_threshold():
