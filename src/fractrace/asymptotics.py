@@ -1,8 +1,9 @@
 """Tail diagnostics for eigenvalue sequences.
 
-Estimates the order of infinitesimal, the reciprocal slow-variation bounds of
-the log-profile, ideal membership, eccentric subsequences (where doubling the
-index barely moves the partial sum), and singular/Dixmier trace values.
+Each diagnostic takes the sequence itself: the order of infinitesimal, the
+reciprocal slow-variation bounds of the log-profile f(t) = -log mu_floor(e^t),
+ideal membership, eccentric subsequences (where doubling the index barely
+moves the partial sum), and singular/Dixmier trace values.
 
 Finite data cannot see a liminf; every estimator here reports an interval,
 and the conventions are shared: tail windows live on [sqrt(N), N] split into
@@ -16,28 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    EmptySubsequence,
-    GridTooCoarse,
-    NotL1Weak,
-    TailExhausted,
-)
+from .errors import CapExceeded, EmptySubsequence, NotL1Weak, TailExhausted
 from .sequences import (
     NON_TRACE_CLASS,
     TRACE_CLASS,
     EigenvalueSequence,
     Estimate,
-    LogProfile,
     PartialSumSeries,
     _distinct,
-    log_profile,
 )
 
 # fewest entries the tail windows of order_of_infinitesimal read, and so the
 # shortest explicit values list a config may give
 MIN_CAP = 16
 _N_WINDOWS = 8
+_RATIO_SAMPLES = 256     # log-ratio samples per tail window
+_PROFILE_POINTS = 4097   # samples of f(t) = -log mu_floor(e^t) for c_bounds
 _SCAN_GRID_RATIO = 1.1   # ratio of neighbouring indices on the scan grid
 _SANDWICH_TOL = 0.05
 
@@ -93,13 +88,13 @@ class OrdEstimate(Estimate):
     method: str  # "fit" or "jump"
 
 
-def _window_edges(cap: int, k: int = _N_WINDOWS):
+def _window_edges(cap: int):
     lo = max(2.0, math.sqrt(cap))
-    return np.geomspace(lo, cap, k + 1)
+    return np.geomspace(lo, cap, _N_WINDOWS + 1)
 
 
-def _ratio_samples(seq: EigenvalueSequence, n_lo: float, n_hi: float, m: int = 256):
-    t = np.linspace(np.log(n_lo), np.log(n_hi), m)
+def _ratio_samples(seq: EigenvalueSequence, n_lo: float, n_hi: float):
+    t = np.linspace(np.log(n_lo), np.log(n_hi), _RATIO_SAMPLES)
     n = np.minimum(np.maximum(np.floor(np.exp(t)).astype(np.int64), 2), seq.cap)
     with np.errstate(divide="ignore"):
         r = np.log(seq.mu(n)) / np.log(1.0 / n.astype(float))
@@ -152,7 +147,7 @@ def order_of_infinitesimal(seq: EigenvalueSequence) -> OrdEstimate:
 
 
 # ---------------------------------------------------------------------------
-# slow-variation bounds of the log profile
+# slow-variation bounds of the log-profile
 
 @dataclass
 class CBounds:
@@ -165,8 +160,13 @@ def _recip(q: float) -> float:
     return float(np.inf) if q <= 1e-12 else 1.0 / q
 
 
-def c_bounds(profile: LogProfile) -> CBounds:
+def c_bounds(seq: EigenvalueSequence) -> CBounds:
     """Reciprocals of the extreme difference quotients of f at large lag.
+
+    f(t) = -log mu_{floor(e^t)} is sampled at _PROFILE_POINTS points on the
+    upper half of the reachable range, [log(cap)/2, log(cap)], which is where
+    tail statistics live; the lags then span 205 to 1,638 of the grid's
+    4,096 steps, whatever the cap.
 
     For each lag h on a geometric grid covering the upper half-decade below
     (window width)/2.5, take the sup and inf of (f(t+h) - f(t))/h over the
@@ -179,13 +179,17 @@ def c_bounds(profile: LogProfile) -> CBounds:
     growing collapses mean the inner sup diverges, and the lower bound must
     reflect the steepest observed quotient.
     """
-    ts, fs, dt = profile.ts, profile.fs, profile.dt
-    width = float(ts[-1] - ts[0])
-    h_max = width / 2.5
+    if seq.cap < 2:
+        raise CapExceeded("c_bounds needs at least 2 entries")
+    t_hi = float(np.log(seq.cap))
+    ts = np.linspace(t_hi / 2.0, t_hi, _PROFILE_POINTS)
+    ns = np.minimum(np.maximum(np.floor(np.exp(ts)).astype(np.int64), 1),
+                    seq.cap)
+    fs = -np.log(seq.mu(ns))
+    dt = float(ts[1] - ts[0])
+    h_max = float(ts[-1] - ts[0]) / 2.5
     k_hi = int(h_max / dt)
     k_lo = max(int(round((h_max / 8.0) / dt)), 1)
-    if k_lo < 2 or k_hi <= k_lo:
-        raise GridTooCoarse("lag grid would fall below 2 grid steps")
     ks = _distinct(np.round(np.geomspace(k_lo, k_hi, 16)).astype(int))
 
     eup = np.empty(len(ks))
@@ -230,11 +234,10 @@ class IdealClassification:
     tail_exponent_se: float
 
 
-def _log_window_slopes(seq: EigenvalueSequence, cap: int | None = None):
+def _log_window_slopes(seq: EigenvalueSequence):
     """Per-window least squares slope of S_n against log n."""
-    cap = seq.cap if cap is None else min(cap, seq.cap)
-    sums = seq._prefix_sums(cap)
-    edges = _window_edges(cap)
+    sums = seq._prefix_sums(seq.cap)
+    edges = _window_edges(seq.cap)
     slopes = []
     for a, b in zip(edges[:-1], edges[1:]):
         n = _distinct(np.geomspace(max(a, 2), b, 64).astype(np.int64))
@@ -389,7 +392,7 @@ def singular_trace_estimate(weights, seq: EigenvalueSequence, subseq,
     if subseq[0] < 1 or subseq[-1] > seq.cap:
         raise CapExceeded("subsequence outside cap")
     nmax = int(subseq[-1])
-    mu = seq.prefix(nmax)
+    mu = seq.values[:nmax]
     w = np.asarray(weights, dtype=float)[:nmax]
     if len(w) < nmax:
         raise ValueError("weights shorter than the subsequence needs")
@@ -401,7 +404,7 @@ def singular_trace_estimate(weights, seq: EigenvalueSequence, subseq,
         _, sums, _, _ = _partial_sums(seq, kind, np.concatenate([[0], subseq]))
         total, den = sums[0], sums[1:]
         total_w = float(np.sum(w * mu))
-        within = float(np.sum(mu))
+        within = seq._held_sum(0, nmax, 1.0)
         cw = np.concatenate([[0.0], np.cumsum(w * mu)])
         # weights beyond the materialized range are extrapolated as the mean
         # over the last decade (only the residual tail sees this)
@@ -470,7 +473,7 @@ def analyze_sequence(seq: EigenvalueSequence,
                      tolerance: float = 0.02) -> TraceabilityReport:
     """One-stop traceability diagnostics for a sequence."""
     ordest = order_of_infinitesimal(seq)
-    cb = c_bounds(log_profile(seq))
+    cb = c_bounds(seq)
     cls = classify_ideal(seq)
     # resolve_kind without a profile is this same classification
     kind = resolve_kind(seq) if seq.profile is not None \

@@ -3,6 +3,8 @@
 Every failure mode that callers are expected to handle gets its own class with
 a stable ``code`` attribute; the CLI maps these to exit status 3 (numeric
 precondition failures) while config/schema problems map to exit status 2.
+Each class here is raised somewhere in the package, so each code is one a
+run can report.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ class TailExhausted(FractraceError):
     """A tail sum total - S_n that rounding has brought to zero or below."""
 
     code = "TAIL_EXHAUSTED"
-
-
-class GridTooCoarse(FractraceError):
-    code = "GRID_TOO_COARSE"
 
 
 class EmptySubsequence(FractraceError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, SpecNotDiverging
+from .errors import CapExceeded, SpecNotDiverging, Underflow
 from .sequences import (
     DEFAULT_CAP,
     EigenvalueSequence,
@@ -99,18 +99,20 @@ class StepSpec:
             raise SpecNotDiverging("preset exponent must exceed 1")
 
     def b_array(self, t_horizon: float):
+        """Block edges b_0 = 0, b_1, ..., b_m, the last past t_horizon.  For
+        large q, k^q overflows to inf: a block whose value e^(-b_k) is 0."""
         m = int(t_horizon ** (1.0 / self.q)) + 2
-        b = np.arange(0, m + 1, dtype=float) ** self.q
+        with np.errstate(over="ignore"):
+            b = np.arange(0, m + 1, dtype=float) ** self.q
         # snap to integer block ends while e^b is exactly representable; the
         # perturbation beyond that range would be below e^{-36} relative
         exact = b <= 36.0
         b[exact] = np.log(np.round(np.exp(b[exact])))
         b[0] = 0.0
-        if np.any(np.diff(b) <= 0):
-            raise SpecNotDiverging("blocks collapse: b must stay strictly increasing")
-        d = np.diff(b)
-        if len(d) >= 2 and np.any(np.diff(d) <= 1e-12):
-            raise SpecNotDiverging("block spacings b_{n+1} - b_n must grow")
+        with np.errstate(invalid="ignore"):  # inf - inf past an overflow
+            d = np.diff(b)
+            if len(d) >= 2 and np.any(np.diff(d) <= 1e-12):
+                raise SpecNotDiverging("block spacings b_{n+1} - b_n must grow")
         return b
 
 
@@ -122,9 +124,16 @@ def step_profile(spec: StepSpec, t_horizon: float = DEFAULT_HORIZON) -> LogLinea
 
 def step_sequence(spec: StepSpec, cap: int = DEFAULT_CAP) -> EigenvalueSequence:
     """Piecewise-constant sequence with unboundedly growing collapse factors,
-    generated to the horizon two_slope_sequence uses."""
-    prof = step_profile(spec, max(DEFAULT_HORIZON, math.log(cap) + 2.0))
-    return EigenvalueSequence.from_profile(prof, cap=cap)
+    generated to the horizon two_slope_sequence uses.  Raises Underflow when
+    the value e^(-b_k) of the block holding n = cap rounds to 0."""
+    t_horizon = max(DEFAULT_HORIZON, math.log(cap) + 2.0)
+    b = spec.b_array(t_horizon)
+    b_cap = float(b[np.searchsorted(b, math.log(cap))])
+    if math.exp(-b_cap) == 0.0:
+        raise Underflow(f"the block value e^-{b_cap:.6g} at n = {cap} "
+                        "rounds to 0")
+    return EigenvalueSequence.from_profile(step_profile(spec, t_horizon),
+                                           cap=cap)
 
 
 def step_block_ends(spec: StepSpec, cap: int) -> np.ndarray:
@@ -144,9 +153,9 @@ def _staircase_sigma(seq: EigenvalueSequence, gamma: float, x: float) -> float:
     if x < 1.0:
         raise ValueError("x must be >= 1")
     n = int(math.floor(x))
-    vals = seq.prefix(min(n + 1, seq.cap)) ** gamma
-    full = float(vals[: n - 1].sum()) if n >= 2 else 0.0
-    return full + (x - n) * float(vals[min(n, len(vals)) - 1])
+    # the full steps [k, k + 1) for k < n, then [n, x] at mu_n^gamma
+    return (seq._held_sum(0, n - 1, gamma)
+            + (x - n) * seq._held_sum(n - 1, n, gamma))
 
 
 def sigma_ratio(seq: EigenvalueSequence, gamma: float, x: float, lam: float = 2.0) -> float:
@@ -181,7 +190,8 @@ def s_ratio(seq: EigenvalueSequence, gamma: float, x: float, lam: float = 2.0) -
     def s_at(xx: float) -> float:
         n = int(math.floor(xx))
         tail, _, _ = lo.tail_sum(n)
-        vals = lo.prefix(min(n, lo.cap))
-        return tail + (n + 1 - xx) * float(vals[-1]) if n >= 1 else tail
+        if n < 1:
+            return tail
+        return tail + (n + 1 - xx) * float(lo.values[min(n, lo.cap) - 1])
 
     return s_at(x / lam) / s_at(x)

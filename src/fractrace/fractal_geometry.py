@@ -246,6 +246,8 @@ def similarity_dimension(ifs) -> float:
             raise ValueError("similarity dimension is defined for stationary systems")
     else:
         ratios = [float(r) for r in ifs]
+        if not ratios:
+            raise ValueError("similarity dimension needs at least one ratio")
     if any(not 0.0 < r < 1.0 for r in ratios):
         raise ValueError("ratios must lie in (0, 1)")
     if len(ratios) == 1:

@@ -900,6 +900,7 @@ def parse_config(doc, budget: Budget = Budget()) -> list:
 # CSV series
 
 _CSV_BLOCK_ROWS = 4096
+_SERIES_SAMPLES = 256  # geometric sample points of a sequence's series
 
 
 def _csv_cells(col: np.ndarray) -> list:
@@ -963,8 +964,8 @@ class _Series:
         self.files[key] = fname
 
 
-def _sample_indices(cap: int, n: int = 256) -> np.ndarray:
-    return _distinct(np.geomspace(1, cap, n).astype(np.int64))
+def _sample_indices(cap: int) -> np.ndarray:
+    return _distinct(np.geomspace(1, cap, _SERIES_SAMPLES).astype(np.int64))
 
 
 def _sequence_series(out, seq, scan):

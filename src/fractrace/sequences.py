@@ -27,7 +27,6 @@ TRACE_CLASS = "TRACE_CLASS"
 _TINY_RATE = 1e-12
 _JUMP_RATIO = 0.05  # mu_{n+1}/mu_n below this counts as a jump
 _SLICE = 1 << 16    # entries per slice of the validation pass
-_PROFILE_POINTS = 4097  # samples of log_profile
 
 
 @dataclass
@@ -290,13 +289,6 @@ class EigenvalueSequence:
             raise CapExceeded(f"indices must lie in [1, {self.cap}]")
         return np.asarray(self.values[n.astype(np.int64) - 1])
 
-    def prefix(self, n: int):
-        """First n values, a view of the array the sequence holds."""
-        n = int(n)
-        if n > self.cap:
-            raise CapExceeded(f"prefix({n}) exceeds cap {self.cap}")
-        return self.values[:n]
-
     def _prefix_sums(self, n: int):
         """[0, S_1, ..., S_n], a view of the sums cached with the values."""
         if self._sums is None:
@@ -340,7 +332,7 @@ class EigenvalueSequence:
         """
         n = int(n)
         if self.complete:
-            return self._held_tail(n, gamma), 0.0, "exhausted"
+            return self._held_sum(n, self.cap, gamma), 0.0, "exhausted"
 
         if self.profile is not None:
             # log 0 lies outside the profile: the whole sum (n = 0) is mu_1
@@ -368,13 +360,16 @@ class EigenvalueSequence:
         spread = abs(c * self.cap ** (1.0 - lo_a) / (lo_a - 1.0) - beyond) if lo_a > 1 else beyond
         if n > self.cap:
             raise CapExceeded("tail request beyond cap")
-        within = self._held_tail(n, gamma)
+        within = self._held_sum(n, self.cap, gamma)
         return within + beyond, spread + abs(beyond) * 1e-3, "power_fit"
 
-    def _held_tail(self, n: int, gamma: float) -> float:
-        """sum of mu_k^gamma over the held k > n, raising only those."""
-        tail = self.values[n:]
-        return float((tail if gamma == 1.0 else tail ** gamma).sum())
+    def _held_sum(self, lo: int, hi: int, gamma: float) -> float:
+        """sum of mu_k^gamma over the held k in (lo, hi], raising only those.
+
+        Every unweighted sum of held powers goes through here, so each adds
+        the same elements in the same order."""
+        held = self.values[lo:hi]
+        return float((held if gamma == 1.0 else held ** gamma).sum())
 
     def _fit_tail_power(self, gamma: float):
         """Least squares of log mu^gamma against log n over the last decade."""
@@ -435,39 +430,3 @@ class PartialSumSeries:
                 raise ValueError("tail sums must be positive")
             if np.any(d > 0):
                 raise ValueError("tail sums must be nonincreasing in n")
-
-
-@dataclass
-class LogProfile:
-    """Samples of f(t) = -log mu(e^t) on an increasing t-grid."""
-
-    ts: np.ndarray
-    fs: np.ndarray
-
-    def __post_init__(self):
-        self.ts = np.asarray(self.ts, dtype=float)
-        self.fs = np.asarray(self.fs, dtype=float)
-        if len(self.ts) != len(self.fs):
-            raise ValueError("grid and samples must match")
-        if np.any(np.diff(self.ts) <= 0):
-            raise ValueError("t-grid must be strictly increasing")
-
-    @property
-    def dt(self) -> float:
-        return float(self.ts[1] - self.ts[0])
-
-
-def log_profile(seq: EigenvalueSequence) -> LogProfile:
-    """Sample f(t) = -log mu_{floor(e^t)} from the sequence itself.
-
-    The grid of _PROFILE_POINTS points covers the upper half of the
-    reachable range, [log(cap)/2, log(cap)], which is where tail statistics
-    live.
-    """
-    t_hi = float(np.log(seq.cap))
-    ts = np.linspace(t_hi / 2.0, t_hi, _PROFILE_POINTS)
-    ns = np.maximum(np.floor(np.exp(ts)).astype(np.int64), 1)
-    ns = np.minimum(ns, seq.cap)
-    fs = -np.log(seq.mu(ns))
-    return LogProfile(ts, fs)
-

@@ -425,7 +425,7 @@ def zeta_partial(model, s: float) -> ZetaPartial:
             f"s = {s:.6g} is not above the dimension estimate {floor:.6g}")
     seq = model.eigen
     n = seq.cap
-    head = seq._held_tail(0, s)
+    head = seq._held_sum(0, n, s)
     tail, err, route = seq.tail_sum(n, s)
     ratios = model.stationary_ratios
     closed = _zeta_closed(model, s, ratios) if ratios else None

@@ -30,9 +30,6 @@ sequences.Estimate.value
 sequences.Estimate.lo
 sequences.Estimate.hi
 sequences.LogLinearProfile.t_max
-sequences.LogProfile.ts
-sequences.LogProfile.fs
-sequences.LogProfile.dt
 sequences.PartialSumSeries.kind
 sequences.PartialSumSeries.indices
 sequences.PartialSumSeries.values

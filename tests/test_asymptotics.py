@@ -1,5 +1,7 @@
 """Order of decay, trace ideals, eccentric subsequences, trace estimates."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,16 +24,13 @@ from fractrace.asymptotics import (
     resolve_kind,
     singular_trace_estimate,
 )
-from fractrace.errors import (CapExceeded, EmptySubsequence, GridTooCoarse,
-                              NotL1Weak)
+from fractrace.errors import CapExceeded, EmptySubsequence, NotL1Weak
 from fractrace.exemplars import CONSTANT, TwoSlopeSpec, two_slope_sequence
 from fractrace.sequences import (
     NON_TRACE_CLASS,
     TRACE_CLASS,
     EigenvalueSequence,
     LogLinearProfile,
-    LogProfile,
-    log_profile,
 )
 
 
@@ -81,18 +80,24 @@ def test_ord_homogeneity_under_powers(a, b, alpha):
 # --- sum-scale bounds --------------------------------------------------------
 
 def test_c_bounds_harmonic_close_to_one():
-    cb = c_bounds(log_profile(power_seq(1.0)))
+    cb = c_bounds(power_seq(1.0))
     assert cb.c_lower.value == pytest.approx(1.0, abs=0.05)
     assert cb.c_upper.value == pytest.approx(1.0, abs=0.05)
     assert cb.c_lower.value <= cb.c_upper.value + 1e-12
 
 
-def test_c_bounds_needs_a_lag_grid_of_two_steps():
-    # five samples: the largest lag, 2 / 5 of the window, is one step
-    ts = np.arange(5.0)
-    with pytest.raises(GridTooCoarse) as e:
-        c_bounds(LogProfile(ts, ts))
-    assert e.value.code == "GRID_TOO_COARSE"
+def test_c_bounds_track_a_power_decay():
+    # f(t) = -log mu(e^t) = 1.5 t on a pure power sequence, so every
+    # difference quotient of f is 1.5 up to the flooring of e^t
+    cb = c_bounds(power_seq(1.5))
+    for bound in (cb.c_lower, cb.c_upper):
+        assert bound.value == pytest.approx(1.0 / 1.5, rel=1e-2)
+        assert 0.0 < bound.lo <= bound.value <= bound.hi < math.inf
+
+
+def test_c_bounds_need_two_entries():
+    with pytest.raises(CapExceeded):
+        c_bounds(EigenvalueSequence.from_values([0.5]))
 
 
 @given(a=st.floats(0.5, 3.0), b=st.floats(-2.0, 2.0))
@@ -268,7 +273,7 @@ def test_trace_monotone_in_weights(seed):
 def _reference_trace_ratios(weights, seq, subseq, kind):
     """singular_trace_estimate's ratios with its sums written out inline."""
     nmax = int(subseq[-1])
-    mu = seq.prefix(nmax)
+    mu = seq.values[:nmax]
     w = np.asarray(weights, dtype=float)[:nmax]
     if kind == NON_TRACE_CLASS:
         return np.cumsum(w * mu)[subseq - 1] / np.cumsum(mu)[subseq - 1]

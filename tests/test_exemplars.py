@@ -26,7 +26,6 @@ from fractrace.exemplars import (
     two_slope_profile,
     two_slope_sequence,
 )
-from fractrace.sequences import log_profile
 
 
 # --- spec validation ----------------------------------------------------------
@@ -56,7 +55,7 @@ def test_step_spec_rejects_bad_parameters():
 def test_equal_slopes_give_exactly_harmonic():
     seq = two_slope_sequence(TwoSlopeSpec(1.0, 1.0, (CONSTANT, 1.0)), cap=5000)
     n = np.arange(1, 5001)
-    np.testing.assert_allclose(seq.prefix(5000), 1.0 / n, rtol=1e-12)
+    np.testing.assert_allclose(seq.values[:5000], 1.0 / n, rtol=1e-12)
 
 
 def test_two_slope_profile_alternates():
@@ -81,7 +80,7 @@ def test_constant_gaps_pin_both_bounds_to_mean():
     for a in (1.0, 0.5):
         seq = two_slope_sequence(TwoSlopeSpec(2.0, 1.0, (CONSTANT, a)),
                                  cap=200_000)
-        cb = c_bounds(log_profile(seq))
+        cb = c_bounds(seq)
         assert cb.c_lower.value == pytest.approx(2.0 / 3.0, abs=0.05)
         assert cb.c_upper.value == pytest.approx(2.0 / 3.0, abs=0.05)
         assert not cb.jump_regime
@@ -127,7 +126,7 @@ def test_step_block_ends_for_square_exponents():
 
 def test_step_sequence_is_constant_on_blocks():
     seq = step_sequence(StepSpec(q=2.0), cap=10_000)
-    vals = seq.prefix(8103)
+    vals = seq.values[:8103]
     # value 1/x_k holds on (x_{k-1}, x_k]
     assert vals[3] == pytest.approx(1.0 / 55.0, rel=1e-9)
     assert vals[54] == pytest.approx(1.0 / 55.0, rel=1e-9)

