@@ -645,7 +645,9 @@ def box_dimension_estimate(cloud, eps=None, resolution=None,
 class GapList:
     """Open complementary intervals of a compact F inside [a, b].
 
-    starts/ends are sorted by nonincreasing length.  Residual intervals are
+    starts/ends are sorted by nonincreasing length, and ``levels`` gives the
+    level each gap opened at (0 for a finite union), in the narrowest
+    unsigned type that holds the enumeration depth.  Residual intervals are
     the undecided depth-m cylinders unless residual_solid says they belong
     to F itself (finite unions).  ``exact`` means every endpoint and the
     conservation identity were computed exactly, as integer numerators over
@@ -711,7 +713,7 @@ class GapList:
         return cls(
             a=float(a), b=float(b),
             starts=starts[order], ends=ends[order],
-            levels=np.zeros(len(gaps), dtype=np.int64),
+            levels=np.zeros(len(gaps), dtype=np.uint8),
             residual_starts=np.array([float(l) for l, _ in ivs]),
             residual_ends=np.array([float(h) for _, h in ivs]),
             exact=exact, residual_solid=True,
@@ -971,7 +973,7 @@ def _gap_numerators(levels, a, b, exact, budget):
             raise BudgetExceeded(f"depth {n} needs {words[n]} words, budget {budget}")
     n_gaps = sum(w * len(lgaps) for w, (_, lgaps) in zip(words, levels))
     gap_lo, gap_hi = np.empty(n_gaps, dtype=dtype), np.empty(n_gaps, dtype=dtype)
-    gap_level = np.empty(n_gaps, dtype=np.int64)
+    gap_level = np.empty(n_gaps, dtype=np.min_scalar_type(m))
 
     alpha, beta = np.ones(1, dtype=dtype), np.zeros(1, dtype=dtype)
     start = 0

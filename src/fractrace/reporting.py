@@ -69,7 +69,7 @@ from . import exemplars as ex
 from . import fractal_geometry as fg
 from . import spectral_triples as st
 from .errors import (BudgetExceeded, FractraceError, KindMismatch,
-                     ValidationError)
+                     Underflow, ValidationError)
 from .sequences import NON_TRACE_CLASS, EigenvalueSequence, _distinct
 
 SEQUENCE_ANALYSIS = "SEQUENCE_ANALYSIS"
@@ -1071,9 +1071,17 @@ def _run_sequence_analysis(exp, budget, out):
         seq, parameters = build(p["values"]), {"n": len(p["values"])}
     else:
         c, a = p["mu"]["coefficient"], p["mu"]["exponent"]
+
+        def mu(n):
+            return c * np.asarray(n, dtype=float) ** (-a)
+
+        # the value at the cap is the smallest; from_function would refuse
+        # a 0 there untyped, as not positive
+        if mu(p["cap"]) == 0.0:
+            raise Underflow(f"mu_n = {c:g} n^-{a:g} rounds to 0 at "
+                            f"n = {p['cap']}")
         build = EigenvalueSequence.from_function
-        seq = build(lambda n: c * np.asarray(n, dtype=float) ** (-a),
-                    cap=p["cap"])
+        seq = build(mu, cap=p["cap"])
         parameters = dict(p["mu"])
     return _sequence_entries(p, out, seq, build, parameters)
 

@@ -277,8 +277,16 @@ class EigenvalueSequence:
     @staticmethod
     def from_profile(profile: LogLinearProfile,
                      cap=DEFAULT_CAP) -> "EigenvalueSequence":
-        return _evaluated(lambda n: np.exp(-profile.f(np.log(n))), cap,
-                          profile)
+        """exp(-f(log n)) on 1..cap.  Raises Underflow when the value at
+        n = cap, the smallest, rounds to 0."""
+        def mu(n):
+            vals = np.exp(-profile.f(np.log(n)))
+            if vals.size and vals[-1] == 0.0:
+                raise Underflow("mu_n = exp(-f(log n)) rounds to 0 at "
+                                f"n = {cap}")
+            return vals
+
+        return _evaluated(mu, cap, profile)
 
     # -- access --------------------------------------------------------------
 

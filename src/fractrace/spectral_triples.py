@@ -159,7 +159,8 @@ class PairTripleModel(TripleModel):
 
     Each word sigma gives the value d(x_sigma, y_sigma), with x_sigma,
     y_sigma the images of the seed pair, which are its tags; ``depths``
-    holds each word's length, one row per word.
+    holds each word's length, one row per word, in the narrowest unsigned
+    type that holds the deepest level the walk kept a word at.
     """
 
     ifs: LimitIfs
@@ -236,8 +237,10 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
     # no words to keep it is +inf
     floor, limit = (0.0, n_words) if n_words else (math.inf, 0)
     # per kept word: product, row of its parent (-1 on level 1), map index,
-    # depth and tags.  The level being expanded also keeps its composed
-    # maps; level 1 hangs off a root of product 1
+    # depth and tags.  Map index and depth take the narrowest unsigned type
+    # that holds them, and chunks of different widths promote when joined.
+    # The level being expanded also keeps its composed maps; level 1 hangs
+    # off a root of product 1
     rows = {k: [] for k in ("lam", "parent", "child", "depth", "tags_x", "tags_y")}
     lam_up, start, n_rows, depth, dropped = np.ones(1), -1, 0, 1, False
     while True:
@@ -255,6 +258,7 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
         keep = keep[np.argsort(-lam[keep], kind="stable")]
         lam_up = lam[keep]
         up, child = np.divmod(keep, len(level))
+        child = child.astype(np.min_scalar_type(len(level) - 1))
         lin = np.empty((keep.size, ifs.dim, ifs.dim))
         off = np.empty((keep.size, ifs.dim))
         for j, w in enumerate(level):
@@ -266,7 +270,8 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
                 lin[r], off[r] = lin_up[u] @ w.linear, lin_up[u] @ w.translation + off_up[u]
         lin_up, off_up = lin, off
         for k, v in (("lam", lam_up), ("parent", up + start), ("child", child),
-                     ("depth", np.full(keep.size, depth)),
+                     ("depth", np.full(keep.size, depth,
+                                       dtype=np.min_scalar_type(depth))),
                      ("tags_x", lin @ x + off), ("tags_y", lin @ y + off)):
             _push(rows[k], v)
         start, n_rows = n_rows, n_rows + keep.size
@@ -385,7 +390,8 @@ def _zeta_numerator(model, s: float, ratios) -> float:
     if isinstance(model, PairTripleModel):
         lam_s = sum(r**s for r in ratios)
         return 2.0 * model.seed_distance**s * lam_s
-    g1 = model.gaps.lengths[model.gaps.levels == 1]
+    first = model.gaps.levels == 1
+    g1 = model.gaps.ends[first] - model.gaps.starts[first]
     return 2.0 * float(np.sum(g1**s))
 
 

@@ -74,6 +74,8 @@ def assert_matches_heap(ifs, cap, max_depth=None, seconds=None):
     lam, lin, off, depth = (np.array(col) for col in zip(*popped)) if popped \
         else (np.zeros(0), np.zeros((0, ifs.dim, ifs.dim)), np.zeros((0, ifs.dim)),
               np.zeros(0, dtype=np.int64))
+    # word lengths in the narrowest unsigned type that holds the deepest
+    depth = depth.astype(np.min_scalar_type(depth.max(initial=0)))
     x, y = model.seed_x, model.seed_y
     assert same(model.values, np.repeat(lam * model.seed_distance, 2))
     # two entries per word, one tag row and one depth per word
@@ -122,9 +124,11 @@ def make_near_one() -> LimitIfs:
     (20_000, 12, 1.0, 12), (2000, None, 2.0, 1000)], ids=["ceiling", "chain"])
 def test_pair_ratio_near_one_ends_in_time(cap, max_depth, seconds, depth):
     """A threshold lowered by a factor of the largest ratio once took about
-    1e11 steps here; one walk of the tree ends within the bound."""
+    1e11 steps here; one walk of the tree ends within the bound.  The chain
+    passes depth 255, so its depths promote from uint8 to uint16."""
     model = assert_matches_heap(make_near_one(), cap, max_depth, seconds)
     assert model.truncated and model.depths.max() == depth
+    assert model.depths.dtype == np.min_scalar_type(depth)
 
 
 def test_pair_cap_cutting_a_tie_group():
@@ -204,7 +208,7 @@ def assert_matches_fractions(ifs, depth, interval=None):
     order = np.lexsort((starts, -(ends - starts)))
     assert g.exact
     assert same(g.starts, starts[order]) and same(g.ends, ends[order])
-    assert same(g.levels, np.array(levels, dtype=np.int64)[order])
+    assert same(g.levels, np.array(levels, dtype=np.min_scalar_type(depth))[order])
     res_starts = np.array([float(lo) for lo, _ in residuals])
     res_ends = np.array([float(hi) for _, hi in residuals])
     ridx = np.argsort(res_starts)

@@ -347,6 +347,37 @@ def test_no_kind_imports_numpy_ma(tmp_path):
                       *docs).split() == ["False"] * (1 + len(docs))
 
 
+CORE = ["asymptotics", "errors", "fractal_geometry", "sequences",
+        "spectral_triples"]
+
+LOADED = """
+import sys
+import {module}
+print(sorted(m.split(".")[1] for m in sys.modules
+             if m.startswith("fractrace.")))
+print([m for m in ("json", "selectors") if m in sys.modules])
+"""
+
+
+def loaded(module):
+    """(fractrace submodules, json and selectors) in sys.modules after a
+    fresh interpreter imports ``module``."""
+    proc = subprocess.run([sys.executable, "-c", LOADED.format(module=module)],
+                          env=package_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_the_package_loads_the_numeric_core_and_the_cli_the_rest():
+    """A library run holds the five numeric modules alone: reporting and
+    exemplars, and the json and selectors modules reporting needs, load
+    with the CLI."""
+    assert loaded("fractrace") == [str(CORE), "[]"]
+    assert loaded("fractrace.cli")[0] == str(
+        sorted(CORE + ["cli", "exemplars", "reporting"]))
+
+
 def test_only_a_values_experiment_loads_hashlib(tmp_path):
     """The digest of a values list is the one use of hashlib, which loads
     OpenSSL: the import and a mu run leave it out, a values run loads it."""
@@ -673,19 +704,25 @@ def test_a_pair_run_past_float_underflow_ends(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("q", [300, 2000])
-def test_a_step_exemplar_whose_blocks_underflow_fails_typed(tmp_path, q):
-    """The block value e^(-2^q) rounds to 0 at q 300, and 2^q itself
-    overflows at q 2000: each run fails as UNDERFLOW, and no RuntimeWarning
-    is printed on the way."""
-    doc = {"kind": "EXEMPLAR", "name": "step",
-           "parameters": {"family": "step", "q": q, "cap": 5000}}
+@pytest.mark.parametrize("parameters", [
+    {"family": "step", "q": 300, "cap": 5000},
+    {"family": "step", "q": 2000, "cap": 5000},
+    {"family": "two_slope", "alpha": 200, "beta": 100, "cap": 5000},
+    {"mu": {"form": "power", "exponent": 400}, "cap": 5000}],
+    ids=["step-300", "step-2000", "two_slope", "power"])
+def test_a_sequence_that_underflows_fails_typed(tmp_path, parameters):
+    """The step block value e^(-2^q) rounds to 0 at q 300, and 2^q itself
+    overflows at q 2000; n^-200 and n^-400 round to 0 well before n = 5000.
+    Each run fails as UNDERFLOW, not as a zero the positivity check
+    refuses, and no RuntimeWarning is printed on the way."""
+    kind = "SEQUENCE_ANALYSIS" if "mu" in parameters else "EXEMPLAR"
+    doc = {"kind": kind, "name": "steep", "parameters": parameters}
     proc = subprocess.run(
         [sys.executable, "-m", "fractrace.cli", "run", "--config",
          write_config(tmp_path, doc), "--out-dir", str(tmp_path / "out")],
         env=package_env(), capture_output=True, text=True, timeout=30)
     assert proc.returncode == 3
-    assert proc.stderr.startswith("step: UNDERFLOW: ")
+    assert proc.stderr.startswith("steep: UNDERFLOW: ")
     assert proc.stderr.count("\n") == 1
 
 

@@ -4,7 +4,8 @@ tracemalloc sees the bytes numpy allocates for array data, so the peak read
 around one call is the most that call held at once.  A float gap list holds
 its endpoint arrays once and sorts them in place of copies; a gap model
 allocates its values and reads its tags as views of the gap list; each model
-stores one tag row per gap or word, not one per entry.
+stores one tag row per gap or word, not one per entry.  Gap levels take the
+narrowest unsigned type that holds the enumeration depth.
 """
 
 import tracemalloc
@@ -65,3 +66,14 @@ def test_models_hold_one_tag_row_per_gap_or_word():
     n_words = len(pair) // 2
     assert pair.tags_x.shape == pair.tags_y.shape == (n_words, 2)
     assert pair.depths.shape == (n_words,)
+
+
+def test_gap_levels_take_the_narrowest_type_that_holds_the_depth():
+    """Depth 18 fits one byte; one map of ratio 1/2 opens one gap per level,
+    and at depth 300 its levels need two bytes, with the values an int64
+    column would hold."""
+    assert gaps_from_interval_ifs(float_system(), 18).levels.dtype == np.uint8
+    halving = LimitIfs.stationary([interval_map(0.5, 0.0)])
+    gaps = gaps_from_interval_ifs(halving, 300, interval=(0, 1))
+    assert gaps.levels.dtype == np.uint16
+    assert np.array_equal(gaps.levels, np.arange(1, 301, dtype=np.int64))
