@@ -396,20 +396,21 @@ def singular_trace_estimate(weights, seq: EigenvalueSequence, subseq,
     w = np.asarray(weights, dtype=float)[:nmax]
     if len(w) < nmax:
         raise ValueError("weights shorter than the subsequence needs")
+    wmu = w * mu
+    head = np.cumsum(wmu)[subseq - 1]
     if kind == NON_TRACE_CLASS:
-        num = np.cumsum(w * mu)[subseq - 1]
+        num = head
         _, den, _, _ = _partial_sums(seq, kind, subseq)
     else:
         # index 0 brings back the whole tail sum, so tail_sum runs once
         _, sums, _, _ = _partial_sums(seq, kind, np.concatenate([[0], subseq]))
         total, den = sums[0], sums[1:]
-        total_w = float(np.sum(w * mu))
         within = seq._held_sum(0, nmax, 1.0)
-        cw = np.concatenate([[0.0], np.cumsum(w * mu)])
         # weights beyond the materialized range are extrapolated as the mean
         # over the last decade (only the residual tail sees this)
         w_tail = float(np.mean(w[-max(len(w) // 10, 1):]))
-        num = (total_w - cw[subseq]) + w_tail * (total - within)
+        # the pairwise np.sum, not the last partial sum
+        num = (float(np.sum(wmu)) - head) + w_tail * (total - within)
     ratios = num / den
     tail = ratios[len(ratios) // 2:]
     value = float(tail.mean())

@@ -28,10 +28,6 @@ from .errors import (
 )
 from .sequences import Estimate
 
-STATIONARY = "STATIONARY"
-PERIODIC = "PERIODIC"
-EXPLICIT = "EXPLICIT"
-
 DEFAULT_WORD_BUDGET = 10**7
 
 _ORTHO_TOL = 1e-12
@@ -120,31 +116,29 @@ def interval_map(ratio, translation, flip=False) -> Similarity:
 
 
 class LimitIfs:
-    """A level-varying iterated function system.
+    """A level-varying iterated function system: its level blocks, and
+    whether they repeat.
 
-    ``generation`` selects how levels beyond the stored blocks are produced:
-    STATIONARY repeats a single block, PERIODIC cycles through the blocks,
-    EXPLICIT ends after the listed levels.  Other code asks
-    ``stationary_ratios`` (the repeated level's ratios, or ()) and
-    ``max_depth`` instead.  ``osc_box`` is the user's open set assertion, an
-    axis-aligned box given as (lower corner, upper corner); it is recorded,
-    sanity-checkable at finite depth, but never proven.
+    Level n runs block (n - 1) mod len(blocks) when the blocks repeat, and
+    block n - 1 up to the last one when they do not.  A single block that
+    repeats is a stationary (self-similar) system, so ``stationary_ratios``
+    holds its ratios, and () for any other system; ``max_depth`` is the
+    deepest level, None when the blocks repeat.  ``osc_box`` is the user's
+    open set assertion, an axis-aligned box given as (lower corner, upper
+    corner); it is recorded, sanity-checkable at finite depth, but never
+    proven.
     """
 
-    def __init__(self, generation, blocks, osc_box=None):
-        if generation not in (STATIONARY, PERIODIC, EXPLICIT):
-            raise ValueError(f"unknown generation mode {generation!r}")
-        if generation == STATIONARY and len(blocks) != 1:
-            raise ValueError("stationary systems take exactly one level block")
+    def __init__(self, blocks, repeats=True, osc_box=None):
         if not blocks or any(len(level) < 1 for level in blocks):
             raise ValueError("every level needs at least one map")
         dims = {w.dim for level in blocks for w in level}
         if len(dims) != 1:
             raise ValueError(f"maps disagree on ambient dimension: {sorted(dims)}")
-        self.generation = generation
         self.blocks = [list(level) for level in blocks]
+        self.max_depth = None if repeats else len(self.blocks)
         self.stationary_ratios = (tuple(w.ratio for w in self.blocks[0])
-                                  if generation == STATIONARY else ())
+                                  if repeats and len(self.blocks) == 1 else ())
         self.osc_box = None
         if osc_box is not None:
             lo = np.asarray(osc_box[0], dtype=float).reshape(-1)
@@ -155,34 +149,27 @@ class LimitIfs:
 
     @classmethod
     def stationary(cls, maps, osc_box=None):
-        return cls(STATIONARY, [list(maps)], osc_box)
+        return cls([list(maps)], osc_box=osc_box)
 
     @classmethod
     def periodic(cls, blocks, osc_box=None):
-        return cls(PERIODIC, blocks, osc_box)
+        return cls(blocks, osc_box=osc_box)
 
     @classmethod
     def explicit(cls, levels, osc_box=None):
-        return cls(EXPLICIT, levels, osc_box)
+        return cls(levels, repeats=False, osc_box=osc_box)
 
     @property
     def dim(self) -> int:
         return self.blocks[0][0].dim
 
-    @property
-    def max_depth(self):
-        """Deepest defined level, or None when levels never run out."""
-        return len(self.blocks) if self.generation == EXPLICIT else None
-
     def block_index(self, n: int) -> int:
         if n < 1:
             raise ValueError("levels are 1-based")
-        if self.generation == STATIONARY:
-            return 0
-        if self.generation == PERIODIC:
+        if self.max_depth is None:
             return (n - 1) % len(self.blocks)
-        if n > len(self.blocks):
-            raise ValueError(f"level {n} beyond the {len(self.blocks)} explicit levels")
+        if n > self.max_depth:
+            raise ValueError(f"level {n} beyond the {self.max_depth} explicit levels")
         return n - 1
 
     def level(self, n: int):
@@ -369,19 +356,21 @@ def _as_cloud(points, dim=None):
     return pts
 
 
-def _word_maps(ifs: LimitIfs, depth: int, refuse):
+def _word_maps(ifs: LimitIfs, depth: int, budget: int, points: int = 1):
     """Yield (maps, lin, off) for n = 1..depth: the level-n maps, and the
     linear parts (words, dim, dim) and offsets (words, dim) of the composed
     maps W_1 o ... o W_n, one per word of length n in lexicographic order.
-    ``refuse(n, count)`` runs before level n composes its ``count`` words,
-    and raises to stop there."""
+    Raises BudgetExceeded before level n composes its words when they would
+    place more than ``budget`` images of ``points`` points."""
     dim = ifs.dim
     lin = np.eye(dim)[None, :, :]
     off = np.zeros((1, dim))
     for n in range(1, depth + 1):
         maps = ifs.level(n)
         count = lin.shape[0] * len(maps)
-        refuse(n, count)
+        if count * points > budget:
+            raise BudgetExceeded(
+                f"level {n} needs {count * points} points, budget {budget}")
         lmat = np.stack([w.linear for w in maps])
         loff = np.stack([w.translation for w in maps])
         off = (np.einsum("wij,mj->wmi", lin, loff) + off[:, None, :]).reshape(count, dim)
@@ -441,14 +430,9 @@ def contraction_limit(ifs: LimitIfs, seed, depth: int,
         image = np.vstack([w.apply(seed_pts) for w in ifs.level(n)])
         displacements[n - 1] = hausdorff_distance(image, seed_pts)
 
-    def refuse(n, count):
-        if count * seed_pts.shape[0] > budget:
-            raise BudgetExceeded(
-                f"level {n} needs {count * seed_pts.shape[0]} points, budget {budget}")
-
     prev = None
     rho = []
-    for _, lin, off in _word_maps(ifs, depth, refuse):
+    for _, lin, off in _word_maps(ifs, depth, budget, len(seed_pts)):
         cloud = (np.einsum("wij,sj->wsi", lin, seed_pts)
                  + off[:, None, :]).reshape(-1, ifs.dim)
         if prev is not None:
@@ -489,14 +473,9 @@ def attractor_cloud(ifs: LimitIfs, depth: int, seed=None,
         raise ValueError("depth must be >= 0")
     dim = ifs.dim
     seed_pt = np.zeros(dim) if seed is None else _as_cloud(seed, dim)[0]
-
-    def refuse(n, count):
-        if count > budget:
-            raise BudgetExceeded(f"depth {n} needs {count} words, budget {budget}")
-
     lin, off = np.eye(dim)[None, :, :], np.zeros((1, dim))
     ratios = np.ones(1)
-    for maps, lin, off in _word_maps(ifs, depth, refuse):
+    for maps, lin, off in _word_maps(ifs, depth, budget):
         ratios = (ratios[:, None] * np.array([w.ratio for w in maps])[None, :]).ravel()
     points = lin @ seed_pt + off
     return AttractorCloud(points=points, word_ratios=ratios, depth=depth)
@@ -860,9 +839,6 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
         raise ValueError("gap analysis needs a one-dimensional system")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if ifs.max_depth is not None and depth > ifs.max_depth:
-        raise ValueError(f"depth {depth} beyond the {ifs.max_depth} explicit levels")
-
     if interval is not None:
         a_raw, b_raw = interval
     elif ifs.osc_box is not None:
@@ -1138,9 +1114,6 @@ def translation_dimension_formula(ifs: LimitIfs, depth: int) -> TranslationDimen
         raise ValueError("the dimension formula needs one common ratio per level")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if ifs.max_depth is not None and depth > ifs.max_depth:
-        raise ValueError(f"depth {depth} beyond the {ifs.max_depth} explicit levels")
-
     if ifs.max_depth is None:
         num = sum(math.log(len(level)) for level in ifs.blocks)
         den = sum(math.log(1.0 / level[0].ratio) for level in ifs.blocks)

@@ -466,10 +466,6 @@ def _walk(ctx, obj, path, name, budget):
 
 # -- named checks: the rules that are not local to one field ----------------
 
-_GENERATIONS = {"stationary": fg.STATIONARY, "periodic": fg.PERIODIC,
-                "explicit": fg.EXPLICIT}
-
-
 def _map(ctx, v, path, budget):
     """flip needs a scalar translation
     orthogonal is a dim x dim matrix, dim that of the translation"""
@@ -508,9 +504,8 @@ def _ifs(ctx, v, path, budget):
     if body is None:
         return None
     try:
-        return fg.LimitIfs(_GENERATIONS[gen],
-                           [body] if gen == "stationary" else body,
-                           osc_box=box)
+        return fg.LimitIfs([body] if gen == "stationary" else body,
+                           repeats=gen != "explicit", osc_box=box)
     except (ValueError, TypeError) as e:
         return ctx.fail(path, str(e))
 
@@ -800,7 +795,10 @@ _OBJECTS = {
                        **_POSITIVE),
     }, check=_link_check_rules),
     "ifs": _Obj({
-        "generation": _choice(*_GENERATIONS),
+        "generation": _choice(
+            "stationary", "periodic", "explicit",
+            doc="stationary: one block that repeats; periodic: blocks that "
+            "repeat in turn; explicit: levels, then the system ends"),
         "maps": _F("map[]", req=True, when=("stationary",)),
         "blocks": _F("map[][]", "cycled level by level", req=True,
                      when=("periodic",)),

@@ -281,7 +281,7 @@ class EigenvalueSequence:
         n = cap, the smallest, rounds to 0."""
         def mu(n):
             vals = np.exp(-profile.f(np.log(n)))
-            if vals.size and vals[-1] == 0.0:
+            if vals[-1] == 0.0:
                 raise Underflow("mu_n = exp(-f(log n)) rounds to 0 at "
                                 f"n = {cap}")
             return vals
@@ -399,6 +399,8 @@ class EigenvalueSequence:
 def _evaluated(mu_fn, cap, profile) -> EigenvalueSequence:
     """The sequence of mu_fn on 1..cap.  Its values pass the tolerant check,
     which lets rises of rounding size (1e-15 relative) through."""
+    if cap < 1:
+        raise ValueError("values must be a nonempty 1d array")
     vals = np.asarray(mu_fn(np.arange(1, int(cap) + 1, dtype=np.int64)),
                       dtype=float)
     jumps = _scan_values(vals, rtol=1e-15, atol=1e-300)

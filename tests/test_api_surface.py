@@ -120,10 +120,9 @@ fractal_geometry.GapList.completeness_cutoff
 fractal_geometry.GapList.diameter
 fractal_geometry.GapList.lengths
 fractal_geometry.GapList.residual_lengths
-fractal_geometry.LimitIfs.__init__(osc_box=None)
+fractal_geometry.LimitIfs.__init__(repeats=True, osc_box=None)
 fractal_geometry.LimitIfs.dim
 fractal_geometry.LimitIfs.explicit(osc_box=None)
-fractal_geometry.LimitIfs.max_depth
 fractal_geometry.LimitIfs.osc_overlap_evidence(depth=1)
 fractal_geometry.LimitIfs.periodic(osc_box=None)
 fractal_geometry.LimitIfs.stationary(osc_box=None)

@@ -120,6 +120,11 @@ def test_explicit_levels_run_out():
     assert ifs.max_depth == 4
     with pytest.raises(ValueError):
         ifs.level(5)
+    # a run past the last level is refused where the level is looked up
+    for run in (lambda: gaps_from_interval_ifs(ifs, 5, interval=(0.0, 1.0)),
+                lambda: translation_dimension_formula(ifs, 5)):
+        with pytest.raises(ValueError, match="level 5 beyond the 4 explicit"):
+            run()
 
 
 def test_dimension_mismatch_rejected():
@@ -242,6 +247,16 @@ def test_contraction_refuses_non_contracting_runs():
 def test_contraction_budget_guard():
     with pytest.raises(BudgetExceeded):
         contraction_limit(make_cantor(), [0.0], depth=40, budget=10_000)
+
+
+def test_the_contraction_budget_counts_every_seed_point():
+    """Three seed points under the two Cantor maps are 3 * 2**n points at
+    depth n: a budget of 100 takes depth 5 (96) and refuses level 6 (192)."""
+    seed = [0.0, 0.5, 1.0]
+    run = contraction_limit(make_cantor(), seed, depth=5, budget=100)
+    assert run.cloud.shape == (96, 1)
+    with pytest.raises(BudgetExceeded, match="level 6 needs 192 points"):
+        contraction_limit(make_cantor(), seed, depth=6, budget=100)
 
 
 # --- attractor clouds ---------------------------------------------------------------------
@@ -423,7 +438,7 @@ def test_a_ratio_near_one_leaves_the_cutoff_quick(ifs, interval):
     gaps = within(2.0, lambda: gaps_from_interval_ifs(ifs, 11, interval=interval))
     unit = gaps.residual_lengths.max() / (gaps.b - gaps.a)
     terms = [_level_max_gap(ifs.level(k), gaps.a, gaps.b) for k in (12, 13)]
-    if ifs.generation == "STATIONARY":
+    if ifs.stationary_ratios:
         sup = terms[0]
     else:
         sup = max(terms[0], max(w.ratio for w in ifs.level(12)) * terms[1])

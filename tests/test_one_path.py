@@ -12,9 +12,11 @@ validated array, evaluated once when the sequence is made.  The pair model
 walks its word tree once: it reads each level of the system once, level 1
 at most twice since the default seed reads it too, so no loop rebuilds the
 tree from the root.  A number with its interval is a ``sequences.Estimate``,
-never a loose set of float fields.  Only ``LimitIfs`` reads its
-``generation``: the rest of the package asks ``stationary_ratios`` whether a
-system is stationary, and ``max_depth`` whether its levels run out.  Every
+never a loose set of float fields.  A ``LimitIfs`` is its level blocks and
+whether they repeat, with no mode beside them: ``LimitIfs.__init__`` alone
+sets ``stationary_ratios`` (the ratios of a single repeating block) and
+``max_depth`` (where the levels run out), and the rest of the package asks
+those two.  Every
 error class in ``errors`` is raised somewhere in the package, so each code
 is one a run can report.
 """
@@ -73,13 +75,19 @@ def test_only_affine_reads_a_map_of_the_line():
 
 
 MODES = {"STATIONARY", "PERIODIC", "EXPLICIT"}
+RUN_FIELDS = {"stationary_ratios", "max_depth"}
 
 
-def module_scopes(path):
-    """(name, node) of each module-level statement: the name it defines,
-    or None for a statement that defines no one name."""
+def scopes(path):
+    """(name, node) of each module-level statement, and of each statement
+    in a class body as ``Class.name``: the name it defines, or None for a
+    statement that defines no one name."""
     for node in ast.parse(path.read_text(), str(path)).body:
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                name = getattr(item, "name", None)
+                yield f"{node.name}.{name}" if name else node.name, item
+        elif isinstance(node, ast.FunctionDef):
             yield node.name, node
         elif (isinstance(node, ast.Assign) and len(node.targets) == 1
               and isinstance(node.targets[0], ast.Name)):
@@ -88,22 +96,23 @@ def module_scopes(path):
             yield None, node
 
 
-def test_only_limit_ifs_reads_its_generation():
-    reads, names = set(), set()
+def test_only_limit_ifs_init_sets_how_its_levels_run():
+    setters, names = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for scope, node in module_scopes(path):
+        for scope, node in scopes(path):
             for sub in ast.walk(node):
-                if (isinstance(sub, ast.Attribute) and sub.attr == "generation"
-                        and isinstance(sub.ctx, ast.Load)):
-                    reads.add(f"{path.stem}.{scope}")
+                if (isinstance(sub, ast.Attribute) and sub.attr in RUN_FIELDS
+                        and not isinstance(sub.ctx, ast.Load)):
+                    setters.add(f"{path.stem}.{scope}")
                 if (isinstance(sub, ast.Name) and sub.id in MODES
-                        or isinstance(sub, ast.Attribute) and sub.attr in MODES
+                        or isinstance(sub, ast.Attribute)
+                        and sub.attr in MODES | {"generation"}
                         or isinstance(sub, ast.alias) and sub.name in MODES):
                     names.add(f"{path.stem}.{scope}")
-    assert reads == {"fractal_geometry.LimitIfs"}
-    # the config table maps each mode's name in a config to the constant
-    assert {n for n in names if not n.startswith("fractal_geometry.")} \
-        == {"reporting._GENERATIONS"}
+    assert setters == {"fractal_geometry.LimitIfs.__init__"}
+    # no generation mode is a constant or an attribute: a config names its
+    # mode as a string, which picks the blocks and whether they repeat
+    assert names == set()
 
 
 def test_models_reach_sequences_through_their_values():

@@ -831,6 +831,32 @@ def test_an_explicit_residue_flag_overrides_the_default(tmp_path):
     assert off == [r for r in default if r["op"] != "zeta_residue"]
 
 
+@pytest.mark.parametrize("kind, parameters", [
+    ("GAP_TRIPLE", {"depth": 10}), ("PAIR_TRIPLE", {"cap": 2000})])
+def test_a_one_block_periodic_config_is_its_stationary_twin(kind, parameters,
+                                                           tmp_path):
+    """A periodic system of one block is the stationary system of that
+    block: with no interval given, both run, report the zeta residue, and
+    write the same results and series."""
+    stationary = line_ifs(0.3, 0.35)
+    periodic = {"generation": "periodic", "blocks": [stationary["maps"]]}
+    dirs = []
+    for ifs in (stationary, periodic):
+        code, out_dir = run_cli(tmp_path, {
+            "kind": kind, "name": "m",
+            "parameters": {"ifs": ifs, **parameters}}, ifs["generation"])
+        assert code == 0
+        dirs.append(out_dir)
+    results = [json.loads((d / "m.report.json").read_text())["results"]
+               for d in dirs]
+    assert "zeta_residue" in [r["op"] for r in results[0]]
+    assert results[0] == results[1]
+    csvs = [sorted(p.name for p in d.glob("*.csv")) for d in dirs]
+    assert csvs[0] == csvs[1] != []
+    for name in csvs[0]:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
 def test_a_planar_affine_functional_takes_a_vector_slope(tmp_path):
     """The report echoes the vector slope and gives the value the library
     gives for x -> <slope, x> + intercept on the same model."""

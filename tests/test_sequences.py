@@ -46,8 +46,16 @@ def test_from_values_rejects_nonpositive():
 
 
 def test_from_values_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty") as e:
         EigenvalueSequence.from_values([])
+    # a cap of 0 is the same empty sequence, refused before mu is called
+    prof = LogLinearProfile(np.array([0.0, 50.0]), np.array([0.0]),
+                            np.array([2.0]))
+    for build in (lambda: EigenvalueSequence.from_function(None, cap=0),
+                  lambda: EigenvalueSequence.from_profile(prof, cap=0)):
+        with pytest.raises(ValueError) as again:
+            build()
+        assert str(again.value) == str(e.value)
 
 
 def test_constant_sequence_does_not_vanish():

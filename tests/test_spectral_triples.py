@@ -1,5 +1,6 @@
 """Eigenvalue models over gap lists and word trees, zeta data, functionals."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -358,6 +359,36 @@ def test_residue_guards():
     explicit = pair_triple(LimitIfs.explicit(levels), cap=10**4)
     with pytest.raises(ValueError, match="stationary"):
         zeta_residue(explicit)
+
+
+def assert_same_fields(a, b, skip=()):
+    for f in dataclasses.fields(a):
+        if f.name not in skip:
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype, f.name
+                np.testing.assert_array_equal(x, y, err_msg=f.name)
+            else:
+                assert x == y, f.name
+
+
+@pytest.mark.parametrize("build", [make_cantor, make_uneven, make_planar],
+                         ids=lambda b: b.__name__)
+def test_a_periodic_system_of_one_block_is_the_stationary_one(build):
+    """Both repeat the one block forever, so they are one system: the same
+    ratios, no last level, and the same gap list (on the interval the maps
+    leave invariant) and pair model."""
+    maps = build().level(1)
+    stationary, periodic = LimitIfs.stationary(maps), LimitIfs.periodic([maps])
+    assert periodic.stationary_ratios == stationary.stationary_ratios \
+        == tuple(w.ratio for w in maps)
+    assert periodic.max_depth is stationary.max_depth is None
+    if stationary.dim == 1:
+        gaps = [gaps_from_interval_ifs(ifs, depth=8)
+                for ifs in (stationary, periodic)]
+        assert_same_fields(*gaps)
+    models = [pair_triple(ifs, cap=2000) for ifs in (stationary, periodic)]
+    assert_same_fields(*models, skip=("ifs",))
 
 
 # --- functionals ------------------------------------------------------------------
