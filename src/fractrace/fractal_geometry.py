@@ -120,9 +120,9 @@ class LimitIfs:
     whether they repeat.
 
     Level n runs block (n - 1) mod len(blocks) when the blocks repeat, and
-    block n - 1 up to the last one when they do not.  A single block that
-    repeats is a stationary (self-similar) system, so ``stationary_ratios``
-    holds its ratios, and () for any other system; ``max_depth`` is the
+    block n - 1 up to the last one when they do not.  ``period`` holds the
+    ratios of each level of one period when the blocks repeat (one level: a
+    stationary system), and () when they do not; ``max_depth`` is the
     deepest level, None when the blocks repeat.  ``osc_box`` is the user's
     open set assertion, an axis-aligned box given as (lower corner, upper
     corner); it is recorded, sanity-checkable at finite depth, but never
@@ -137,8 +137,8 @@ class LimitIfs:
             raise ValueError(f"maps disagree on ambient dimension: {sorted(dims)}")
         self.blocks = [list(level) for level in blocks]
         self.max_depth = None if repeats else len(self.blocks)
-        self.stationary_ratios = (tuple(w.ratio for w in self.blocks[0])
-                                  if repeats and len(self.blocks) == 1 else ())
+        self.period = (tuple(tuple(w.ratio for w in level)
+                             for level in self.blocks) if repeats else ())
         self.osc_box = None
         if osc_box is not None:
             lo = np.asarray(osc_box[0], dtype=float).reshape(-1)
@@ -221,27 +221,24 @@ def _box_corners(lo, hi):
 # similarity dimension
 
 def similarity_dimension(ifs) -> float:
-    """Root of sum(ratio_j^s) = 1 for a stationary system.
+    """Root of prod_j sum_{r in L_j} r^s = 1 over the levels L_j of one
+    period: the self-similar system of its p-level words.
 
-    Accepts a stationary LimitIfs or a bare sequence of ratios.  A single
-    map is degenerate (the root is s = 0).  Bisection on the strictly
-    decreasing sum, to an interval of width 1e-12.
+    Accepts a LimitIfs whose blocks repeat, or a bare sequence of ratios as
+    one level.  One map per level is degenerate (the root is s = 0).
+    Bisection on the strictly decreasing product, to width 1e-12.
     """
-    if isinstance(ifs, LimitIfs):
-        ratios = ifs.stationary_ratios
-        if not ratios:
-            raise ValueError("similarity dimension is defined for stationary systems")
-    else:
-        ratios = [float(r) for r in ifs]
-        if not ratios:
-            raise ValueError("similarity dimension needs at least one ratio")
-    if any(not 0.0 < r < 1.0 for r in ratios):
+    period = ifs.period if isinstance(ifs, LimitIfs) else ([float(r) for r in ifs],)
+    if not period or not period[0]:
+        raise ValueError("similarity dimension needs a ratio and, on a "
+                         "LimitIfs, blocks that repeat")
+    if any(not 0.0 < r < 1.0 for level in period for r in level):
         raise ValueError("ratios must lie in (0, 1)")
-    if len(ratios) == 1:
+    if max(map(len, period)) == 1:
         return 0.0
 
     def excess(s):
-        return sum(r**s for r in ratios) - 1.0
+        return math.prod(sum(r**s for r in level) for level in period) - 1.0
 
     lo, hi = 0.0, 1.0
     for _ in range(200):
@@ -631,6 +628,7 @@ class GapList:
     to F itself (finite unions).  ``exact`` means every endpoint and the
     conservation identity were computed exactly, as integer numerators over
     one common denominator, and each endpoint was rounded to float once.
+    ``ifs`` is the system enumerated, None for a finite union.
     """
 
     a: float
@@ -643,9 +641,7 @@ class GapList:
     exact: bool
     residual_solid: bool
     conservation_defect: float
-    # full ratio multiset of the level map when one level repeats forever;
-    # () when levels vary or the list did not come from an iterated system
-    stationary_ratios: tuple = ()
+    ifs: LimitIfs | None = None
     # gaps are emitted by depth, not by size, so with unequal ratios the
     # small end of the sorted list interleaves with gaps the enumeration has
     # not reached yet.  Lengths strictly above this cutoff form a complete
@@ -824,8 +820,8 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
     Each level must map the bounding interval to pairwise disjoint ordered
     subintervals; the gaps that opens are final, so the depth-m gap list is
     a true initial segment of the complement.  The bounding interval comes
-    from the argument, the asserted open set, or (stationary systems) the
-    smallest interval the maps leave invariant.
+    from the argument, the asserted open set, or (systems whose blocks
+    repeat) the smallest interval the maps of one period leave invariant.
 
     exact="auto" switches to rational endpoints whenever the maps and the
     interval allow; exact=True insists and raises ValueError otherwise.
@@ -843,10 +839,10 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
         a_raw, b_raw = interval
     elif ifs.osc_box is not None:
         a_raw, b_raw = float(ifs.osc_box[0][0]), float(ifs.osc_box[1][0])
-    elif ifs.stationary_ratios:
-        a_raw, b_raw = _stationary_hull(ifs.level(1))
+    elif ifs.period:
+        a_raw, b_raw = _stationary_hull([w for level in ifs.blocks for w in level])
     else:
-        raise ValueError("non-stationary systems need an explicit bounding interval or osc_box")
+        raise ValueError("explicit systems need a bounding interval or osc_box")
 
     block_ids = [ifs.block_index(n) for n in range(1, depth + 1)]
     maps_exact = all(_affine(w, True) is not None
@@ -909,7 +905,7 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
         residual_starts=res_starts, residual_ends=res_ends,
         exact=use_exact, residual_solid=False,
         conservation_defect=float(defect),
-        stationary_ratios=ifs.stationary_ratios,
+        ifs=ifs,
         completeness_cutoff=cutoff,
     )
 

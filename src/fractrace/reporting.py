@@ -69,7 +69,7 @@ from . import exemplars as ex
 from . import fractal_geometry as fg
 from . import spectral_triples as st
 from .errors import (BudgetExceeded, FractraceError, KindMismatch,
-                     Underflow, ValidationError)
+                     ValidationError)
 from .sequences import NON_TRACE_CLASS, EigenvalueSequence, _distinct
 
 SEQUENCE_ANALYSIS = "SEQUENCE_ANALYSIS"
@@ -570,41 +570,42 @@ def _gaps_on(p) -> bool:
 
 def _one_map_rule(ctx, ifs, given, path):
     """A value that defaults to what the maps leave invariant must be given
-    on a stationary system of one map: its similarity dimension is 0 and
-    its invariant interval a point."""
-    if given is None and ifs is not None and len(ifs.stationary_ratios) == 1:
+    on a repeating system of one map per level: its similarity dimension is
+    0 and the invariant interval of one map a point."""
+    if given is None and ifs is not None and ifs.period \
+            and max(map(len, ifs.period)) == 1:
         ctx.fail(path, "required for a system of one map")
 
 
 def _interval_rule(ctx, v, path):
     """The bounding interval of a gap analysis defaults to the ifs box,
-    else to the smallest interval a stationary system leaves invariant."""
+    else to the smallest interval the maps of one period leave invariant,
+    which an explicit system does not have."""
     ifs = v["ifs"]
     if ifs is None or ifs.osc_box is not None or v["interval"] is not None:
         return
-    if ifs.stationary_ratios:
+    if ifs.period:
         _one_map_rule(ctx, ifs, None, f"{path}.interval")
     else:
-        ctx.fail(f"{path}.interval", "required for a non-stationary system")
+        ctx.fail(f"{path}.interval", "required for an explicit system")
 
 
 def _ifs_classical_rules(ctx, v, path, budget):
     """gaps needs a 1d system
-    gap analysis needs an interval or ifs box on a non-stationary system
-    gap analysis needs an interval or ifs box on a stationary one-map system
+    gap analysis needs an interval or ifs box on an explicit system
+    gap analysis needs an interval or ifs box on a system of one map
     minkowski needs the gap analysis
-    minkowski needs an exponent on a non-stationary system
-    minkowski needs an exponent on a stationary system of one map"""
+    minkowski needs an exponent on an explicit system
+    minkowski needs an exponent on a system of one map"""
     ifs, mink = v["ifs"], v["minkowski"]
     if v["gaps"] and ifs is not None and ifs.dim != 1:
         ctx.fail(f"{path}.gaps", "gap analysis needs a 1d system")
     elif ifs is not None and _gaps_on(v):
         _interval_rule(ctx, v, path)
     if mink is not None:
-        if mink["exponent"] is None and ifs is not None \
-                and not ifs.stationary_ratios:
+        if mink["exponent"] is None and ifs is not None and not ifs.period:
             ctx.fail(f"{path}.minkowski.exponent",
-                     "required for a non-stationary system")
+                     "required for an explicit system")
         _one_map_rule(ctx, ifs, mink["exponent"],
                       f"{path}.minkowski.exponent")
         if v["gaps"] is False or (ifs is not None and not _gaps_on(v)):
@@ -619,19 +620,18 @@ def _one_dim(ctx, v, path, msg):
 
 
 def _model_rules(ctx, v, path):
-    if v["residue"] and v["ifs"] is not None \
-            and not v["ifs"].stationary_ratios:
-        ctx.fail(f"{path}.residue", "needs a stationary system")
+    if v["residue"] and v["ifs"] is not None and not v["ifs"].period:
+        ctx.fail(f"{path}.residue", "not defined for an explicit system")
     if v["functional"] is not None:
         _one_map_rule(ctx, v["ifs"], v["exponent"], f"{path}.exponent")
 
 
 def _gap_triple_rules(ctx, v, path, budget):
     """ifs is a 1d system
-    interval or ifs box is given on a non-stationary system
-    interval or ifs box is given on a stationary system of one map
-    residue needs a stationary system
-    functional needs an exponent on a stationary system of one map"""
+    interval or ifs box is given on an explicit system
+    interval or ifs box is given on a system of one map
+    residue needs a system whose blocks repeat
+    functional needs an exponent on a system of one map"""
     _one_dim(ctx, v, path, "gap models need a 1d system")
     _interval_rule(ctx, v, path)
     _model_rules(ctx, v, path)
@@ -642,8 +642,8 @@ def _pair_triple_rules(ctx, v, path, budget):
     """seed_pair points have the ambient dimension
     seed_pair points are a finite distance apart
     seed_pair is given when the first level has one map
-    residue needs a stationary system
-    functional needs an exponent on a stationary system of one map"""
+    residue needs a system whose blocks repeat
+    functional needs an exponent on a system of one map"""
     ifs, seed = v["ifs"], v["seed_pair"]
     if ifs is not None and seed is not None:
         for i, pt in enumerate(seed):
@@ -665,9 +665,9 @@ def _pair_triple_rules(ctx, v, path, budget):
 
 def _link_check_rules(ctx, v, path, budget):
     """ifs is a 1d system
-    interval or ifs box is given on a non-stationary system
-    interval or ifs box is given on a stationary system of one map
-    exponent is given on a stationary system of one map"""
+    interval or ifs box is given on an explicit system
+    interval or ifs box is given on a system of one map
+    exponent is given on a system of one map"""
     _one_dim(ctx, v, path, "the link check needs a 1d system")
     _interval_rule(ctx, v, path)
     _one_map_rule(ctx, v["ifs"], v["exponent"], f"{path}.exponent")
@@ -680,9 +680,9 @@ _POSITIVE = dict(lo=0.0, lo_open=True)
 _IFS = _F("ifs", req=True)
 _DEPTH = _F("integer", "word length of the construction", req=True, lo=1)
 _INTERVAL = _F("interval", "bounding interval of the gap analysis; null: "
-               "the ifs box, else the smallest invariant interval of a "
-               "stationary system, so required with no box on a "
-               "non-stationary system or a system of one map")
+               "the ifs box, else the smallest interval the maps of one "
+               "period leave invariant, so required with no box on an "
+               "explicit system or a system of one map")
 _ROWS = _F("integer", "rows written to the entries or gaps CSV",
            default=DEFAULT_SERIES_ROWS, lo=1)
 _TOLERANCE = _F("number", "eccentricity tolerance", default=0.02, **_POSITIVE)
@@ -690,8 +690,9 @@ _SEQUENCE_CAP = _F("integer", "entries materialized; the default is capped "
                    "at the entry budget", default=10**5, lo=1000, hi=_ENTRIES)
 _MODEL_FIELDS = {
     "zeta": _F("zeta", "zeta values to compute"),
-    "residue": _F("boolean", "compute the zeta residue; null: true for a "
-                  "stationary system"),
+    "residue": _F("boolean", "compute the zeta residue; null: true when "
+                  "the model holds one period of a repeating system, so "
+                  "not allowed on an explicit system"),
     "functional": _F("functional", "a state to evaluate on the model"),
     "exponent": _F("number", "the functional's weight exponent; null: the "
                    "dimension estimate", **_POSITIVE),
@@ -770,7 +771,8 @@ _OBJECTS = {
     "box_dimension": _Obj({"cloud_depth": _F(
         "integer", "null: the experiment's depth", lo=1)}),
     "minkowski": _Obj({"exponent": _F(
-        "number", "null: the similarity dimension", hi=1, **_POSITIVE)}),
+        "number", "null: the similarity dimension, so required on an "
+        "explicit system", hi=1, **_POSITIVE)}),
     "cylinder": _Obj({
         "exponent": _F("number", req=True, **_POSITIVE),
         "depth": _F("integer", "null: the experiment's depth", lo=1),
@@ -791,8 +793,8 @@ _OBJECTS = {
     }, **_MODEL_FIELDS), check=_pair_triple_rules),
     LINK_CHECK: _Obj({
         "ifs": _IFS, "depth": _DEPTH, "interval": _INTERVAL,
-        "exponent": _F("number", "null: the similarity dimension", hi=1,
-                       **_POSITIVE),
+        "exponent": _F("number", "null: the similarity dimension, or "
+                       "1 / ord on an explicit system", hi=1, **_POSITIVE),
     }, check=_link_check_rules),
     "ifs": _Obj({
         "generation": _choice(
@@ -1069,17 +1071,9 @@ def _run_sequence_analysis(exp, budget, out):
         seq, parameters = build(p["values"]), {"n": len(p["values"])}
     else:
         c, a = p["mu"]["coefficient"], p["mu"]["exponent"]
-
-        def mu(n):
-            return c * np.asarray(n, dtype=float) ** (-a)
-
-        # the value at the cap is the smallest; from_function would refuse
-        # a 0 there untyped, as not positive
-        if mu(p["cap"]) == 0.0:
-            raise Underflow(f"mu_n = {c:g} n^-{a:g} rounds to 0 at "
-                            f"n = {p['cap']}")
         build = EigenvalueSequence.from_function
-        seq = build(mu, cap=p["cap"])
+        seq = build(lambda n: c * np.asarray(n, dtype=float) ** (-a),
+                    cap=p["cap"])
         parameters = dict(p["mu"])
     return _sequence_entries(p, out, seq, build, parameters)
 
@@ -1138,8 +1132,8 @@ def _run_ifs_classical(exp, budget, out):
     p = exp.params
     ifs = p["ifs"]
     results = []
-    dim = None   # a non-stationary system has no similarity dimension
-    if ifs.stationary_ratios:
+    dim = None   # an explicit system has no similarity dimension
+    if ifs.period:
         dim = fg.similarity_dimension(ifs)
         results.append(_entry(fg.similarity_dimension, {},
                               {"dimension": _similarity_val(dim)}))
@@ -1228,8 +1222,8 @@ def _model_entries(p, out, model, build, parameters, values):
                 abs(z.value - z.closed_form) <= err)
         results.append(_entry(st.zeta_partial, {"s": s}, zeta))
     residue = p["residue"]
-    if residue is None:   # where zeta_residue finds a level that repeats
-        residue = bool(model.stationary_ratios)
+    if residue is None:   # where zeta_residue finds a whole period
+        residue = st._whole_period(model)
     if residue:
         r = st.zeta_residue(model)
         results.append(_entry(st.zeta_residue, {}, {
@@ -1296,9 +1290,9 @@ def _run_link_check(exp, budget, out):
     p = exp.params
     gaps, model = _gap_model(p, budget)
     link = st.minkowski_link_check(model, d=p["exponent"])
-    # unset, the exponent is the similarity dimension of a stationary system
-    # and 1 / (order of infinitesimal) otherwise
-    similarity = p["exponent"] is None and bool(model.stationary_ratios)
+    # unset, the exponent is the similarity dimension of a repeating system
+    # and 1 / (order of infinitesimal) on an explicit one
+    similarity = p["exponent"] is None and bool(model.period)
     results = [_gap_list_entry(gaps, p), _entry(
         st.minkowski_link_check, {"exponent": p["exponent"]}, {
             "exponent": _similarity_val(link.d) if similarity

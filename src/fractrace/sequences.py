@@ -277,16 +277,9 @@ class EigenvalueSequence:
     @staticmethod
     def from_profile(profile: LogLinearProfile,
                      cap=DEFAULT_CAP) -> "EigenvalueSequence":
-        """exp(-f(log n)) on 1..cap.  Raises Underflow when the value at
-        n = cap, the smallest, rounds to 0."""
-        def mu(n):
-            vals = np.exp(-profile.f(np.log(n)))
-            if vals[-1] == 0.0:
-                raise Underflow("mu_n = exp(-f(log n)) rounds to 0 at "
-                                f"n = {cap}")
-            return vals
-
-        return _evaluated(mu, cap, profile)
+        """exp(-f(log n)) on 1..cap."""
+        return _evaluated(lambda n: np.exp(-profile.f(np.log(n))), cap,
+                          profile)
 
     # -- access --------------------------------------------------------------
 
@@ -397,12 +390,15 @@ class EigenvalueSequence:
 
 
 def _evaluated(mu_fn, cap, profile) -> EigenvalueSequence:
-    """The sequence of mu_fn on 1..cap.  Its values pass the tolerant check,
+    """The sequence of mu_fn on 1..cap.  Raises Underflow when the value at
+    n = cap, the smallest, rounds to 0.  The values pass the tolerant check,
     which lets rises of rounding size (1e-15 relative) through."""
     if cap < 1:
         raise ValueError("values must be a nonempty 1d array")
     vals = np.asarray(mu_fn(np.arange(1, int(cap) + 1, dtype=np.int64)),
                       dtype=float)
+    if vals[-1] == 0.0:
+        raise Underflow(f"mu_n rounds to 0 at n = {int(cap)}")
     jumps = _scan_values(vals, rtol=1e-15, atol=1e-300)
     if len(vals) > 1 and vals[0] == vals[-1]:
         raise NotVanishing("sequence constant up to the cap")

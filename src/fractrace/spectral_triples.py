@@ -14,6 +14,7 @@ machinery ever reads.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,19 +71,24 @@ class TripleModel:
     ``tags_x``/``tags_y`` hold those two points one row per block: 1-D for
     gap models, (words, dim) for pair models.  ``tag_matrix()`` gives the
     tags one row per entry.  ``truncated`` records whether entries exist
-    beyond the ones held, controlling how zeta tails close.
-    ``stationary_ratios`` are those of the level its system repeats, () when
-    levels vary: they give the exact dimension, closed-form zeta and residue.
+    beyond the ones held, controlling how zeta tails close.  ``ifs`` is the
+    system the model was built over, None for a gap list of a finite union;
+    its ``period`` gives the exact dimension, closed-form zeta and residue.
     """
 
     values: np.ndarray
     tags_x: np.ndarray
     tags_y: np.ndarray
     truncated: bool
-    stationary_ratios: tuple
+    ifs: LimitIfs | None
 
     def __len__(self) -> int:
         return len(self.values)
+
+    @property
+    def period(self) -> tuple:
+        """One period's level ratios; () with no system that repeats."""
+        return self.ifs.period if self.ifs is not None else ()
 
     @property
     def dim(self) -> int:
@@ -149,7 +155,7 @@ def gap_triple(gaps: GapList) -> GapTripleModel:
         tags_x=gaps.starts[:k],
         tags_y=gaps.ends[:k],
         truncated=truncated or k < n_gaps,
-        stationary_ratios=gaps.stationary_ratios,
+        ifs=gaps.ifs,
     )
 
 
@@ -163,7 +169,6 @@ class PairTripleModel(TripleModel):
     type that holds the deepest level the walk kept a word at.
     """
 
-    ifs: LimitIfs
     seed_x: np.ndarray
     seed_y: np.ndarray
     seed_distance: float
@@ -307,7 +312,6 @@ def pair_triple(ifs: LimitIfs, seed=None, cap: int = DEFAULT_ENTRY_CAP,
         tags_y=rows["tags_y"][idx],
         depths=rows["depth"][idx],
         truncated=bool(truncated),
-        stationary_ratios=ifs.stationary_ratios,
     )
 
 
@@ -378,29 +382,39 @@ def spectral_dimension(model) -> SpectralDimension:
 
 
 def _dimension_floor(model) -> float:
-    """The dimension for the s > d guard; exact-ish when stationary."""
-    if model.stationary_ratios:
-        return similarity_dimension(model.stationary_ratios)
+    """The dimension for the s > d guard; exact-ish when the system repeats."""
+    if model.period:
+        return similarity_dimension(model.ifs)
     return order_of_infinitesimal(model.eigen).reciprocal().value
 
 
-def _zeta_numerator(model, s: float, ratios) -> float:
-    # the complement of a stationary set repeats its first-level pattern
-    # inside every cylinder, so the numerator is the first-level power sum
+def _whole_period(model) -> bool:
+    """Whether the model's system repeats and, on a gap model, the gaps
+    reach the last level of one period, which the closed forms sum over."""
+    p = len(model.period)
+    return p > 0 and (not isinstance(model, GapTripleModel)
+                      or model.gaps.levels.max() >= p)
+
+
+def _zeta_numerator(model, s: float) -> float:
+    # the complement of a periodic set repeats the pattern of one period
+    # inside every cylinder of p levels, so the numerator sums one period:
+    # the words of length 1..p, or the gaps opened at levels 1..p
     if isinstance(model, PairTripleModel):
-        lam_s = sum(r**s for r in ratios)
+        lams = [sum(r**s for r in level) for level in model.period]
+        lam_s = sum(math.prod(lams[:k]) for k in range(1, len(lams) + 1))
         return 2.0 * model.seed_distance**s * lam_s
-    first = model.gaps.levels == 1
+    first = model.gaps.levels <= len(model.period)
     g1 = model.gaps.ends[first] - model.gaps.starts[first]
     return 2.0 * float(np.sum(g1**s))
 
 
-def _zeta_closed(model, s: float, ratios) -> float:
-    lam_s = sum(r**s for r in ratios)
+def _zeta_closed(model, s: float) -> float:
+    lam_s = math.prod(sum(r**s for r in level) for level in model.period)
     if lam_s >= 1.0:
         raise SBelowDimension(
-            f"ratio power sum at s = {s:.6g} is {lam_s:.6g}; the series diverges")
-    return _zeta_numerator(model, s, ratios) / (1.0 - lam_s)
+            f"ratio power product at s = {s:.6g} is {lam_s:.6g}; the series diverges")
+    return _zeta_numerator(model, s) / (1.0 - lam_s)
 
 
 @dataclass
@@ -419,10 +433,11 @@ def zeta_partial(model, s: float) -> ZetaPartial:
     """Trace of |D|^{-s} for s above the dimension estimate.
 
     The sum over all materialized entries is closed with the sequence's tail
-    model: exact for complete models, fitted for truncated ones.  Stationary
-    systems also get the geometric closed form (first-level power sum over
-    1 minus the ratio power sum), which the truncated route must agree with
-    to within its own tail error.
+    model: exact for complete models, fitted for truncated ones.  A model
+    that holds a whole period of a repeating system also gets the geometric
+    closed form (the power sum of one period over 1 minus the product of
+    the levels' ratio power sums), which the truncated route must agree
+    with to within its own tail error.
     """
     s = float(s)
     floor = _dimension_floor(model)
@@ -433,8 +448,7 @@ def zeta_partial(model, s: float) -> ZetaPartial:
     n = seq.cap
     head = seq._held_sum(0, n, s)
     tail, err, route = seq.tail_sum(n, s)
-    ratios = model.stationary_ratios
-    closed = _zeta_closed(model, s, ratios) if ratios else None
+    closed = _zeta_closed(model, s) if _whole_period(model) else None
     return ZetaPartial(
         s=s,
         value=head + tail,
@@ -456,22 +470,26 @@ class ZetaResidue:
 
 def zeta_residue(model) -> ZetaResidue:
     """Residue of the zeta function at the similarity dimension d, computed
-    twice.
+    twice, on a model that holds a whole period of a repeating system.
 
-    Analytic route: numerator at d over sum_j r_j^d log(1/r_j), the limit of
-    (s - d) zeta(s) after one derivative of the vanishing denominator.
+    Analytic route: numerator at d over -F'(d), F(s) = prod_j sum_{r in L_j}
+    r^s over the levels of one period, the limit of (s - d) zeta(s) after
+    one derivative of the vanishing denominator 1 - F(s).
     Numeric route: delta * zeta(d + delta) on a geometric grid of deltas,
     extrapolated to 0 by a cubic fit.  Both are returned; their spread is
     the caller's consistency check.
     """
-    ratios = model.stationary_ratios
-    if not ratios:
-        raise ValueError("residue needs a stationary generating system")
-    d = similarity_dimension(ratios)
-    denom = sum(r**d * math.log(1.0 / r) for r in ratios)
-    analytic = _zeta_numerator(model, d, ratios) / denom
+    if not _whole_period(model):
+        raise ValueError("residue needs a generating system whose blocks "
+                         "repeat, and on a gap model the gaps of one period")
+    d = similarity_dimension(model.ifs)
+    lams = [sum(r**d for r in level) for level in model.period]
+    denom = sum(math.prod(lams[:j] + lams[j + 1:])
+                * sum(r**d * math.log(1.0 / r) for r in level)
+                for j, level in enumerate(model.period))
+    analytic = _zeta_numerator(model, d) / denom
     grid_values = np.array(
-        [delta * _zeta_closed(model, d + delta, ratios) for delta in _RESIDUE_DELTAS])
+        [delta * _zeta_closed(model, d + delta) for delta in _RESIDUE_DELTAS])
     coef = np.polyfit(_RESIDUE_DELTAS, grid_values, 3)
     return ZetaResidue(
         d=d,
@@ -658,15 +676,16 @@ class MinkowskiLink:
     overlap: bool
 
 
-def _lattice_ratios(ratios) -> bool | None:
-    """True when all log-ratios are rational multiples of the first.
+def _lattice_ratios(period) -> bool | None:
+    """True when the log-ratios of one period's words are all rational
+    multiples of the first.
 
-    Rationality is tested against denominators up to 1000 at 1e-9; an empty
-    ratio list (unknown generator) returns None rather than guessing.
+    Rationality is tested against denominators up to 1000 at 1e-9; with no
+    period (no words: an explicit system) it returns None, not a guess.
     """
-    if not ratios:
+    if not period:
         return None
-    logs = [math.log(1.0 / r) for r in ratios]
+    logs = [math.log(1.0 / math.prod(w)) for w in itertools.product(*period)]
     for val in logs[1:]:
         q = val / logs[0]
         if abs(q - Fraction(q).limit_denominator(1000)) > _LATTICE_TOL:
@@ -693,7 +712,7 @@ def minkowski_link_check(model: GapTripleModel, d: float | None = None) -> Minko
     trace = dixmier_trace_estimate(model.eigen.power(d))
     content = minkowski_content_estimate(model.gaps, d)
     scale = 2.0**d * (1.0 - d)
-    lattice = _lattice_ratios(model.stationary_ratios)
+    lattice = _lattice_ratios(model.period)
     scaled = Estimate(scale * content.value, scale * content.lo,
                       scale * content.hi)
     overlap = max(trace.lo, scaled.lo) <= min(trace.hi, scaled.hi)

@@ -115,7 +115,7 @@ fractal_geometry.GapList.residual_ends
 fractal_geometry.GapList.exact
 fractal_geometry.GapList.residual_solid
 fractal_geometry.GapList.conservation_defect
-fractal_geometry.GapList.stationary_ratios
+fractal_geometry.GapList.ifs
 fractal_geometry.GapList.completeness_cutoff
 fractal_geometry.GapList.diameter
 fractal_geometry.GapList.lengths
@@ -156,7 +156,7 @@ spectral_triples.GapTripleModel.values
 spectral_triples.GapTripleModel.tags_x
 spectral_triples.GapTripleModel.tags_y
 spectral_triples.GapTripleModel.truncated
-spectral_triples.GapTripleModel.stationary_ratios
+spectral_triples.GapTripleModel.ifs
 spectral_triples.GapTripleModel.gaps
 spectral_triples.HausdorffFunctional.value
 spectral_triples.HausdorffFunctional.lo
@@ -175,7 +175,6 @@ spectral_triples.PairTripleModel.values
 spectral_triples.PairTripleModel.tags_x
 spectral_triples.PairTripleModel.tags_y
 spectral_triples.PairTripleModel.truncated
-spectral_triples.PairTripleModel.stationary_ratios
 spectral_triples.PairTripleModel.ifs
 spectral_triples.PairTripleModel.seed_x
 spectral_triples.PairTripleModel.seed_y
@@ -190,9 +189,10 @@ spectral_triples.TripleModel.values
 spectral_triples.TripleModel.tags_x
 spectral_triples.TripleModel.tags_y
 spectral_triples.TripleModel.truncated
-spectral_triples.TripleModel.stationary_ratios
+spectral_triples.TripleModel.ifs
 spectral_triples.TripleModel.dim
 spectral_triples.TripleModel.eigen
+spectral_triples.TripleModel.period
 spectral_triples.TripleModel.tag_matrix(n=None)
 spectral_triples.ZetaPartial.s
 spectral_triples.ZetaPartial.value

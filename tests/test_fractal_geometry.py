@@ -173,8 +173,9 @@ def test_similarity_dimension_solves_the_moment_equation(r1, r2):
     assert r1**d + r2**d == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("ifs", [make_periodic, list],
-                         ids=["periodic", "no-ratio"])
+@pytest.mark.parametrize("ifs", [
+    lambda: random_explicit(np.random.default_rng(0)), list],
+    ids=["explicit", "no-ratio"])
 def test_similarity_dimension_refuses(ifs):
     with pytest.raises(ValueError):
         similarity_dimension(ifs())
@@ -438,7 +439,7 @@ def test_a_ratio_near_one_leaves_the_cutoff_quick(ifs, interval):
     gaps = within(2.0, lambda: gaps_from_interval_ifs(ifs, 11, interval=interval))
     unit = gaps.residual_lengths.max() / (gaps.b - gaps.a)
     terms = [_level_max_gap(ifs.level(k), gaps.a, gaps.b) for k in (12, 13)]
-    if ifs.stationary_ratios:
+    if len(ifs.period) == 1:
         sup = terms[0]
     else:
         sup = max(terms[0], max(w.ratio for w in ifs.level(12)) * terms[1])

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractrace import asymptotics, sequences
-from fractrace.errors import FractraceError
+from fractrace.errors import FractraceError, Underflow
 from fractrace.sequences import (NON_TRACE_CLASS, TRACE_CLASS,
                                  EigenvalueSequence)
 
@@ -24,6 +24,10 @@ B = sequences._SLICE
 
 
 def reference_from_function_checks(vals, cap):
+    # a last value of 0 is the smallest rounding to 0, a typed failure that
+    # comes before the positivity check
+    if vals[-1] == 0:
+        raise Underflow(f"mu_n rounds to 0 at n = {cap}")
     if np.any(vals <= 0):
         raise ValueError("eigenvalues must be positive")
     if np.any(np.diff(vals) > 1e-15 * vals[:-1] + 1e-300):

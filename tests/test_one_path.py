@@ -14,9 +14,11 @@ at most twice since the default seed reads it too, so no loop rebuilds the
 tree from the root.  A number with its interval is a ``sequences.Estimate``,
 never a loose set of float fields.  A ``LimitIfs`` is its level blocks and
 whether they repeat, with no mode beside them: ``LimitIfs.__init__`` alone
-sets ``stationary_ratios`` (the ratios of a single repeating block) and
-``max_depth`` (where the levels run out), and the rest of the package asks
-those two.  Every
+sets ``period`` (the ratios of each level of one period) and ``max_depth``
+(where the levels run out), and the rest of the package asks those two,
+gap lists and models through the system they hold, never through a copy.
+The stationary system is the period of one level, with no name of its
+own.  Every
 error class in ``errors`` is raised somewhere in the package, so each code
 is one a run can report.
 """
@@ -75,7 +77,7 @@ def test_only_affine_reads_a_map_of_the_line():
 
 
 MODES = {"STATIONARY", "PERIODIC", "EXPLICIT"}
-RUN_FIELDS = {"stationary_ratios", "max_depth"}
+RUN_FIELDS = {"period", "max_depth"}
 
 
 def scopes(path):
@@ -113,6 +115,22 @@ def test_only_limit_ifs_init_sets_how_its_levels_run():
     # no generation mode is a constant or an attribute: a config names its
     # mode as a string, which picks the blocks and whether they repeat
     assert names == set()
+
+
+def test_the_period_is_held_once():
+    """No dataclass holds a period of its own, so a gap list or a model
+    reaches it through its ``ifs``; the name of the one-level special case
+    it replaced is gone."""
+    copies = [f"{path.stem}.{cls.__name__}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for cls in vars(importlib.import_module(
+                  f"fractrace.{path.stem}")).values()
+              if dataclasses.is_dataclass(cls)
+              and cls.__module__ == f"fractrace.{path.stem}"
+              and "period" in {f.name for f in dataclasses.fields(cls)}]
+    assert copies == []
+    assert [path.name for path in PACKAGE.glob("*.py")
+            if "stationary_ratios" in path.read_text()] == []
 
 
 def test_models_reach_sequences_through_their_values():
