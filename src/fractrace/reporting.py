@@ -572,8 +572,7 @@ def _one_map_rule(ctx, ifs, given, path):
     """A value that defaults to what the maps leave invariant must be given
     on a repeating system of one map per level: its similarity dimension is
     0 and the invariant interval of one map a point."""
-    if given is None and ifs is not None and ifs.period \
-            and max(map(len, ifs.period)) == 1:
+    if given is None and ifs is not None and set(map(len, ifs.period)) == {1}:
         ctx.fail(path, "required for a system of one map")
 
 
@@ -630,11 +629,14 @@ def _gap_triple_rules(ctx, v, path, budget):
     """ifs is a 1d system
     interval or ifs box is given on an explicit system
     interval or ifs box is given on a system of one map
-    residue needs a system whose blocks repeat
+    residue needs the gaps of one whole period of blocks that repeat
     functional needs an exponent on a system of one map"""
     _one_dim(ctx, v, path, "gap models need a 1d system")
     _interval_rule(ctx, v, path)
     _model_rules(ctx, v, path)
+    if v["residue"] and v["ifs"] is not None \
+            and (v["depth"] or math.inf) < len(v["ifs"].period):
+        ctx.fail(f"{path}.residue", "needs the gaps of one whole period")
     return v
 
 
@@ -691,8 +693,8 @@ _SEQUENCE_CAP = _F("integer", "entries materialized; the default is capped "
 _MODEL_FIELDS = {
     "zeta": _F("zeta", "zeta values to compute"),
     "residue": _F("boolean", "compute the zeta residue; null: true when "
-                  "the model holds one period of a repeating system, so "
-                  "not allowed on an explicit system"),
+                  "the model holds one whole period of a repeating "
+                  "system, which the residue needs"),
     "functional": _F("functional", "a state to evaluate on the model"),
     "exponent": _F("number", "the functional's weight exponent; null: the "
                    "dimension estimate", **_POSITIVE),
@@ -1221,10 +1223,8 @@ def _model_entries(p, out, model, build, parameters, values):
             zeta["closed_within_error"] = bool(
                 abs(z.value - z.closed_form) <= err)
         results.append(_entry(st.zeta_partial, {"s": s}, zeta))
-    residue = p["residue"]
-    if residue is None:   # where zeta_residue finds a whole period
-        residue = st._whole_period(model)
-    if residue:
+    # unset, the residue is computed where zeta_residue finds a whole period
+    if p["residue"] or p["residue"] is None and st._whole_period(model):
         r = st.zeta_residue(model)
         results.append(_entry(st.zeta_residue, {}, {
             "exponent": _similarity_val(r.d),

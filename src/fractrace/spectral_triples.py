@@ -14,7 +14,6 @@ machinery ever reads.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -678,19 +677,19 @@ class MinkowskiLink:
 
 def _lattice_ratios(period) -> bool | None:
     """True when the log-ratios of one period's words are all rational
-    multiples of the first.
+    multiples of the first word's, the words that differ from it at one
+    level deciding: sum_j |L_j| of them, not prod_j |L_j|.
 
     Rationality is tested against denominators up to 1000 at 1e-9; with no
-    period (no words: an explicit system) it returns None, not a guess.
-    """
+    period (an explicit system) it returns None, not a guess."""
     if not period:
         return None
-    logs = [math.log(1.0 / math.prod(w)) for w in itertools.product(*period)]
-    for val in logs[1:]:
-        q = val / logs[0]
-        if abs(q - Fraction(q).limit_denominator(1000)) > _LATTICE_TOL:
-            return False
-    return True
+    first = [level[0] for level in period]
+    base = math.log(1.0 / math.prod(first))
+    qs = [math.log(1.0 / math.prod(first[:j] + [r] + first[j + 1:])) / base
+          for j, level in enumerate(period) for r in level[1:]]
+    return all(abs(q - Fraction(q).limit_denominator(1000)) <= _LATTICE_TOL
+               for q in qs)
 
 
 def minkowski_link_check(model: GapTripleModel, d: float | None = None) -> MinkowskiLink:

@@ -34,10 +34,10 @@ import numpy as np
 import pytest
 
 from fractrace import errors
-from fractrace.fractal_geometry import LimitIfs
+from fractrace.fractal_geometry import LimitIfs, gaps_from_interval_ifs
 from fractrace.sequences import EigenvalueSequence, Estimate, LogLinearProfile
-from fractrace.spectral_triples import pair_triple
-from systems import make_periodic, make_planar, make_uneven
+from fractrace.spectral_triples import gap_triple, pair_triple
+from systems import make_periodic, make_periodic_gapped, make_planar, make_uneven
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fractrace"
 
@@ -120,7 +120,12 @@ def test_only_limit_ifs_init_sets_how_its_levels_run():
 def test_the_period_is_held_once():
     """No dataclass holds a period of its own, so a gap list or a model
     reaches it through its ``ifs``; the name of the one-level special case
-    it replaced is gone."""
+    it replaced is gone.  A gap model's ``ifs`` is a second reference to
+    the system of its gap list, not a copy: every model, gap or pair, then
+    answers ``ifs`` and ``period`` alike, and ``gap_triple`` sets it from
+    the gap list, so the two cannot differ."""
+    gaps = gaps_from_interval_ifs(make_periodic_gapped(), 6)
+    assert gap_triple(gaps).ifs is gaps.ifs
     copies = [f"{path.stem}.{cls.__name__}"
               for path in sorted(PACKAGE.glob("*.py"))
               for cls in vars(importlib.import_module(
