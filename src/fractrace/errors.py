@@ -79,6 +79,10 @@ class Underflow(FractraceError):
     code = "UNDERFLOW"
 
 
+class Overflow(FractraceError):
+    code = "OVERFLOW"
+
+
 class KindMismatch(FractraceError):
     code = "KIND_MISMATCH"
 

@@ -8,7 +8,9 @@ everything here:
 * Validation is exhaustive.  Every schema violation is collected with its
   JSON path before anything runs, so a config is fixed in one round trip.
   One field table, ``_OBJECTS``, drives the validation and renders the
-  ``schema`` document.
+  ``schema`` document.  A rule across fields belongs to the numeric
+  constructor it guards: validation builds or asks that object and reports
+  its error once, at the path of the object it was built from.
 * Every float measurement in a report carries an interval.  Point values get
   the degenerate [v, v]; estimates carry the band the producing operation
   reported.  ``compare`` then has a uniform significance test: two values
@@ -58,7 +60,7 @@ import signal
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -70,7 +72,8 @@ from . import fractal_geometry as fg
 from . import spectral_triples as st
 from .errors import (BudgetExceeded, FractraceError, KindMismatch,
                      ValidationError)
-from .sequences import NON_TRACE_CLASS, EigenvalueSequence, _distinct
+from .sequences import (NON_TRACE_CLASS, EigenvalueSequence, _distinct,
+                        _scan_values)
 
 SEQUENCE_ANALYSIS = "SEQUENCE_ANALYSIS"
 EXEMPLAR = "EXEMPLAR"
@@ -492,12 +495,8 @@ def _map(ctx, v, path, budget):
 
 
 def _ifs(ctx, v, path, budget):
-    """box has lo < hi componentwise
-    every map has the same ambient dimension"""
-    box = v["box"]
-    if box is not None and (len(box[0]) != len(box[1])
-                            or not np.all(box[0] < box[1])):
-        return ctx.fail(f"{path}.box", "needs lo < hi componentwise")
+    """every map has the same ambient dimension
+    box has that dimension and lo < hi componentwise"""
     gen = v["generation"]
     body = v[{"stationary": "maps", "periodic": "blocks",
               "explicit": "levels"}[gen]]
@@ -505,38 +504,27 @@ def _ifs(ctx, v, path, budget):
         return None
     try:
         return fg.LimitIfs([body] if gen == "stationary" else body,
-                           repeats=gen != "explicit", osc_box=box)
+                           repeats=gen != "explicit", osc_box=v["box"])
     except (ValueError, TypeError) as e:
         return ctx.fail(path, str(e))
 
 
 def _functional(ctx, v, path, budget):
     """box_indicator: lo < hi componentwise"""
-    ftype = v["type"]
-    if ftype == "constant":
-        if v["value"] is None:
-            return None
-        value = float(v["value"])
-        # one value per tag point, whatever the dimension of the points
-        return (lambda points: np.full(len(points), value)), v
-    if ftype == "affine":
-        slope, intercept = v["slope"], v["intercept"]
-        if slope is None or intercept is None:
-            return None
-        if isinstance(slope, np.ndarray):
-            slope = slope.tolist()
-        return (st.affine_functional(slope, intercept),
-                {"type": ftype, "slope": slope, "intercept": intercept})
-    lo, hi, margin = v["lo"], v["hi"], v["margin"]
-    if lo is None or hi is None:
+    if any(x is None for x in v.values()):
         return None
-    if len(lo) != len(hi) or not np.all(lo < hi):
-        return ctx.fail(path, "needs lo < hi componentwise")
-    if margin is None:
-        return None
-    return (st.box_indicator(lo, hi, margin=margin),
-            {"type": ftype, "lo": lo.tolist(), "hi": hi.tolist(),
-             "margin": margin})
+    try:
+        if v["type"] == "affine":
+            f = st.affine_functional(v["slope"], v["intercept"])
+        elif v["type"] == "box_indicator":
+            f = st.box_indicator(v["lo"], v["hi"], margin=v["margin"])
+        else:   # one value per tag point, whatever the dimension
+            def f(points):
+                return np.full(len(points), v["value"])
+    except ValueError as e:
+        return ctx.fail(path, str(e))
+    return f, {k: x.tolist() if isinstance(x, np.ndarray) else x
+               for k, x in v.items()}
 
 
 def _sequence_rules(ctx, v, path, budget):
@@ -547,19 +535,25 @@ def _sequence_rules(ctx, v, path, budget):
         if len(values) > budget.entries:
             ctx.fail(f"{path}.values",
                      f"length exceeds the entry budget {budget.entries}")
-        rises = np.diff(values) > 0
-        if rises.any():
-            ctx.fail(f"{path}.values", "must be nonincreasing; it rises at "
-                     f"index {rises.argmax() + 1}")
+        try:
+            _scan_values(values, rtol=0.0)
+        except ValueError as e:
+            ctx.fail(f"{path}.values", str(e))
         v["cap"] = len(values)
     return v
 
 
 def _exemplar_rules(ctx, v, path, budget):
     """two_slope: beta <= alpha"""
-    if v.get("alpha") is not None and v.get("beta") is not None \
-            and v["beta"] > v["alpha"]:
-        ctx.fail(f"{path}.beta", "must be <= alpha")
+    # the spec that runs; a gaps object's form and value are its gaps tuple
+    spec, args = (ex.StepSpec, [v["q"]]) if v["family"] == "step" else (
+        ex.TwoSlopeSpec, [v["alpha"], v["beta"],
+                          v["gaps"] and tuple(v["gaps"].values())])
+    if None not in args:
+        try:
+            v["spec"] = spec(*args)
+        except (ValueError, FractraceError) as e:
+            ctx.fail(path, str(e))
     return v
 
 
@@ -618,11 +612,19 @@ def _one_dim(ctx, v, path, msg):
         v["ifs"] = None
 
 
-def _model_rules(ctx, v, path):
-    if v["residue"] and v["ifs"] is not None and not v["ifs"].period:
-        ctx.fail(f"{path}.residue", "not defined for an explicit system")
-    if v["functional"] is not None:
-        _one_map_rule(ctx, v["ifs"], v["exponent"], f"{path}.exponent")
+def _model_rules(ctx, v, path, depth):
+    """Residue at ``depth`` (None on a pair model); functional at one point."""
+    ifs, func = v["ifs"], v["functional"]
+    if ifs is None:
+        return
+    if v["residue"] and (problem := st._residue_problem(ifs, depth)):
+        ctx.fail(f"{path}.residue", problem)
+    if func is not None:
+        _one_map_rule(ctx, ifs, v["exponent"], f"{path}.exponent")
+        try:
+            st._eval_callable(func[0], np.zeros((1, ifs.dim)))
+        except ValueError as e:
+            ctx.fail(f"{path}.functional", str(e))
 
 
 def _gap_triple_rules(ctx, v, path, budget):
@@ -630,38 +632,27 @@ def _gap_triple_rules(ctx, v, path, budget):
     interval or ifs box is given on an explicit system
     interval or ifs box is given on a system of one map
     residue needs the gaps of one whole period of blocks that repeat
+    functional has the dimension of the system
     functional needs an exponent on a system of one map"""
     _one_dim(ctx, v, path, "gap models need a 1d system")
     _interval_rule(ctx, v, path)
-    _model_rules(ctx, v, path)
-    if v["residue"] and v["ifs"] is not None \
-            and (v["depth"] or math.inf) < len(v["ifs"].period):
-        ctx.fail(f"{path}.residue", "needs the gaps of one whole period")
+    _model_rules(ctx, v, path, v["depth"])
     return v
 
 
 def _pair_triple_rules(ctx, v, path, budget):
-    """seed_pair points have the ambient dimension
-    seed_pair points are a finite distance apart
+    """seed_pair points have the ambient dimension and lie in the ifs box
+    seed_pair points are distinct and a finite distance apart
     seed_pair is given when the first level has one map
     residue needs a system whose blocks repeat
+    functional has the dimension of the system
     functional needs an exponent on a system of one map"""
-    ifs, seed = v["ifs"], v["seed_pair"]
-    if ifs is not None and seed is not None:
-        for i, pt in enumerate(seed):
-            if len(pt) != ifs.dim:
-                ctx.fail(f"{path}.seed_pair[{i}]",
-                         f"must have {ifs.dim} coordinates")
-    elif ifs is not None and len(ifs.level(1)) < 2:
-        ctx.fail(f"{path}.seed_pair",
-                 "must be given: the first level has one map")
-    if seed is not None and len(seed[0]) == len(seed[1]):
-        # the distance the pair model scales, as _seed_pair takes it
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.linalg.norm(seed[0] - seed[1])):
-                ctx.fail(f"{path}.seed_pair",
-                         "must be points a finite distance apart")
-    _model_rules(ctx, v, path)
+    if v["ifs"] is not None:
+        try:
+            st._seed_pair(v["ifs"], v["seed_pair"])
+        except (ValueError, FractraceError) as e:
+            ctx.fail(f"{path}.seed_pair", str(e))
+    _model_rules(ctx, v, path, None)
     return v
 
 
@@ -885,14 +876,12 @@ def parse_config(doc, budget: Budget = Budget()) -> list:
                 for i, e in enumerate(raw)]
     else:
         exps = [_experiment(ctx, doc, "$", budget, None)]
-    names = [e.name for e in exps if e is not None]
-    for n in sorted(set(names)):
-        if names.count(n) > 1:
-            ctx.fail("$", f"duplicate experiment name '{n}'")
-    reports = [e.report_name for e in exps if e is not None]
-    for r in sorted(set(reports)):
-        if reports.count(r) > 1:
-            ctx.fail("$", f"duplicate report file '{r}'")
+    for attr, what in (("name", "experiment name"),
+                       ("report_name", "report file")):
+        given = [getattr(e, attr) for e in exps if e is not None]
+        for n in sorted(set(given)):
+            if given.count(n) > 1:
+                ctx.fail("$", f"duplicate {what} '{n}'")
     if ctx.problems:
         raise ValidationError(ctx.problems)
     return exps
@@ -1082,20 +1071,10 @@ def _run_sequence_analysis(exp, budget, out):
 
 def _run_exemplar(exp, budget, out):
     p = exp.params
-    if p["family"] == "two_slope":
-        g = p["gaps"]
-        gaps = (ex.CONSTANT, g["value"]) if g["form"] == ex.CONSTANT \
-            else (ex.LINEAR,)
-        build = ex.two_slope_sequence
-        seq = build(ex.TwoSlopeSpec(p["alpha"], p["beta"], gaps),
-                    cap=p["cap"])
-        parameters = {"alpha": p["alpha"], "beta": p["beta"],
-                      "gaps": list(gaps), "cap": p["cap"]}
-    else:
-        build = ex.step_sequence
-        seq = build(ex.StepSpec(q=p["q"]), cap=p["cap"])
-        parameters = {"q": p["q"], "cap": p["cap"]}
-    return _sequence_entries(p, out, seq, build, parameters)
+    build = ex.step_sequence if p["family"] == "step" \
+        else ex.two_slope_sequence
+    return _sequence_entries(p, out, build(p["spec"], cap=p["cap"]), build,
+                             dict(asdict(p["spec"]), cap=p["cap"]))
 
 
 def _gap_parameters(p) -> dict:

@@ -207,24 +207,27 @@ def _scan_values(vals, rtol=None, atol=0.0):
 
     With rtol given, the same pass checks the values, raising ValueError
     where the whole-array tests `vals <= 0` or
-    `np.diff(vals) > rtol * vals[:-1] + atol` would, positivity first.  The
-    elementwise expressions run on slices of _SLICE entries, each reaching
-    one entry into the next, so their temporaries stay in cache.
+    `np.diff(vals) > rtol * vals[:-1] + atol` would, positivity first, and
+    naming the first n with mu_{n+1} above mu_n.  The elementwise
+    expressions run on slices of _SLICE entries, each reaching one entry
+    into the next, so their temporaries stay in cache.
     """
     jumps = [np.zeros(0, dtype=np.intp)]
-    rising = False
+    rise = None
     for lo in range(0, len(vals), _SLICE):
         v = vals[lo:lo + _SLICE + 1]
         a, b = v[:-1], v[1:]
         if rtol is not None:
             if (v <= 0).any():
                 raise ValueError("eigenvalues must be positive")
-            rising = rising or bool((b - a > rtol * a + atol).any())
-            if rising:
+            up = np.flatnonzero(b - a > rtol * a + atol)
+            rise = rise or (lo + int(up[0]) + 1 if up.size else None)
+            if rise:
                 continue
         jumps.append(np.flatnonzero(b / a < _JUMP_RATIO) + (lo + 1))
-    if rising:
-        raise ValueError("eigenvalues must be nonincreasing")
+    if rise:
+        raise ValueError(
+            f"eigenvalues must be nonincreasing; they rise at index {rise}")
     return np.concatenate(jumps)
 
 

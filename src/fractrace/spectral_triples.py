@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptySubsequence, SBelowDimension, SeedCoincident, Underflow
+from .errors import (EmptySubsequence, Overflow, SBelowDimension,
+                     SeedCoincident, Underflow)
 from .sequences import EigenvalueSequence, Estimate, _distinct
 from .asymptotics import (
     DixmierEstimate,
@@ -70,16 +71,15 @@ class TripleModel:
     ``tags_x``/``tags_y`` hold those two points one row per block: 1-D for
     gap models, (words, dim) for pair models.  ``tag_matrix()`` gives the
     tags one row per entry.  ``truncated`` records whether entries exist
-    beyond the ones held, controlling how zeta tails close.  ``ifs`` is the
-    system the model was built over, None for a gap list of a finite union;
-    its ``period`` gives the exact dimension, closed-form zeta and residue.
+    beyond the ones held, controlling how zeta tails close.  ``period``,
+    of a pair model's ``ifs`` or a gap model's ``gaps.ifs``, gives the
+    exact dimension, closed-form zeta and residue.
     """
 
     values: np.ndarray
     tags_x: np.ndarray
     tags_y: np.ndarray
     truncated: bool
-    ifs: LimitIfs | None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -87,7 +87,7 @@ class TripleModel:
     @property
     def period(self) -> tuple:
         """One period's level ratios; () with no system that repeats."""
-        return self.ifs.period if self.ifs is not None else ()
+        return getattr(_system(self), "period", ())
 
     @property
     def dim(self) -> int:
@@ -154,7 +154,6 @@ def gap_triple(gaps: GapList) -> GapTripleModel:
         tags_x=gaps.starts[:k],
         tags_y=gaps.ends[:k],
         truncated=truncated or k < n_gaps,
-        ifs=gaps.ifs,
     )
 
 
@@ -168,10 +167,15 @@ class PairTripleModel(TripleModel):
     type that holds the deepest level the walk kept a word at.
     """
 
+    ifs: LimitIfs
     seed_x: np.ndarray
     seed_y: np.ndarray
     seed_distance: float
     depths: np.ndarray
+
+
+def _system(model) -> LimitIfs | None:  # None for a finite union's gaps
+    return model.gaps.ifs if isinstance(model, GapTripleModel) else model.ifs
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +189,9 @@ def _seed_pair(ifs: LimitIfs, seed):
         if len(level1) < 2:
             raise ValueError(
                 "default seed needs two maps at the first level; pass seed explicitly")
-        x = level1[0].fixed_point()
-        y = level1[1].fixed_point()
+        x, y = level1[0].fixed_point(), level1[1].fixed_point()
     else:
-        x = np.atleast_1d(np.asarray(seed[0], dtype=float)).reshape(-1)
-        y = np.atleast_1d(np.asarray(seed[1], dtype=float)).reshape(-1)
+        x, y = (np.asarray(p, dtype=float).reshape(-1) for p in seed)
         if x.size != dim or y.size != dim:
             raise ValueError(f"seed points must have dimension {dim}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -383,16 +385,24 @@ def spectral_dimension(model) -> SpectralDimension:
 def _dimension_floor(model) -> float:
     """The dimension for the s > d guard; exact-ish when the system repeats."""
     if model.period:
-        return similarity_dimension(model.ifs)
+        return similarity_dimension(_system(model))
     return order_of_infinitesimal(model.eigen).reciprocal().value
 
 
+def _residue_problem(ifs: LimitIfs | None, depth: int | None) -> str | None:
+    """Why a model over ``ifs`` has no closed-form zeta and residue, which
+    sum one period of repeating blocks; None if it has them.  ``depth`` is
+    a gap model's (the level of its deepest gap), None on a pair model."""
+    if ifs is None or not ifs.period:
+        return "not defined for an explicit system"
+    if depth is not None and depth < len(ifs.period):
+        return "needs the gaps of one whole period"
+    return None
+
+
 def _whole_period(model) -> bool:
-    """Whether the model's system repeats and, on a gap model, the gaps
-    reach the last level of one period, which the closed forms sum over."""
-    p = len(model.period)
-    return p > 0 and (not isinstance(model, GapTripleModel)
-                      or model.gaps.levels.max() >= p)
+    depth = model.gaps.levels.max() if isinstance(model, GapTripleModel) else None
+    return _residue_problem(_system(model), depth) is None
 
 
 def _zeta_numerator(model, s: float) -> float:
@@ -436,7 +446,7 @@ def zeta_partial(model, s: float) -> ZetaPartial:
     that holds a whole period of a repeating system also gets the geometric
     closed form (the power sum of one period over 1 minus the product of
     the levels' ratio power sums), which the truncated route must agree
-    with to within its own tail error.
+    with to within its own tail error; a sum past the float range raises.
     """
     s = float(s)
     floor = _dimension_floor(model)
@@ -445,9 +455,13 @@ def zeta_partial(model, s: float) -> ZetaPartial:
             f"s = {s:.6g} is not above the dimension estimate {floor:.6g}")
     seq = model.eigen
     n = seq.cap
-    head = seq._held_sum(0, n, s)
-    tail, err, route = seq.tail_sum(n, s)
-    closed = _zeta_closed(model, s) if _whole_period(model) else None
+    try:
+        with np.errstate(over="raise"):
+            head = seq._held_sum(0, n, s)
+            tail, err, route = seq.tail_sum(n, s)
+            closed = _zeta_closed(model, s) if _whole_period(model) else None
+    except (OverflowError, FloatingPointError):
+        raise Overflow(f"zeta at s = {s:.6g} leaves the float range") from None
     return ZetaPartial(
         s=s,
         value=head + tail,
@@ -481,7 +495,7 @@ def zeta_residue(model) -> ZetaResidue:
     if not _whole_period(model):
         raise ValueError("residue needs a generating system whose blocks "
                          "repeat, and on a gap model the gaps of one period")
-    d = similarity_dimension(model.ifs)
+    d = similarity_dimension(_system(model))
     lams = [sum(r**d for r in level) for level in model.period]
     denom = sum(math.prod(lams[:j] + lams[j + 1:])
                 * sum(r**d * math.log(1.0 / r) for r in level)
@@ -540,19 +554,19 @@ def _eval_callable(f, tags):
     return np.asarray(f(arg), dtype=float).reshape(-1)
 
 
+def _points(points, dim: int, what: str) -> np.ndarray:
+    """``points`` as an (n, dim) array; a flat array is n points of the line."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts[:, None] if pts.ndim == 1 else pts
+    if pts.shape[1] != dim:
+        raise ValueError(f"{what} has dimension {dim}, points {pts.shape[1]}")
+    return pts
+
+
 def affine_functional(slope, intercept: float = 0.0):
     """f(x) = <slope, x> + intercept over tag arrays of any dimension."""
     s = np.atleast_1d(np.asarray(slope, dtype=float))
-
-    def f(points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.shape[1] != s.size:
-            raise ValueError(f"slope has dimension {s.size}, points {pts.shape[1]}")
-        return pts @ s + intercept
-
-    return f
+    return lambda points: _points(points, s.size, "slope") @ s + intercept
 
 
 def box_indicator(lo, hi, margin: float = 0.0):
@@ -568,9 +582,7 @@ def box_indicator(lo, hi, margin: float = 0.0):
         raise ValueError("box must satisfy lo < hi componentwise")
 
     def f(points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = _points(points, lo.size, "box")
         outside = np.max(np.maximum(lo - pts, pts - hi), axis=1)
         if margin == 0.0:
             return (outside <= 0.0).astype(float)
@@ -699,16 +711,18 @@ def minkowski_link_check(model: GapTripleModel, d: float | None = None) -> Minko
     Minkowski-measurable, which the ratio arithmetic predicts for
     non-lattice systems; lattice systems oscillate on both sides, so only
     the bands are reported and nothing is asserted.  ``overlap`` records
-    whether the bands intersect either way.
+    whether the bands intersect either way.  mu^d is classified first unless
+    d is a repeating system's own, where it lies in L^(1,inf).
     """
     if not isinstance(model, GapTripleModel):
         raise ValueError("the content link is a statement about gap models on the line")
+    classify = d is not None or not model.period
     if d is None:
         d = _dimension_floor(model)
     d = float(d)
     if not 0.0 < d <= 1.0:
         raise ValueError(f"d must lie in (0, 1], got {d:.6g}")
-    trace = dixmier_trace_estimate(model.eigen.power(d))
+    trace = dixmier_trace_estimate(model.eigen.power(d), check=classify)
     content = minkowski_content_estimate(model.gaps, d)
     scale = 2.0**d * (1.0 - d)
     lattice = _lattice_ratios(model.period)

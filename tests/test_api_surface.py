@@ -156,7 +156,6 @@ spectral_triples.GapTripleModel.values
 spectral_triples.GapTripleModel.tags_x
 spectral_triples.GapTripleModel.tags_y
 spectral_triples.GapTripleModel.truncated
-spectral_triples.GapTripleModel.ifs
 spectral_triples.GapTripleModel.gaps
 spectral_triples.HausdorffFunctional.value
 spectral_triples.HausdorffFunctional.lo
@@ -189,7 +188,6 @@ spectral_triples.TripleModel.values
 spectral_triples.TripleModel.tags_x
 spectral_triples.TripleModel.tags_y
 spectral_triples.TripleModel.truncated
-spectral_triples.TripleModel.ifs
 spectral_triples.TripleModel.dim
 spectral_triples.TripleModel.eigen
 spectral_triples.TripleModel.period

@@ -109,6 +109,18 @@ def test_the_values_and_one_map_rules_leave_typed_run_failures(tmp_path,
         ["classical.report.json"]
 
 
+def test_a_zeta_past_the_float_range_exits_3_as_overflow(tmp_path, capsys):
+    doc = {"kind": "PAIR_TRIPLE", "name": "far",
+           "parameters": {"ifs": _line_ifs(0.3, 0.4, 0.6), "cap": 2000,
+                          "seed_pair": [[0.0], [1e150]],
+                          "zeta": {"s": [3.0]}}}
+    code, out = _run(tmp_path, doc)
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[:2] for line in err] == [["far", "OVERFLOW"]]
+    assert not list(out.glob("*.report.json"))
+
+
 @pytest.mark.parametrize("kind", ["LINK_CHECK", "GAP_TRIPLE"])
 def test_a_model_over_the_entry_budget_exits_3(tmp_path, capsys, kind):
     doc = {"kind": kind, "name": "big",

@@ -30,8 +30,10 @@ def reference_from_function_checks(vals, cap):
         raise Underflow(f"mu_n rounds to 0 at n = {cap}")
     if np.any(vals <= 0):
         raise ValueError("eigenvalues must be positive")
-    if np.any(np.diff(vals) > 1e-15 * vals[:-1] + 1e-300):
-        raise ValueError("eigenvalues must be nonincreasing")
+    rises = np.diff(vals) > 1e-15 * vals[:-1] + 1e-300
+    if np.any(rises):
+        raise ValueError("eigenvalues must be nonincreasing; they rise at "
+                         f"index {rises.argmax() + 1}")
     if len(vals) == cap and len(vals) > 1 and vals[0] == vals[-1]:
         raise sequences.NotVanishing("sequence constant up to the cap")
 
@@ -39,8 +41,10 @@ def reference_from_function_checks(vals, cap):
 def reference_from_values_checks(values):
     if np.any(values <= 0):
         raise ValueError("eigenvalues must be positive")
-    if np.any(np.diff(values) > 0):
-        raise ValueError("eigenvalues must be nonincreasing")
+    rises = np.diff(values) > 0
+    if np.any(rises):
+        raise ValueError("eigenvalues must be nonincreasing; they rise at "
+                         f"index {rises.argmax() + 1}")
     if values[0] == values[-1] and len(values) > 1:
         raise sequences.NotVanishing("sequence is constant over its whole range")
 
@@ -200,7 +204,8 @@ def test_slices_overlap_so_a_rise_across_a_boundary_is_seen():
         try:
             from_function(vals)
         except ValueError as e:
-            assert str(e) == "eigenvalues must be nonincreasing"
+            assert str(e) == ("eigenvalues must be nonincreasing; they "
+                              f"rise at index {B}")
         else:
             raise AssertionError("rise at the slice boundary passed")
     # a jump across the same boundary is a jump position

@@ -28,6 +28,7 @@ import dataclasses
 import importlib
 import inspect
 import pathlib
+import typing
 from collections import Counter
 
 import numpy as np
@@ -117,23 +118,48 @@ def test_only_limit_ifs_init_sets_how_its_levels_run():
     assert names == set()
 
 
+def _package_dataclasses() -> list:
+    return [cls for path in sorted(PACKAGE.glob("*.py"))
+            for cls in vars(importlib.import_module(
+                f"fractrace.{path.stem}")).values()
+            if dataclasses.is_dataclass(cls)
+            and cls.__module__ == f"fractrace.{path.stem}"]
+
+
+def _holds_system(hint) -> bool:
+    return hint is LimitIfs or LimitIfs in typing.get_args(hint)
+
+
+def _reaches_system(hint, seen=()) -> bool:
+    """Whether a field of type ``hint`` holds a dataclass with a field that
+    holds or reaches a ``LimitIfs``."""
+    return any(dataclasses.is_dataclass(t) and t not in seen
+               and any(_holds_system(h) or _reaches_system(h, seen + (t,))
+                       for h in typing.get_type_hints(t).values())
+               for t in (hint, *typing.get_args(hint)))
+
+
 def test_the_period_is_held_once():
     """No dataclass holds a period of its own, so a gap list or a model
-    reaches it through its ``ifs``; the name of the one-level special case
-    it replaced is gone.  A gap model's ``ifs`` is a second reference to
-    the system of its gap list, not a copy: every model, gap or pair, then
-    answers ``ifs`` and ``period`` alike, and ``gap_triple`` sets it from
-    the gap list, so the two cannot differ."""
+    reaches it through the system it was built over; the name of the
+    one-level special case it replaced is gone.  Nor does a dataclass hold
+    a system that another of its fields already reaches: a gap model
+    reaches its system through its gap list only, so the two cannot
+    differ."""
     gaps = gaps_from_interval_ifs(make_periodic_gapped(), 6)
-    assert gap_triple(gaps).ifs is gaps.ifs
-    copies = [f"{path.stem}.{cls.__name__}"
-              for path in sorted(PACKAGE.glob("*.py"))
-              for cls in vars(importlib.import_module(
-                  f"fractrace.{path.stem}")).values()
-              if dataclasses.is_dataclass(cls)
-              and cls.__module__ == f"fractrace.{path.stem}"
-              and "period" in {f.name for f in dataclasses.fields(cls)}]
+    assert gap_triple(gaps).period is gaps.ifs.period
+    classes = _package_dataclasses()
+    copies = [cls.__qualname__ for cls in classes
+              if "period" in {f.name for f in dataclasses.fields(cls)}]
     assert copies == []
+    twice = []
+    for cls in classes:
+        hints = [typing.get_type_hints(cls)[f.name]
+                 for f in dataclasses.fields(cls)]
+        held = [h for h in hints if _holds_system(h)]
+        if held and len(held) + sum(map(_reaches_system, hints)) > 1:
+            twice.append(cls.__qualname__)
+    assert twice == []
     assert [path.name for path in PACKAGE.glob("*.py")
             if "stationary_ratios" in path.read_text()] == []
 

@@ -592,8 +592,8 @@ def test_a_zero_width_indicator_box_is_a_config_problem(tmp_path, capsys):
                                          "hi": 0.5}}}
     path = write_config(tmp_path, doc)
     assert cli.main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == ("$.parameters.functional: needs "
-                                       "lo < hi componentwise\n")
+    assert capsys.readouterr().err == ("$.parameters.functional: box must "
+                                       "satisfy lo < hi componentwise\n")
 
 
 def test_a_values_list_is_a_config_problem_below_the_tail_windows(tmp_path,

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from fractrace import reporting
 from fractrace.asymptotics import eccentricity_scan, resolve_kind
-from fractrace.errors import (EmptySubsequence, SBelowDimension, SeedCoincident,
-                              Underflow)
+from fractrace.errors import (EmptySubsequence, Overflow, SBelowDimension,
+                              SeedCoincident, Underflow)
 from fractrace.fractal_geometry import (
     GapList,
     LimitIfs,
@@ -319,6 +319,16 @@ def test_zeta_rejects_s_at_or_below_dimension():
         zeta_partial(pair_triple(make_segment(), cap=10**4), 0.9)
 
 
+def test_zeta_past_the_float_range_is_a_typed_overflow():
+    """mu_1 = 4e149, so mu_1^3 is past the float range: a typed error, with
+    no RuntimeWarning on the way (a warning fails the test)."""
+    ifs = LimitIfs.stationary([Similarity(0.3, [0.0]), Similarity(0.4, [0.6])])
+    model = pair_triple(ifs, seed=((0.0,), (1e150,)), cap=2000)
+    with pytest.raises(Overflow, match="leaves the float range"):
+        zeta_partial(model, 3.0)
+    assert math.isfinite(zeta_partial(model, 2.0).value)
+
+
 def test_zeta_respects_entry_cap():
     model = pair_triple(make_cantor(), seed=((0.0,), (1.0,)), cap=5000)
     z = zeta_partial(model, 1.2)
@@ -442,6 +452,9 @@ def test_sample_must_match_model():
 def test_box_indicator_guards_and_margin():
     with pytest.raises(ValueError):
         box_indicator(1.0, 0.0)
+    for f in (box_indicator([0.0] * 3, [1.0] * 3), affine_functional(1.0)):
+        with pytest.raises(ValueError, match="dimension"):
+            f(np.zeros((4, 2)))
     model = cantor_gap_model(10)
     sample = sample_functional(model, box_indicator(0.0, 1 / 3, margin=0.1))
     # the ramp is 1/margin-Lipschitz, and tag pairs can only see less
