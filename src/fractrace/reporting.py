@@ -207,13 +207,17 @@ def _is_int(x) -> bool:
 
 
 class _Ctx:
-    """Problem accumulator; each entry is '<json path>: <message>'."""
+    """Problem accumulator; each entry is '<json path>: <message>'.  A given
+    field that failed its check (its path is in ``invalid``) reaches the
+    rules as None, like an absent one; it keeps its own problem alone."""
 
     def __init__(self):
         self.problems = []
+        self.invalid = set()
 
     def fail(self, path, msg):
-        self.problems.append(f"{path}: {msg}")
+        if path not in self.invalid:
+            self.problems.append(f"{path}: {msg}")
         return None
 
     def check_keys(self, obj, path, allowed):
@@ -456,7 +460,10 @@ def _walk(ctx, obj, path, name, budget):
         else:
             if f.type == _PER_KIND:
                 f = f._replace(type=variant)
+            before = len(ctx.problems)
             v[key] = _value(ctx, obj[key], f"{path}.{key}", f, budget)
+            if len(ctx.problems) > before:
+                ctx.invalid.add(f"{path}.{key}")
         if f.stop and v[key] is None:
             return None
     for key, f in in_use.items():
@@ -839,8 +846,8 @@ class Experiment:
     series: bool
     report_name: str
     params: dict   # validated and normalized; holds built objects
-    raw: dict      # the user's object; the report echoes it, each values
-                   # field as its digest (see _config_echo)
+    raw: dict      # the user's object, each values field as its validated
+                   # array; the report echoes that as its digest
 
 
 def _experiment(ctx, obj, path, budget, index):
@@ -853,10 +860,15 @@ def _experiment(ctx, obj, path, budget, index):
     if name is None:
         return None
     report = (v["output"] or {}).get("report") or f"{name}.report.json"
+    p = v["parameters"] or {}
+    arrays = {k: p[k] for k, f in _OBJECTS[kind].fields.items()
+              if f.type == "values" and k in p}
+    raw = dict(obj, parameters=dict(obj["parameters"], **arrays)) \
+        if arrays else obj
     # problems elsewhere still fail the parse; returning the experiment here
     # lets the name/report collision checks run over the whole batch
-    return Experiment(kind, name, v["seed"], bool(v["series"]), report,
-                      v["parameters"], obj)
+    return Experiment(kind, name, v["seed"], bool(v["series"]), report, p,
+                      raw)
 
 
 def parse_config(doc, budget: Budget = Budget()) -> list:
@@ -1062,9 +1074,11 @@ def _run_sequence_analysis(exp, budget, out):
         seq, parameters = build(p["values"]), {"n": len(p["values"])}
     else:
         c, a = p["mu"]["coefficient"], p["mu"]["exponent"]
+        def mu(n):   # c n^-a in the one float copy of the int64 indices
+            x = n.astype(float)
+            return np.multiply(np.power(x, -a, out=x), c, out=x)
         build = EigenvalueSequence.from_function
-        seq = build(lambda n: c * np.asarray(n, dtype=float) ** (-a),
-                    cap=p["cap"])
+        seq = build(mu, cap=p["cap"])
         parameters = dict(p["mu"])
     return _sequence_entries(p, out, seq, build, parameters)
 
@@ -1304,23 +1318,19 @@ _RUNNERS = {
 
 def _digest(values) -> dict:
     """A values field as a report echoes it: length and SHA-256 of the
-    little-endian float64 bytes."""
+    little-endian float64 bytes, read from the array's own buffer."""
     # imported here: hashlib loads OpenSSL, about 3.5 MB of resident memory
     # that every other run, and every import of the package, does without
     import hashlib
-    data = np.asarray(values, dtype="<f8").tobytes()
+    data = np.ascontiguousarray(values, dtype="<f8")
     return {"n": len(values), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _config_echo(exp: Experiment) -> dict:
-    """``exp.raw`` with each field of type values among the kind's parameters
-    replaced by the digest of its validated array."""
-    p = exp.params
-    digests = {k: _digest(p[k]) for k, f in _OBJECTS[exp.kind].fields.items()
-               if f.type == "values" and k in p}
-    if not digests:
-        return exp.raw
-    return dict(exp.raw, parameters=dict(exp.raw["parameters"], **digests))
+    """``exp.raw``, each values array as its digest, hashed where it runs."""
+    return dict(exp.raw, parameters={
+        k: _digest(x) if isinstance(x, np.ndarray) else x
+        for k, x in exp.raw["parameters"].items()})
 
 
 def run_experiment(exp: Experiment, budget: Budget, out_dir: str) -> dict:
@@ -1350,6 +1360,9 @@ def run(config_path: str, out_dir: str = ".", budget: Budget = Budget(),
 
     out_dir is created, parents included, before the first experiment runs.
     Experiments run round-robin on one process per CPU in the affinity mask.
+    Each config value is held once, a ``values`` list as its validated
+    array: the parsed document is released before the first experiment
+    runs and before the helpers fork.
     """
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
@@ -1369,6 +1382,7 @@ def run(config_path: str, out_dir: str = ".", budget: Budget = Budget(),
         for problem in e.problems:
             print(problem, file=stderr)
         return 2
+    del doc
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:

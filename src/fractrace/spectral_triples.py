@@ -657,9 +657,10 @@ def _eccentric_indices(seq, kind, tolerance):
 def functional_spectrum(model, f, exponents, tolerance: float | None = None):
     """hausdorff_functional at every exponent whose eccentricity scan lands.
 
-    Level-varying systems have no single similarity dimension, so each
-    candidate exponent is tried and the ones with an eccentric subsequence
-    are reported as (exponent, functional) pairs; the rest are skipped.
+    Only an explicit system lacks a single similarity dimension (a
+    repeating one has the root of its period's product), so each candidate
+    exponent is tried and the ones with an eccentric subsequence are
+    reported as (exponent, functional) pairs; the rest are skipped.
     """
     sample = f if isinstance(f, FunctionalSample) else sample_functional(model, f)
     out = []
