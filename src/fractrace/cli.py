@@ -25,9 +25,7 @@ def _parse_budget(text: str) -> reporting.Budget:
         raise ValueError("budget values must be integers") from None
     if any(n < 1000 for n in numbers):
         raise ValueError("budget values must be >= 1000")
-    entries = numbers[0]
-    words = numbers[1] if len(numbers) == 2 else reporting.DEFAULT_WORD_BUDGET
-    return reporting.Budget(entries=entries, words=words)
+    return reporting.Budget(*numbers)   # ENTRIES alone: the default words
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,8 @@ everything here:
 
 * Validation is exhaustive.  Every schema violation is collected with its
   JSON path before anything runs, so a config is fixed in one round trip.
+  A validated ``Experiment`` carries the budget it was validated against,
+  which its run and its report use.
   One field table, ``_OBJECTS``, drives the validation and renders the
   ``schema`` document.  A rule across fields belongs to the numeric
   constructor it guards: validation builds or asks that object and reports
@@ -211,7 +213,8 @@ class _Ctx:
     field that failed its check (its path is in ``invalid``) reaches the
     rules as None, like an absent one; it keeps its own problem alone."""
 
-    def __init__(self):
+    def __init__(self, budget):
+        self.budget = budget
         self.problems = []
         self.invalid = set()
 
@@ -273,7 +276,7 @@ class _Obj(NamedTuple):
     ``off`` set, keys are checked against every field first and a field of
     another variant gets ``off`` (formatted with the variant) as its
     problem; without it the tag is checked first and such a field is
-    unknown.  ``check(ctx, values, path, budget)`` returns the object's
+    unknown.  ``check(ctx, values, path)`` returns the object's
     value, or None; its docstring lists the rules it checks.
     """
 
@@ -291,8 +294,8 @@ def _choice(*choices, msg=None, **kw) -> _F:
               req=True, **kw)
 
 
-def _bounded(ctx, x, path, f, budget):
-    hi = budget.entries if f.hi is _ENTRIES else f.hi
+def _bounded(ctx, x, path, f):
+    hi = ctx.budget.entries if f.hi is _ENTRIES else f.hi
     if f.lo is not None and (x <= f.lo if f.lo_open else x < f.lo):
         op = ">" if f.lo_open else ">="
         return ctx.fail(path, f.msg or f"must be {op} {f.lo}")
@@ -302,32 +305,32 @@ def _bounded(ctx, x, path, f, budget):
     return x
 
 
-def _number(ctx, x, path, f, budget):
+def _number(ctx, x, path, f):
     if not _is_num(x):
         return ctx.fail(path, f.msg or "must be a finite number")
-    return _bounded(ctx, float(x), path, f, budget)
+    return _bounded(ctx, float(x), path, f)
 
 
-def _integer(ctx, x, path, f, budget):
+def _integer(ctx, x, path, f):
     if not _is_int(x):
         return ctx.fail(path, "must be an integer")
-    return _bounded(ctx, int(x), path, f, budget)
+    return _bounded(ctx, int(x), path, f)
 
 
-def _boolean(ctx, x, path, f, budget):
+def _boolean(ctx, x, path, f):
     return x if isinstance(x, bool) \
         else ctx.fail(path, "must be true or false")
 
 
-def _name(ctx, x, path, f, budget):
+def _name(ctx, x, path, f):
     return x if _is_name(x) else ctx.fail(path, _NAME_OK)
 
 
-def _choice_value(ctx, x, path, f, budget):
+def _choice_value(ctx, x, path, f):
     return x if x in f.choices else ctx.fail(path, f.msg)
 
 
-def _point(ctx, x, path, f=None, budget=None):
+def _point(ctx, x, path, f=None):
     """A number or list of numbers as a 1d float array."""
     if _is_num(x):
         x = [x]
@@ -336,33 +339,33 @@ def _point(ctx, x, path, f=None, budget=None):
     return np.array([float(v) for v in x])
 
 
-def _coords(ctx, x, path, f, budget):
+def _coords(ctx, x, path, f):
     """A number as given, or a list of numbers as a float array."""
     return x if _is_num(x) else _point(ctx, x, path)
 
 
-def _pair(ctx, x, path, f, budget):
+def _pair(ctx, x, path, f):
     if not isinstance(x, list) or len(x) != 2:
         return ctx.fail(path, f.msg)
     pts = tuple(_point(ctx, p, f"{path}[{i}]") for i, p in enumerate(x))
     return None if any(p is None for p in pts) else pts
 
 
-def _interval(ctx, x, path, f, budget):
+def _interval(ctx, x, path, f):
     if not (isinstance(x, list) and len(x) == 2
             and all(_is_num(v) for v in x) and x[0] < x[1]):
         return ctx.fail(path, "must be [lo, hi] with lo < hi")
     return (float(x[0]), float(x[1]))
 
 
-def _positives(ctx, x, path, f, budget):
+def _positives(ctx, x, path, f):
     if not isinstance(x, list) or not x \
             or not all(_is_num(s) and s > 0 for s in x):
         return ctx.fail(path, f.msg)
     return [float(s) for s in x]
 
 
-def _values(ctx, x, path, f, budget):
+def _values(ctx, x, path, f):
     values = _positive_values(x) \
         if isinstance(x, list) and len(x) >= asy.MIN_CAP else None
     return ctx.fail(path, f"must be a list of at least {asy.MIN_CAP} "
@@ -382,19 +385,19 @@ _VALUE_TYPES = {
     "positives": (_positives, "nonempty list of positive numbers"),
     "values": (_values, f"list of >= {asy.MIN_CAP} positive numbers"),
     # the shape depends on the translation: the map's check tests it
-    "matrix": (lambda ctx, x, path, f, budget: x, "list of rows of numbers"),
+    "matrix": (lambda ctx, x, path, f: x, "list of rows of numbers"),
 }
 _LIST_MSG = {"map[]": "must be a nonempty list of maps",
              "map[][]": "must be a nonempty list"}
 
 
-def _value(ctx, x, path, f, budget):
+def _value(ctx, x, path, f):
     """The checked value of one given field; None when it has a problem."""
     t = f.type
     if t.endswith("[]"):
         if not isinstance(x, list) or not x:
             return ctx.fail(path, _LIST_MSG[t])
-        items = [_value(ctx, e, f"{path}[{i}]", _F(t[:-2]), budget)
+        items = [_value(ctx, e, f"{path}[{i}]", _F(t[:-2]))
                  for i, e in enumerate(x)]
         return None if any(i is None for i in items) else items
     if t in _OBJECTS:
@@ -406,12 +409,12 @@ def _value(ctx, x, path, f, budget):
             return ctx.fail(path, f.msg or ("must be a flag or an object"
                                             if f.flag else "must be an object"))
         before = len(ctx.problems)
-        out = _walk(ctx, x, path, t, budget)
+        out = _walk(ctx, x, path, t)
         return out if len(ctx.problems) == before else None
-    return _VALUE_TYPES[t][0](ctx, x, path, f, budget)
+    return _VALUE_TYPES[t][0](ctx, x, path, f)
 
 
-def _variant(ctx, obj, path, spec, budget):
+def _variant(ctx, obj, path, spec):
     if "|" in spec.tag:
         names = spec.tag.split("|")
         given = [k for k in names if k in obj]
@@ -419,10 +422,10 @@ def _variant(ctx, obj, path, spec, budget):
             return ctx.fail(path, "give exactly one of " + " and ".join(names))
         return given[0]
     return _value(ctx, obj.get(spec.tag), f"{path}.{spec.tag}",
-                  spec.fields[spec.tag], budget)
+                  spec.fields[spec.tag])
 
 
-def _walk(ctx, obj, path, name, budget):
+def _walk(ctx, obj, path, name):
     """Check ``obj`` against ``_OBJECTS[name]``: every problem goes to ctx
     with its JSON path.  Returns the value of the object's check (the
     checked fields when it has none), or None when the walk stopped."""
@@ -435,7 +438,7 @@ def _walk(ctx, obj, path, name, budget):
         ctx.check_keys(obj, path, fields)
     variant = None
     if spec.tag is not None:
-        variant = _variant(ctx, obj, path, spec, budget)
+        variant = _variant(ctx, obj, path, spec)
         if variant is None:
             return None
     in_use = {k: f for k, f in fields.items()
@@ -455,13 +458,13 @@ def _walk(ctx, obj, path, name, budget):
                 ctx.fail(path, f.missing)
             elif f.req:
                 ctx.fail(f"{path}.{key}", f.msg or "required")
-            v[key] = min(f.default, budget.entries) if f.hi is _ENTRIES \
+            v[key] = min(f.default, ctx.budget.entries) if f.hi is _ENTRIES \
                 else f.default
         else:
             if f.type == _PER_KIND:
                 f = f._replace(type=variant)
             before = len(ctx.problems)
-            v[key] = _value(ctx, obj[key], f"{path}.{key}", f, budget)
+            v[key] = _value(ctx, obj[key], f"{path}.{key}", f)
             if len(ctx.problems) > before:
                 ctx.invalid.add(f"{path}.{key}")
         if f.stop and v[key] is None:
@@ -471,12 +474,12 @@ def _walk(ctx, obj, path, name, budget):
                 and v[f.excludes] not in (None, False):
             return ctx.fail(path,
                             f"give at most one of {f.excludes} and {key}")
-    return spec.check(ctx, v, path, budget) if spec.check else v
+    return spec.check(ctx, v, path) if spec.check else v
 
 
 # -- named checks: the rules that are not local to one field ----------------
 
-def _map(ctx, v, path, budget):
+def _map(ctx, v, path):
     """flip needs a scalar translation
     orthogonal is a dim x dim matrix, dim that of the translation"""
     t, orth = v["translation"], v["orthogonal"]
@@ -501,7 +504,7 @@ def _map(ctx, v, path, budget):
         return ctx.fail(path, str(e))
 
 
-def _ifs(ctx, v, path, budget):
+def _ifs(ctx, v, path):
     """every map has the same ambient dimension
     box has that dimension and lo < hi componentwise"""
     gen = v["generation"]
@@ -516,7 +519,7 @@ def _ifs(ctx, v, path, budget):
         return ctx.fail(path, str(e))
 
 
-def _functional(ctx, v, path, budget):
+def _functional(ctx, v, path):
     """box_indicator: lo < hi componentwise"""
     if any(x is None for x in v.values()):
         return None
@@ -534,14 +537,14 @@ def _functional(ctx, v, path, budget):
                for k, x in v.items()}
 
 
-def _sequence_rules(ctx, v, path, budget):
+def _sequence_rules(ctx, v, path):
     """values: at most the entry budget of them
     values: nonincreasing"""
     values = v.get("values")
     if values is not None:
-        if len(values) > budget.entries:
+        if len(values) > ctx.budget.entries:
             ctx.fail(f"{path}.values",
-                     f"length exceeds the entry budget {budget.entries}")
+                     f"length exceeds the entry budget {ctx.budget.entries}")
         try:
             _scan_values(values, rtol=0.0)
         except ValueError as e:
@@ -550,7 +553,7 @@ def _sequence_rules(ctx, v, path, budget):
     return v
 
 
-def _exemplar_rules(ctx, v, path, budget):
+def _exemplar_rules(ctx, v, path):
     """two_slope: beta <= alpha"""
     # the spec that runs; a gaps object's form and value are its gaps tuple
     spec, args = (ex.StepSpec, [v["q"]]) if v["family"] == "step" else (
@@ -590,7 +593,7 @@ def _interval_rule(ctx, v, path):
         ctx.fail(f"{path}.interval", "required for an explicit system")
 
 
-def _ifs_classical_rules(ctx, v, path, budget):
+def _ifs_classical_rules(ctx, v, path):
     """gaps needs a 1d system
     gap analysis needs an interval or ifs box on an explicit system
     gap analysis needs an interval or ifs box on a system of one map
@@ -598,9 +601,12 @@ def _ifs_classical_rules(ctx, v, path, budget):
     minkowski needs an exponent on an explicit system
     minkowski needs an exponent on a system of one map"""
     ifs, mink = v["ifs"], v["minkowski"]
-    if v["gaps"] and ifs is not None and ifs.dim != 1:
+    # does the gap analysis run? None if unknown: an invalid gaps is not unset
+    on = None if f"{path}.gaps" in ctx.invalid \
+        else v["gaps"] if ifs is None else _gaps_on(v)
+    if on and ifs is not None and ifs.dim != 1:
         ctx.fail(f"{path}.gaps", "gap analysis needs a 1d system")
-    elif ifs is not None and _gaps_on(v):
+    elif on and ifs is not None:
         _interval_rule(ctx, v, path)
     if mink is not None:
         if mink["exponent"] is None and ifs is not None and not ifs.period:
@@ -608,7 +614,7 @@ def _ifs_classical_rules(ctx, v, path, budget):
                      "required for an explicit system")
         _one_map_rule(ctx, ifs, mink["exponent"],
                       f"{path}.minkowski.exponent")
-        if v["gaps"] is False or (ifs is not None and not _gaps_on(v)):
+        if on is False:
             ctx.fail(f"{path}.minkowski", "needs the gap analysis enabled")
     return v
 
@@ -634,7 +640,7 @@ def _model_rules(ctx, v, path, depth):
             ctx.fail(f"{path}.functional", str(e))
 
 
-def _gap_triple_rules(ctx, v, path, budget):
+def _gap_triple_rules(ctx, v, path):
     """ifs is a 1d system
     interval or ifs box is given on an explicit system
     interval or ifs box is given on a system of one map
@@ -647,7 +653,7 @@ def _gap_triple_rules(ctx, v, path, budget):
     return v
 
 
-def _pair_triple_rules(ctx, v, path, budget):
+def _pair_triple_rules(ctx, v, path):
     """seed_pair points have the ambient dimension and lie in the ifs box
     seed_pair points are distinct and a finite distance apart
     seed_pair is given when the first level has one map
@@ -663,7 +669,7 @@ def _pair_triple_rules(ctx, v, path, budget):
     return v
 
 
-def _link_check_rules(ctx, v, path, budget):
+def _link_check_rules(ctx, v, path):
     """ifs is a 1d system
     interval or ifs box is given on an explicit system
     interval or ifs box is given on a system of one map
@@ -848,10 +854,11 @@ class Experiment:
     params: dict   # validated and normalized; holds built objects
     raw: dict      # the user's object, each values field as its validated
                    # array; the report echoes that as its digest
+    budget: Budget  # validated against; the run and its report use it
 
 
-def _experiment(ctx, obj, path, budget, index):
-    v = _walk(ctx, obj, path, "experiment", budget)
+def _experiment(ctx, obj, path, index):
+    v = _walk(ctx, obj, path, "experiment")
     if v is None:
         return None
     kind = v["kind"]
@@ -868,13 +875,13 @@ def _experiment(ctx, obj, path, budget, index):
     # problems elsewhere still fail the parse; returning the experiment here
     # lets the name/report collision checks run over the whole batch
     return Experiment(kind, name, v["seed"], bool(v["series"]), report, p,
-                      raw)
+                      raw, ctx.budget)
 
 
 def parse_config(doc, budget: Budget = Budget()) -> list:
     """Validate a config document; raises ValidationError listing every
     problem with its JSON path, or returns the experiments to run."""
-    ctx = _Ctx()
+    ctx = _Ctx(budget)
     if not isinstance(doc, dict):
         ctx.fail("$", "must be an object")
         raise ValidationError(ctx.problems)
@@ -884,10 +891,10 @@ def parse_config(doc, budget: Budget = Budget()) -> list:
         if not isinstance(raw, list) or not raw:
             ctx.fail("$.experiments", "must be a nonempty list")
             raise ValidationError(ctx.problems)
-        exps = [_experiment(ctx, e, f"$.experiments[{i}]", budget, i)
+        exps = [_experiment(ctx, e, f"$.experiments[{i}]", i)
                 for i, e in enumerate(raw)]
     else:
-        exps = [_experiment(ctx, doc, "$", budget, None)]
+        exps = [_experiment(ctx, doc, "$", None)]
     for attr, what in (("name", "experiment name"),
                        ("report_name", "report file")):
         given = [getattr(e, attr) for e in exps if e is not None]
@@ -1067,7 +1074,7 @@ def _sequence_entries(p, out, seq, build, parameters):
     return results, int(seq.cap)
 
 
-def _run_sequence_analysis(exp, budget, out):
+def _run_sequence_analysis(exp, out):
     p = exp.params
     if "values" in p:
         build = EigenvalueSequence.from_values
@@ -1083,7 +1090,7 @@ def _run_sequence_analysis(exp, budget, out):
     return _sequence_entries(p, out, seq, build, parameters)
 
 
-def _run_exemplar(exp, budget, out):
+def _run_exemplar(exp, out):
     p = exp.params
     build = ex.step_sequence if p["family"] == "step" \
         else ex.two_slope_sequence
@@ -1123,9 +1130,9 @@ def _similarity_val(d) -> dict:
     return _val(d, d - tol, d + tol)
 
 
-def _run_ifs_classical(exp, budget, out):
+def _run_ifs_classical(exp, out):
     p = exp.params
-    ifs = p["ifs"]
+    ifs, words = p["ifs"], exp.budget.words
     results = []
     dim = None   # an explicit system has no similarity dimension
     if ifs.period:
@@ -1134,16 +1141,15 @@ def _run_ifs_classical(exp, budget, out):
                               {"dimension": _similarity_val(dim)}))
     gaps = None
     if _gaps_on(p):
-        gaps = fg.gaps_from_interval_ifs(ifs, p["depth"],
-                                         interval=p["interval"],
-                                         budget=budget.words)
+        gaps = fg.gaps_from_interval_ifs(ifs, p["depth"], budget=words,
+                                         interval=p["interval"])
         results.append(_gap_list_entry(gaps, p))
         out.write("gaps", "k,start,end,length,level",
                   [gaps.starts, gaps.ends, gaps.lengths, gaps.levels],
                   p["series_max_rows"], numbered=True)
     if p["box_dimension"] is not None:
         cd = p["box_dimension"].get("cloud_depth") or p["depth"]
-        cloud = fg.attractor_cloud(ifs, cd, budget=budget.words)
+        cloud = fg.attractor_cloud(ifs, cd, budget=words)
         est = fg.box_dimension_estimate(cloud)
         results.append(_entry(fg.box_dimension_estimate, {"cloud_depth": cd}, {
             "dimension": _band(est),
@@ -1165,7 +1171,7 @@ def _run_ifs_classical(exp, budget, out):
     if p["cylinder"] is not None:
         s = p["cylinder"]["exponent"]
         cd = p["cylinder"]["depth"] or p["depth"]
-        cm = fg.cylinder_measure(ifs, s, cd, budget=budget.words)
+        cm = fg.cylinder_measure(ifs, s, cd, budget=words)
         results.append(_entry(
             fg.cylinder_measure, {"exponent": s, "depth": cd},
             {"n_words": int(len(cm.weights)),
@@ -1180,8 +1186,7 @@ def _run_ifs_classical(exp, budget, out):
              "closed_form": bool(td.closed_form)}))
     if p["contraction"] is not None:
         cd = p["contraction"].get("depth") or p["depth"]
-        run = fg.contraction_limit(ifs, np.zeros(ifs.dim), cd,
-                                   budget=budget.words)
+        run = fg.contraction_limit(ifs, np.zeros(ifs.dim), cd, budget=words)
         results.append(_entry(fg.contraction_limit, {"depth": cd}, {
             "bound_margin": _val(run.bound_margin()),
             "final_step": _val(float(run.rho[-1])),
@@ -1242,13 +1247,13 @@ def _model_entries(p, out, model, build, parameters, values):
     return results, len(model)
 
 
-def _gap_model(p, budget):
+def _gap_model(exp):
     """The gap list of the experiment's system and the gap triple over it,
     which must fit the entry budget.  (A pair model fits by validation: its
     cap is at most the entry budget.)"""
-    gaps = fg.gaps_from_interval_ifs(p["ifs"], p["depth"],
-                                     interval=p["interval"],
-                                     budget=budget.words)
+    p, budget = exp.params, exp.budget
+    gaps = fg.gaps_from_interval_ifs(p["ifs"], p["depth"], budget=budget.words,
+                                     interval=p["interval"])
     model = st.gap_triple(gaps)
     if len(model) > budget.entries:
         raise BudgetExceeded(
@@ -1256,16 +1261,16 @@ def _gap_model(p, budget):
     return gaps, model
 
 
-def _run_gap_triple(exp, budget, out):
+def _run_gap_triple(exp, out):
     p = exp.params
-    gaps, model = _gap_model(p, budget)
+    gaps, model = _gap_model(exp)
     return _model_entries(p, out, model, st.gap_triple, _gap_parameters(p), {
         "completeness_cutoff": _val(gaps.completeness_cutoff),
         "max_value": _val(model.values[0]),
         "min_value": _val(model.values[-1])})
 
 
-def _run_pair_triple(exp, budget, out):
+def _run_pair_triple(exp, out):
     p = exp.params
     seed = p["seed_pair"]
     model = st.pair_triple(p["ifs"], seed=seed, cap=p["cap"],
@@ -1279,9 +1284,9 @@ def _run_pair_triple(exp, budget, out):
         "max_depth_reached": int(model.depths.max(initial=0))})
 
 
-def _run_link_check(exp, budget, out):
+def _run_link_check(exp, out):
     p = exp.params
-    gaps, model = _gap_model(p, budget)
+    gaps, model = _gap_model(exp)
     link = st.minkowski_link_check(model, d=p["exponent"])
     # unset, the exponent is the similarity dimension of a repeating system
     # and 1 / (order of infinitesimal) on an explicit one
@@ -1326,25 +1331,21 @@ def _digest(values) -> dict:
     return {"n": len(values), "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _config_echo(exp: Experiment) -> dict:
-    """``exp.raw``, each values array as its digest, hashed where it runs."""
-    return dict(exp.raw, parameters={
-        k: _digest(x) if isinstance(x, np.ndarray) else x
-        for k, x in exp.raw["parameters"].items()})
-
-
-def run_experiment(exp: Experiment, budget: Budget, out_dir: str) -> dict:
-    """Execute one validated experiment and return its report document."""
+def run_experiment(exp: Experiment, out_dir: str) -> dict:
+    """Run one validated experiment within its budget; return its report."""
     t0 = time.perf_counter()
     out = _Series(exp, out_dir)
-    results, entries_used = _RUNNERS[exp.kind](exp, budget, out)
+    results, entries_used = _RUNNERS[exp.kind](exp, out)
     wall = time.perf_counter() - t0
     return {
         "format": REPORT_FORMAT,
         "name": exp.name,
         "kind": exp.kind,
-        "config": _config_echo(exp),
-        "budget": {"entries": budget.entries, "words": budget.words},
+        # exp.raw, each values array as its digest, hashed where it runs
+        "config": dict(exp.raw, parameters={
+            k: _digest(x) if isinstance(x, np.ndarray) else x
+            for k, x in exp.raw["parameters"].items()}),
+        "budget": asdict(exp.budget),
         "results": results,
         "series": out.files,
         "meta": {"package": f"fractrace {__version__}",
@@ -1364,8 +1365,7 @@ def run(config_path: str, out_dir: str = ".", budget: Budget = Budget(),
     array: the parsed document is released before the first experiment
     runs and before the helpers fork.
     """
-    stdout = stdout or sys.stdout
-    stderr = stderr or sys.stderr
+    stdout, stderr = stdout or sys.stdout, stderr or sys.stderr
     try:
         with open(config_path) as fh:
             doc = json.load(fh)
@@ -1388,10 +1388,10 @@ def run(config_path: str, out_dir: str = ".", budget: Budget = Budget(),
     except OSError as e:
         print(f"$: cannot write {out_dir}: {e}", file=stderr)
         return 2
-    return _run_batch(exps, budget, out_dir, quiet, stdout, stderr)
+    return _run_batch(exps, out_dir, quiet, stdout, stderr)
 
 
-def _run_batch(exps, budget, out_dir, quiet, stdout, stderr) -> int:
+def _run_batch(exps, out_dir, quiet, stdout, stderr) -> int:
     """Run validated experiments round-robin on one process per CPU in the
     affinity mask, this one and forked helpers, and return the exit code.
     Every helper is reaped before this returns or raises."""
@@ -1446,8 +1446,7 @@ def _run_batch(exps, budget, out_dir, quiet, stdout, stderr) -> int:
                 try:
                     for fd in [read_end, *helpers]:
                         os.close(fd)
-                    status = _helper(exps, rank, procs, budget, out_dir,
-                                     write_end)
+                    status = _helper(exps, rank, procs, out_dir, write_end)
                 finally:
                     os._exit(status)
             os.close(write_end)
@@ -1456,7 +1455,7 @@ def _run_batch(exps, budget, out_dir, quiet, stdout, stderr) -> int:
             for fd in helpers:
                 selector.register(fd, selectors.EVENT_READ)
             for i in range(0, n, procs):
-                outcomes[i] = _outcome(exps[i], budget, out_dir)
+                outcomes[i] = _outcome(exps[i], out_dir)
                 poll(selector, 0)
             while helpers:
                 poll(selector, None)
@@ -1470,11 +1469,11 @@ def _run_batch(exps, budget, out_dir, quiet, stdout, stderr) -> int:
     return 3 if any(failed for failed, _ in outcomes) else 0
 
 
-def _outcome(exp, budget, out_dir) -> tuple:
+def _outcome(exp, out_dir) -> tuple:
     """Run one experiment and write its report; return (failed, line), the
     line ``run`` prints for it, on stderr when failed."""
     try:
-        report = run_experiment(exp, budget, out_dir)
+        report = run_experiment(exp, out_dir)
     except FractraceError as e:
         return True, f"{exp.name}: {e.code}: {e}"
     except (ValueError, ArithmeticError) as e:
@@ -1486,15 +1485,15 @@ def _outcome(exp, budget, out_dir) -> tuple:
     return False, f"{exp.name}: {exp.kind} ok ({wall:.2f} s) -> {path}"
 
 
-def _helper(exps, rank, procs, budget, out_dir, fd) -> int:
+def _helper(exps, rank, procs, out_dir, fd) -> int:
     """Body of a forked helper: run experiments rank, rank + procs, …, send
     one JSON line [index, failed, line] per experiment down ``fd``, and
     return the helper's exit status."""
     try:
         with open(fd, "w") as pipe:
             for i in range(rank, len(exps), procs):
-                pipe.write(json.dumps([i, *_outcome(exps[i], budget,
-                                                    out_dir)]) + "\n")
+                pipe.write(json.dumps([i, *_outcome(exps[i], out_dir)])
+                           + "\n")
                 pipe.flush()
     except Exception:
         traceback.print_exc()
@@ -1610,8 +1609,7 @@ def compare_reports(doc_a: dict, doc_b: dict) -> dict:
 def compare(path_a: str, path_b: str, out_path: str | None = None,
             quiet: bool = False, stdout=None, stderr=None) -> int:
     """CLI face of compare_reports; returns the process exit code."""
-    stdout = stdout or sys.stdout
-    stderr = stderr or sys.stderr
+    stdout, stderr = stdout or sys.stdout, stderr or sys.stderr
     docs = []
     for path in (path_a, path_b):
         try:

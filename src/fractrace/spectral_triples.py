@@ -536,16 +536,19 @@ class FunctionalSample:
 def sample_functional(model, f) -> FunctionalSample:
     """Evaluate the vectorized callable ``f`` at every tag point of
     ``model``: it is fed a flat (n,) array for one-dimensional models, an
-    (n, dim) array otherwise.
-    """
+    (n, dim) array otherwise.  A value or difference quotient past the
+    float range raises ``Overflow``; a NaN value, ``ValueError``."""
     if len(model) == 0:
         raise ValueError("model has no entries to sample at")
     tx, ty = model.tag_matrix()
-    vx = _eval_callable(f, tx)
-    vy = _eval_callable(f, ty)
-    if not (np.all(np.isfinite(vx)) and np.all(np.isfinite(vy))):
-        raise ValueError("functional produced non-finite values at tag points")
-    lip = float(np.max(np.abs(vx - vy) / model.values)) if len(model) else 0.0
+    # past the float range is inf, and a NaN quotient is inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        vx, vy = _eval_callable(f, tx), _eval_callable(f, ty)
+        if np.isnan(vx).any() or np.isnan(vy).any():
+            raise ValueError("functional produced NaN values at tag points")
+        lip = float(np.max(np.abs(vx - vy) / model.values))
+    if not math.isfinite(lip):
+        raise Overflow("functional leaves the float range at tag points")
     return FunctionalSample(values_x=vx, values_y=vy, lipschitz=lip)
 
 

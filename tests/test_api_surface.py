@@ -218,6 +218,7 @@ reporting.Experiment.series
 reporting.Experiment.report_name
 reporting.Experiment.params
 reporting.Experiment.raw
+reporting.Experiment.budget
 reporting.compare(out_path=None, quiet=False, stdout=None, stderr=None)
 reporting.parse_config(budget=Budget(entries=2000000, words=10000000))
 reporting.run(out_dir='.', budget=Budget(entries=2000000, words=10000000), quiet=False, stdout=None, stderr=None)

@@ -20,7 +20,10 @@ gap lists and models through the system they hold, never through a copy.
 The stationary system is the period of one level, with no name of its
 own.  Every
 error class in ``errors`` is raised somewhere in the package, so each code
-is one a run can report.
+is one a run can report.  The run's budget is stated once: in ``reporting``
+only the entry points ``parse_config`` and ``run`` and the validator's
+``_Ctx`` take it, and each ``Experiment`` carries the budget it was
+validated against to its run and report.
 """
 
 import ast
@@ -243,3 +246,32 @@ def test_every_error_class_is_raised():
     raised = {name for path in PACKAGE.glob("*.py")
               for name in raised_names(path)}
     assert sorted(classes - raised) == []
+
+
+def functions(node, scope=""):
+    """(qualified name, node) of every function, method and lambda under
+    ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = scope + child.name
+        elif isinstance(child, ast.Lambda):
+            name = scope + "<lambda>"
+        else:
+            yield from functions(child, scope)
+            continue
+        if not isinstance(child, ast.ClassDef):
+            yield name, child
+        yield from functions(child, name + ".")
+
+
+def parameter_names(node):
+    a = node.args
+    return {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                            a.vararg, a.kwarg] if p is not None}
+
+
+def test_only_the_entry_points_and_the_validator_take_the_budget():
+    path = PACKAGE / "reporting.py"
+    takers = [name for name, node in functions(ast.parse(path.read_text()))
+              if "budget" in parameter_names(node)]
+    assert sorted(takers) == ["_Ctx.__init__", "parse_config", "run"]

@@ -19,8 +19,8 @@ from fractrace import exemplars as ex
 from fractrace import spectral_triples as st
 from fractrace.asymptotics import order_of_infinitesimal
 from fractrace.fractal_geometry import Similarity
-from fractrace.reporting import (IFS_CLASSICAL, PAIR_TRIPLE, Budget,
-                                 parse_config, run_experiment)
+from fractrace.reporting import (IFS_CLASSICAL, PAIR_TRIPLE, parse_config,
+                                 run_experiment)
 from systems import make_cantor, make_planar, make_segment, make_uneven
 
 
@@ -218,7 +218,7 @@ def test_similarity_dimension_interval_holds_the_root(build, tmp_path):
            "parameters": {"ifs": stationary_ifs(maps), "depth": 2,
                           "gaps": False}}
     (exp,) = parse_config(doc)
-    report = run_experiment(exp, Budget(), str(tmp_path))
+    report = run_experiment(exp, str(tmp_path))
     (entry,) = [r for r in report["results"]
                 if r["op"] == "similarity_dimension"]
     assert_holds_the_root(maps, entry["values"]["dimension"])
@@ -241,7 +241,7 @@ def test_similarity_exponents_hold_the_root(build, kind, parameters, op,
     doc = {"kind": kind, "series": False,
            "parameters": {"ifs": stationary_ifs(maps), **parameters}}
     (exp,) = parse_config(doc)
-    report = run_experiment(exp, Budget(), str(tmp_path))
+    report = run_experiment(exp, str(tmp_path))
     (entry,) = [r for r in report["results"] if r["op"] == op]
     assert_holds_the_root(maps, entry["values"]["exponent"])
 
@@ -251,7 +251,7 @@ def test_a_given_link_exponent_stays_a_point(tmp_path):
            "parameters": {"ifs": stationary_ifs(make_uneven().level(1)),
                           "depth": 8, "exponent": 0.788}}
     (exp,) = parse_config(doc)
-    report = run_experiment(exp, Budget(), str(tmp_path))
+    report = run_experiment(exp, str(tmp_path))
     (entry,) = [r for r in report["results"]
                 if r["op"] == "minkowski_link_check"]
     assert entry["values"]["exponent"] == {"value": 0.788,

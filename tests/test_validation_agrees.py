@@ -5,16 +5,19 @@ Validation asks ``spectral_triples._seed_pair`` for the pair and evaluates
 the functional once at a point of the system's dimension, so it refuses a
 config exactly when one of those raises.  A config it accepts then builds
 its model and samples its functional without an error, except where a
-tag's value leaves the float range, a known miss pinned below.
+tag's value leaves the float range: validation evaluates the functional at
+one point, so that case runs and fails as a typed ``Overflow`` (exit 3).
 """
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fractrace import spectral_triples
-from fractrace.errors import FractraceError, ValidationError
+from fractrace import cli, spectral_triples
+from fractrace.errors import FractraceError, Overflow, ValidationError
 from fractrace.fractal_geometry import LimitIfs, Similarity
 from fractrace.reporting import PAIR_TRIPLE, parse_config
 
@@ -128,13 +131,26 @@ def _check(drawn):
         spectral_triples.sample_functional(model, p["functional"][0])
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="ROADMAP item 12: the functional is checked at one "
-                   "point, so its value at a tag can overflow at run time")
-def test_a_functional_past_the_float_range_is_refused():
-    """Seed points near the float range that differ in a small coordinate
-    are a finite distance apart; slope 4 takes their images' first
-    coordinate, 5.1e307, past the float range."""
-    drawn = (2, False, [[1.7e308, 0.5], [1.7e308, 0.7]],
-             {"type": "affine", "slope": [4.0, 0.0]})
-    _check(drawn)
+# Seed points near the float range that differ in a small coordinate are a
+# finite distance apart; slope 4 takes their images' first coordinate,
+# 5.1e307, past the float range.
+FAR = (2, False, [[1.7e308, 0.5], [1.7e308, 0.7]],
+       {"type": "affine", "slope": [4.0, 0.0]})
+
+
+def test_a_functional_past_the_float_range_raises_overflow():
+    with pytest.raises(Overflow, match="leaves the float range"):
+        _check(FAR)
+
+
+def test_a_functional_past_the_float_range_exits_3_as_overflow(tmp_path,
+                                                               capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_config(*FAR)))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out-dir", str(out),
+                     "--quiet"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "pair_triple: OVERFLOW: functional leaves the float range at tag "
+        "points"]
+    assert not list(out.glob("*.report.json"))

@@ -20,7 +20,7 @@ import pytest
 
 from fractrace import reporting
 from fractrace.fractal_geometry import LimitIfs, gaps_from_interval_ifs, interval_map
-from fractrace.reporting import Budget, Experiment, parse_config
+from fractrace.reporting import Experiment, parse_config
 from fractrace.spectral_triples import gap_triple, pair_triple
 from systems import make_cantor, make_planar, make_uneven
 
@@ -96,7 +96,7 @@ def test_a_power_sequence_is_computed_in_one_float_buffer(monkeypatch):
     monkeypatch.setattr(reporting, "_sequence_entries",
                         lambda p, out, seq, build, parameters: seq)
     seq, peak = traced_peak(
-        lambda: reporting._run_sequence_analysis(exp, Budget(), None))
+        lambda: reporting._run_sequence_analysis(exp, None))
     assert seq.cap == cap
     assert peak <= 2 * cap * 8 + OBJECT_SLACK
 
@@ -141,10 +141,10 @@ def test_the_batch_starts_with_the_parsed_document_released(tmp_path,
     alive = []
     run_experiment = reporting.run_experiment
 
-    def first_checked(exp, budget, out_dir):
+    def first_checked(exp, out_dir):
         alive.append(any(type(x) is list and len(x) == n
                          for x in gc.get_objects()))
-        return run_experiment(exp, budget, out_dir)
+        return run_experiment(exp, out_dir)
 
     monkeypatch.setattr(reporting, "run_experiment", first_checked)
     code = reporting.run(str(config), str(tmp_path / "out"), quiet=True)
