@@ -4,7 +4,8 @@ Three subcommands: ``run`` executes a JSON experiment config and writes one
 report per experiment, ``compare`` diffs two reports field by field, and
 ``schema`` prints the accepted config layout.  All heavy lifting lives in
 ``reporting``; this module only parses arguments and maps results to exit
-codes (0 ok, 2 config problem, 3 numeric precondition failure).
+codes (0 ok, 1 a helper process died, 2 config problem, 3 numeric
+precondition failure).
 """
 
 from __future__ import annotations

@@ -353,21 +353,29 @@ def _as_cloud(points, dim=None):
     return pts
 
 
-def _word_maps(ifs: LimitIfs, depth: int, budget: int, points: int = 1):
+def _check_words(ifs: LimitIfs, depth: int, budget: int, points: int = 1):
+    """The word budget, checked before a walk to ``depth`` builds a level:
+    BudgetExceeded at the first level whose words place more than ``budget``
+    images of ``points`` points.  A period of single maps adds no word."""
+    words = 1
+    for n in range(1, depth + 1):
+        words *= ifs.p(n)
+        if words * points > budget:
+            raise BudgetExceeded(f"level {n} needs {words * points} points, budget {budget}")
+        if words == 1 and n == len(ifs.blocks) and ifs.period:
+            return
+
+
+def _word_maps(ifs: LimitIfs, depth: int):
     """Yield (maps, lin, off) for n = 1..depth: the level-n maps, and the
     linear parts (words, dim, dim) and offsets (words, dim) of the composed
-    maps W_1 o ... o W_n, one per word of length n in lexicographic order.
-    Raises BudgetExceeded before level n composes its words when they would
-    place more than ``budget`` images of ``points`` points."""
+    maps W_1 o ... o W_n, one per word of length n in lexicographic order."""
     dim = ifs.dim
     lin = np.eye(dim)[None, :, :]
     off = np.zeros((1, dim))
     for n in range(1, depth + 1):
         maps = ifs.level(n)
         count = lin.shape[0] * len(maps)
-        if count * points > budget:
-            raise BudgetExceeded(
-                f"level {n} needs {count * points} points, budget {budget}")
         lmat = np.stack([w.linear for w in maps])
         loff = np.stack([w.translation for w in maps])
         off = (np.einsum("wij,mj->wmi", lin, loff) + off[:, None, :]).reshape(count, dim)
@@ -415,12 +423,13 @@ def contraction_limit(ifs: LimitIfs, seed, depth: int,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     seed_pts = _as_cloud(seed, ifs.dim)
-    worst = np.array([ifs.ratios(n).max() for n in range(1, depth + 1)])
+    worst = np.array([max(w.ratio for w in ifs.level(n)) for n in range(1, depth + 1)])
     products = np.cumprod(worst)
     if depth >= 4 and products[-1] > 0.99 * products[(depth - 1) // 2]:
         raise DivergentSpec(
             "ratio products decayed by less than 1% over the tail half of "
             f"{depth} levels; sum of products diverges over this range")
+    _check_words(ifs, depth, budget, len(seed_pts))
 
     displacements = np.empty(depth)
     for n in range(1, depth + 1):
@@ -429,7 +438,7 @@ def contraction_limit(ifs: LimitIfs, seed, depth: int,
 
     prev = None
     rho = []
-    for _, lin, off in _word_maps(ifs, depth, budget, len(seed_pts)):
+    for _, lin, off in _word_maps(ifs, depth):
         cloud = (np.einsum("wij,sj->wsi", lin, seed_pts)
                  + off[:, None, :]).reshape(-1, ifs.dim)
         if prev is not None:
@@ -470,9 +479,10 @@ def attractor_cloud(ifs: LimitIfs, depth: int, seed=None,
         raise ValueError("depth must be >= 0")
     dim = ifs.dim
     seed_pt = np.zeros(dim) if seed is None else _as_cloud(seed, dim)[0]
+    _check_words(ifs, depth, budget)
     lin, off = np.eye(dim)[None, :, :], np.zeros((1, dim))
     ratios = np.ones(1)
-    for maps, lin, off in _word_maps(ifs, depth, budget):
+    for maps, lin, off in _word_maps(ifs, depth):
         ratios = (ratios[:, None] * np.array([w.ratio for w in maps])[None, :]).ravel()
     points = lin @ seed_pt + off
     return AttractorCloud(points=points, word_ratios=ratios, depth=depth)
@@ -512,6 +522,7 @@ def cylinder_measure(ifs: LimitIfs, s: float, depth: int,
         raise ValueError("the measure exponent must be positive")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    _check_words(ifs, depth, budget)
     level_weights = []
     weights = np.ones(1)
     for n in range(1, depth + 1):
@@ -520,8 +531,6 @@ def cylinder_measure(ifs: LimitIfs, s: float, depth: int,
         # force the level to sum to 1 exactly so cylinder mass never drifts
         w[np.argmax(w)] += 1.0 - w.sum()
         level_weights.append(w)
-        if weights.size * w.size > budget:
-            raise BudgetExceeded(f"depth {n} needs {weights.size * w.size} words, budget {budget}")
         weights = (weights[:, None] * w[None, :]).ravel()
     total = weights.sum()
     if abs(total - 1.0) > 1e-12:
@@ -756,30 +765,10 @@ def _stationary_hull(maps):
     return lo, hi
 
 
-def _level_interval_data(maps, a, b, exact):
-    """Sorted images of [a, b] and their gaps.
-
-    Raises OverlappingImages unless the closed images are pairwise disjoint.
-    """
-    ivs = _images(maps, a, b, exact)
-    for (_, h1, _, _), (l2, _, _, _) in zip(ivs, ivs[1:]):
-        if not h1 < l2:
-            raise OverlappingImages(
-                f"level images [..{float(h1):.6g}] and [{float(l2):.6g}..] touch or overlap")
-    if ivs[0][0] < a or ivs[-1][1] > b:
-        raise OverlappingImages(
-            f"level images leave [{float(a):.6g}, {float(b):.6g}]")
-    # a, lo_1, hi_1, ..., lo_p, hi_p, b: every (hi, next lo) pair is a gap,
-    # and so are the two edge pairs when they are not empty
-    ends = [a] + [x for iv in ivs for x in iv[:2]] + [b]
-    gaps = [(h1, l2) for h1, l2 in zip(ends[::2], ends[1::2]) if h1 < l2]
-    return ivs, gaps
-
-
 def _level_max_gap(maps, a: float, b: float) -> float:
     """Largest uncovered spacing of the float images of [a, b], edges included.
 
-    Unlike _level_interval_data this never rejects: overlapping images just
+    Unlike _gap_frame this never rejects: overlapping images just
     cover more, so the result stays a valid upper bound for the gaps any
     deeper enumeration of that level can open.
     """
@@ -813,23 +802,19 @@ def _future_gap_factor(ifs: LimitIfs, depth: int, a: float, b: float) -> float:
     return best
 
 
-def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
-                           exact="auto", budget: int = DEFAULT_WORD_BUDGET) -> GapList:
-    """Exact complement structure of a one-dimensional limit set.
+def _gap_frame(ifs: LimitIfs, depth: int, interval=None, exact="auto"):
+    """Every reason a gap analysis of ``ifs`` to ``depth`` cannot run,
+    checked before a level is built.  Returns the bounding interval a < b,
+    whether the run is exact, and, for each block that levels 1..depth use,
+    read once, its sorted images (lo, hi, alpha, beta) of [a, b] and gaps.
 
-    Each level must map the bounding interval to pairwise disjoint ordered
-    subintervals; the gaps that opens are final, so the depth-m gap list is
-    a true initial segment of the complement.  The bounding interval comes
-    from the argument, the asserted open set, or (systems whose blocks
-    repeat) the smallest interval the maps of one period leave invariant.
-
-    exact="auto" switches to rational endpoints whenever the maps and the
-    interval allow; exact=True insists and raises ValueError otherwise.
-    Exact and float runs share one vectorized enumeration: exact endpoints
-    are Python-int numerators over one common denominator (no width limit),
-    rounded correctly to float at the end, and the conservation defect is an
-    integer identity.  A float run holds its endpoint arrays once, so its
-    working set stays within about twice the arrays it returns.
+    The system must be one-dimensional and, if explicit, reach ``depth``.
+    The interval is ``interval``, else the ``osc_box``, else, when the
+    blocks repeat, the smallest interval that every map of one period maps
+    into itself (_stationary_hull of all of them).  Each used block's closed
+    images of it must be pairwise disjoint and inside it.  exact="auto" is
+    exact when the used maps and both ends are (int or Fraction); True
+    insists, False runs in floats.
     """
     if ifs.dim != 1:
         raise ValueError("gap analysis needs a one-dimensional system")
@@ -843,26 +828,56 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
         a_raw, b_raw = _stationary_hull([w for level in ifs.blocks for w in level])
     else:
         raise ValueError("explicit systems need a bounding interval or osc_box")
+    ifs.block_index(depth)   # an explicit system ends at its last level
 
-    block_ids = [ifs.block_index(n) for n in range(1, depth + 1)]
-    maps_exact = all(_affine(w, True) is not None
-                     for i in set(block_ids) for w in ifs.blocks[i])
+    used = [ifs.blocks[i] for i in range(min(depth, len(ifs.blocks)))]
     a_e, b_e = _exact_number(a_raw), _exact_number(b_raw)
-    use_exact = maps_exact and a_e is not None and b_e is not None
+    use_exact = exact is not False and a_e is not None and b_e is not None \
+        and all(_affine(w, True) is not None for maps in used for w in maps)
     if exact is True and not use_exact:
         raise ValueError("exact arithmetic requested but maps or interval are not exact")
-    if exact is False:
-        use_exact = False
 
     a, b = (a_e, b_e) if use_exact else (float(a_raw), float(b_raw))
     if not a < b:
         raise ValueError("bounding interval is degenerate")
+    images = []
+    for maps in used:
+        ivs = _images(maps, a, b, use_exact)
+        for (_, h1, _, _), (l2, _, _, _) in zip(ivs, ivs[1:]):
+            if not h1 < l2:
+                raise OverlappingImages(
+                    f"level images [..{float(h1):.6g}] and [{float(l2):.6g}..] touch or overlap")
+        if ivs[0][0] < a or ivs[-1][1] > b:
+            raise OverlappingImages(
+                f"level images leave [{float(a):.6g}, {float(b):.6g}]")
+        # a, lo_1, hi_1, ..., lo_p, hi_p, b: every (hi, next lo) pair is a
+        # gap, and so are the two edge pairs when they are not empty
+        ends = [a] + [x for iv in ivs for x in iv[:2]] + [b]
+        images.append((ivs, [(h1, l2) for h1, l2 in zip(ends[::2], ends[1::2])
+                             if h1 < l2]))
+    return a, b, use_exact, images
 
-    level_cache = {i: _level_interval_data(ifs.blocks[i], a, b, use_exact)
-                   for i in set(block_ids)}
 
+def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
+                           exact="auto", budget: int = DEFAULT_WORD_BUDGET) -> GapList:
+    """Exact complement structure of a one-dimensional limit set.
+
+    Each level must map the bounding interval to pairwise disjoint ordered
+    subintervals; the gaps that opens are final, so the depth-m gap list is
+    a true initial segment of the complement.  _gap_frame states that and
+    the other preconditions, the default interval and the exactness rule;
+    they and the word budget are checked before any level is built.
+
+    Exact and float runs share one vectorized enumeration: exact endpoints
+    are Python-int numerators over one common denominator (no width limit),
+    rounded correctly to float at the end, and the conservation defect is an
+    integer identity.  A float run holds its endpoint arrays once, so its
+    working set stays within about twice the arrays it returns.
+    """
+    a, b, use_exact, images = _gap_frame(ifs, depth, interval, exact)
+    _check_words(ifs, depth, budget)
     lo, hi, glevels, res_lo, res_hi, denom = _gap_numerators(
-        [level_cache[i] for i in block_ids], a, b, use_exact, budget)
+        [images[ifs.block_index(n)] for n in range(1, depth + 1)], a, b, use_exact)
 
     def to_float(x):
         # int / int rounds correctly, to the value float(Fraction) gives; a
@@ -910,7 +925,7 @@ def gaps_from_interval_ifs(ifs: LimitIfs, depth: int, interval=None,
     )
 
 
-def _gap_numerators(levels, a, b, exact, budget):
+def _gap_numerators(levels, a, b, exact):
     """Gap and residual endpoints of levels 1..m as numerators over one
     denominator S, one broadcasting pass per level.
 
@@ -939,10 +954,8 @@ def _gap_numerators(levels, a, b, exact, budget):
         return np.array(out, dtype=dtype)
 
     words = [1]
-    for n, (ivs, _) in enumerate(levels, start=1):
+    for ivs, _ in levels:
         words.append(words[-1] * len(ivs))
-        if words[n] > budget:
-            raise BudgetExceeded(f"depth {n} needs {words[n]} words, budget {budget}")
     n_gaps = sum(w * len(lgaps) for w, (_, lgaps) in zip(words, levels))
     gap_lo, gap_hi = np.empty(n_gaps, dtype=dtype), np.empty(n_gaps, dtype=dtype)
     gap_level = np.empty(n_gaps, dtype=np.min_scalar_type(m))

@@ -573,41 +573,37 @@ def _gaps_on(p) -> bool:
 
 
 def _one_map_rule(ctx, ifs, given, path):
-    """A value that defaults to what the maps leave invariant must be given
-    on a repeating system of one map per level: its similarity dimension is
-    0 and the invariant interval of one map a point."""
+    """An exponent that defaults to the similarity dimension must be given
+    on a repeating system of one map per level, where that dimension is 0."""
     if given is None and ifs is not None and set(map(len, ifs.period)) == {1}:
         ctx.fail(path, "required for a system of one map")
 
 
-def _interval_rule(ctx, v, path):
-    """The bounding interval of a gap analysis defaults to the ifs box,
-    else to the smallest interval the maps of one period leave invariant,
-    which an explicit system does not have."""
-    ifs = v["ifs"]
-    if ifs is None or ifs.osc_box is not None or v["interval"] is not None:
+def _gap_rule(ctx, v, path):
+    """Asks fractal_geometry._gap_frame whether the gap analysis of ``ifs``
+    to ``depth`` in ``interval`` can run; skipped while one is invalid."""
+    if v["ifs"] is None or v["depth"] is None \
+            or f"{path}.interval" in ctx.invalid:
         return
-    if ifs.period:
-        _one_map_rule(ctx, ifs, None, f"{path}.interval")
-    else:
-        ctx.fail(f"{path}.interval", "required for an explicit system")
+    try:
+        fg._gap_frame(v["ifs"], v["depth"], v["interval"])
+    except (ValueError, FractraceError) as e:
+        ctx.fail(path, str(e))
 
 
 def _ifs_classical_rules(ctx, v, path):
-    """gaps needs a 1d system
-    gap analysis needs an interval or ifs box on an explicit system
-    gap analysis needs an interval or ifs box on a system of one map
+    """gap analysis: 1d, depth within an explicit system, a bounding interval
+    gap analysis: each level's images disjoint and inside the interval
     minkowski needs the gap analysis
     minkowski needs an exponent on an explicit system
-    minkowski needs an exponent on a system of one map"""
+    minkowski needs an exponent on a system of one map
+    every depth a walk reads is within an explicit system's levels"""
     ifs, mink = v["ifs"], v["minkowski"]
     # does the gap analysis run? None if unknown: an invalid gaps is not unset
     on = None if f"{path}.gaps" in ctx.invalid \
         else v["gaps"] if ifs is None else _gaps_on(v)
-    if on and ifs is not None and ifs.dim != 1:
-        ctx.fail(f"{path}.gaps", "gap analysis needs a 1d system")
-    elif on and ifs is not None:
-        _interval_rule(ctx, v, path)
+    if on:
+        _gap_rule(ctx, v, path)
     if mink is not None:
         if mink["exponent"] is None and ifs is not None and not ifs.period:
             ctx.fail(f"{path}.minkowski.exponent",
@@ -616,13 +612,23 @@ def _ifs_classical_rules(ctx, v, path):
                       f"{path}.minkowski.exponent")
         if on is False:
             ctx.fail(f"{path}.minkowski", "needs the gap analysis enabled")
+    # the depth of each other walk, at the path of the field that sets it
+    walks = {f"{path}.depth": v["depth"]} if v["translation"] else {}
+    for key, field in (("box_dimension", "cloud_depth"),
+                       ("cylinder", "depth"), ("contraction", "depth")):
+        if v[key] is not None:
+            given = v[key][field]
+            at = f"{path}.{key}.{field}" if given else f"{path}.depth"
+            walks[at] = given or v["depth"]
+    if on:   # the gap frame has asked for depth
+        walks.pop(f"{path}.depth", None)
+    for at, depth in walks.items():
+        if ifs is not None and depth is not None:
+            try:
+                ifs.block_index(depth)
+            except ValueError as e:
+                ctx.fail(at, str(e))
     return v
-
-
-def _one_dim(ctx, v, path, msg):
-    if v["ifs"] is not None and v["ifs"].dim != 1:
-        ctx.fail(f"{path}.ifs", msg)
-        v["ifs"] = None
 
 
 def _model_rules(ctx, v, path, depth):
@@ -641,14 +647,12 @@ def _model_rules(ctx, v, path, depth):
 
 
 def _gap_triple_rules(ctx, v, path):
-    """ifs is a 1d system
-    interval or ifs box is given on an explicit system
-    interval or ifs box is given on a system of one map
+    """gap analysis: 1d, depth within an explicit system, a bounding interval
+    gap analysis: each level's images disjoint and inside the interval
     residue needs the gaps of one whole period of blocks that repeat
     functional has the dimension of the system
     functional needs an exponent on a system of one map"""
-    _one_dim(ctx, v, path, "gap models need a 1d system")
-    _interval_rule(ctx, v, path)
+    _gap_rule(ctx, v, path)
     _model_rules(ctx, v, path, v["depth"])
     return v
 
@@ -670,12 +674,10 @@ def _pair_triple_rules(ctx, v, path):
 
 
 def _link_check_rules(ctx, v, path):
-    """ifs is a 1d system
-    interval or ifs box is given on an explicit system
-    interval or ifs box is given on a system of one map
+    """gap analysis: 1d, depth within an explicit system, a bounding interval
+    gap analysis: each level's images disjoint and inside the interval
     exponent is given on a system of one map"""
-    _one_dim(ctx, v, path, "the link check needs a 1d system")
-    _interval_rule(ctx, v, path)
+    _gap_rule(ctx, v, path)
     _one_map_rule(ctx, v["ifs"], v["exponent"], f"{path}.exponent")
     return v
 
@@ -686,9 +688,8 @@ _POSITIVE = dict(lo=0.0, lo_open=True)
 _IFS = _F("ifs", req=True)
 _DEPTH = _F("integer", "word length of the construction", req=True, lo=1)
 _INTERVAL = _F("interval", "bounding interval of the gap analysis; null: "
-               "the ifs box, else the smallest interval the maps of one "
-               "period leave invariant, so required with no box on an "
-               "explicit system or a system of one map")
+               "the default that fractal_geometry._gap_frame states, which "
+               "an explicit system with no box lacks")
 _ROWS = _F("integer", "rows written to the entries or gaps CSV",
            default=DEFAULT_SERIES_ROWS, lo=1)
 _TOLERANCE = _F("number", "eccentricity tolerance", default=0.02, **_POSITIVE)
@@ -1695,6 +1696,8 @@ def config_schema() -> dict:
                     "words": DEFAULT_WORD_BUDGET,
                     "flag": "--budget ENTRIES[,WORDS]"},
         "exit_codes": {"0": "success",
+                       "1": "a helper process died and took experiments "
+                            "with it",
                        "2": "config or schema violation",
                        "3": "numeric precondition failure"},
     }

@@ -195,7 +195,12 @@ def _seed_pair(ifs: LimitIfs, seed):
         if x.size != dim or y.size != dim:
             raise ValueError(f"seed points must have dimension {dim}")
     with np.errstate(over="ignore", invalid="ignore"):
-        d0 = float(np.linalg.norm(x - y))
+        diff = x - y
+        d0 = float(np.linalg.norm(diff))
+        scale = float(np.max(np.abs(diff)))
+        if d0 in (0.0, math.inf) and 0.0 < scale < math.inf:
+            # the squares left the float range: scale them back into it
+            d0 = scale * float(np.linalg.norm(diff / scale))
     if not math.isfinite(d0):
         raise ValueError("seed points are too far apart: their distance "
                          "overflows")

@@ -109,6 +109,23 @@ def test_the_values_and_one_map_rules_leave_typed_run_failures(tmp_path,
         ["classical.report.json"]
 
 
+def test_a_periodic_system_of_single_maps_needs_no_interval(tmp_path):
+    """x/2, then x/2 + 1/2, in turn: each maps [0, 1], the hull of the two,
+    into itself, so that hull bounds the gap analysis.  Level n opens one
+    gap of length 2**-n."""
+    blocks = [[{"ratio": 0.5, "translation": t}] for t in (0.0, 0.5)]
+    doc = {"kind": "GAP_TRIPLE", "name": "alternating",
+           "parameters": {"ifs": {"generation": "periodic", "blocks": blocks},
+                          "depth": 8}}
+    code, out = _run(tmp_path, doc)
+    assert code == 0
+    report = json.loads((out / "alternating.report.json").read_text())
+    model = report["results"][0]["values"]
+    assert model["entries"] == 16
+    assert model["max_value"]["value"] == 0.5
+    assert model["min_value"]["value"] == 2.0**-8
+
+
 def test_a_zeta_past_the_float_range_exits_3_as_overflow(tmp_path, capsys):
     doc = {"kind": "PAIR_TRIPLE", "name": "far",
            "parameters": {"ifs": _line_ifs(0.3, 0.4, 0.6), "cap": 2000,

@@ -483,6 +483,42 @@ def test_an_exact_hull_needs_every_map_exact():
         assert getattr(got, name) == getattr(want, name)
 
 
+def test_the_box_is_the_default_interval():
+    """With no interval the asserted box bounds the analysis, here wider
+    than the hull [0, 1]: the list is the one with the box as interval."""
+    maps = [interval_map(0.3, 0.0), interval_map(0.3, 0.7)]
+    boxed = LimitIfs.stationary(maps, osc_box=([-0.1], [1.1]))
+    got = gaps_from_interval_ifs(boxed, depth=6)
+    want = gaps_from_interval_ifs(LimitIfs.stationary(maps), depth=6,
+                                  interval=(-0.1, 1.1))
+    assert (got.a, got.b) == (-0.1, 1.1)
+    for name in ("starts", "ends", "levels", "residual_starts",
+                 "residual_ends"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for name in ("exact", "conservation_defect", "completeness_cutoff"):
+        assert getattr(got, name) == getattr(want, name)
+
+
+def test_a_float_run_of_exact_maps_matches_the_exact_list():
+    """exact=False on a rational system, one map flipped: the count and the
+    level of each gap are the exact run's, each endpoint within 4 ulps of
+    the hull's scale (its upper end, 1), where the float words round."""
+    ifs = LimitIfs.stationary([interval_map(Fraction(1, 3), Fraction(1, 3),
+                                            flip=True),
+                               interval_map(Fraction(1, 4), Fraction(3, 4))])
+    exact = gaps_from_interval_ifs(ifs, depth=9)
+    floats = gaps_from_interval_ifs(ifs, depth=9, exact=False)
+    assert exact.exact and not floats.exact
+    assert len(floats.starts) == len(exact.starts) == 2**9 - 1
+    # equal lengths may sort apart by an ulp: compare in position order
+    e, f = np.argsort(exact.starts), np.argsort(floats.starts)
+    assert (floats.levels[f] == exact.levels[e]).all()
+    for name in ("starts", "ends"):
+        want = getattr(exact, name)[e]
+        assert (np.abs(getattr(floats, name)[f] - want)
+                <= 4 * np.spacing(exact.b)).all()
+
+
 @pytest.mark.parametrize("flip_left", [False, True])
 @pytest.mark.parametrize("flip_right", [False, True])
 def test_exact_hull_for_every_orientation(flip_left, flip_right):

@@ -202,11 +202,11 @@ def test_pair_seed_guards():
 
 
 def test_a_seed_distance_that_overflows_is_refused():
-    """|x - y| = 1e300 overflows in the sum of squares of ``norm``: a
-    ValueError, with no RuntimeWarning on the way."""
+    """|x - y| = 2e308 leaves the float range: a ValueError, with no
+    RuntimeWarning on the way."""
     ifs = LimitIfs.stationary([Similarity(0.3, [0.0]), Similarity(0.4, [0.6])])
     with pytest.raises(ValueError, match="distance overflows"):
-        pair_triple(ifs, seed=((0.0,), (1e300,)), cap=2000)
+        pair_triple(ifs, seed=((-1e308,), (1e308,)), cap=2000)
 
 
 def test_pair_default_seed_is_fixed_point_pair():

@@ -8,7 +8,8 @@ stores one tag row per gap or word, not one per entry.  Gap levels take the
 narrowest unsigned type that holds the enumeration depth.  A power sequence
 is computed in the one float copy of its indices.  A batch holds each config
 value once: a ``values`` list lives on as its validated array alone, so no
-experiment, and no process a batch forks, holds the parsed list.
+experiment, and no process a batch forks, holds the parsed list.  A word
+walk over its budget is refused before it builds a level.
 """
 
 import gc
@@ -19,7 +20,10 @@ import numpy as np
 import pytest
 
 from fractrace import reporting
-from fractrace.fractal_geometry import LimitIfs, gaps_from_interval_ifs, interval_map
+from fractrace.errors import BudgetExceeded
+from fractrace.fractal_geometry import (LimitIfs, attractor_cloud,
+                                        contraction_limit, cylinder_measure,
+                                        gaps_from_interval_ifs, interval_map)
 from fractrace.reporting import Experiment, parse_config
 from fractrace.spectral_triples import gap_triple, pair_triple
 from systems import make_cantor, make_planar, make_uneven
@@ -52,6 +56,24 @@ def test_a_float_gap_list_holds_at_most_twice_what_it_returns():
                                       gaps.residual_starts, gaps.residual_ends))
     assert len(gaps.starts) == 2**16 - 1
     assert peak <= 2 * returned
+
+
+@pytest.mark.parametrize("walk", [
+    lambda ifs: attractor_cloud(ifs, 40),
+    lambda ifs: contraction_limit(ifs, [0.0], 10**4),
+    lambda ifs: cylinder_measure(ifs, 0.5, 40),
+    lambda ifs: gaps_from_interval_ifs(ifs, 3 * 10**6),
+], ids=["cloud", "contraction", "cylinders", "gaps"])
+def test_a_walk_over_the_word_budget_is_refused_before_it_builds(walk):
+    """Level 24 of Cantor has 2**24 words, past the default budget of 10**7:
+    each walk refuses it holding under 1 MB."""
+    def refused():
+        with pytest.raises(BudgetExceeded,
+                           match="level 24 needs 16777216 points"):
+            walk(make_cantor())
+
+    _, peak = traced_peak(refused)
+    assert peak < 10**6
 
 
 @pytest.mark.parametrize("ifs", [make_cantor(exact=False), make_uneven(),
